@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import IO, Mapping, NamedTuple, Sequence
 
@@ -119,21 +118,20 @@ def effective_lifespan(times: Sequence[float]) -> float:
     return times[i_hi - 1] - times[i_lo - 1]
 
 
+def _content_columns(trace: Trace) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    # volume, effective life-span, first and last request time, per code
+    times = trace.times[np.argsort(trace.codes, kind="stable")]
+    volume = np.bincount(trace.codes, minlength=len(trace.ids))
+    start = np.cumsum(volume) - volume
+    lo = start + (volume + 9) // 10 - 1  # as in effective_lifespan
+    hi = start + (9 * volume + 9) // 10 - 1
+    return volume, times[hi] - times[lo], times[start], times[start + volume - 1]
+
+
 def content_stats(trace: Trace) -> dict[str, ContentStats]:
     """Measure volume, effective life-span and first/last request per content."""
-    times: dict[str, list[float]] = {}
-    for ev in trace.events:
-        times.setdefault(ev.content_id, []).append(ev.timestamp)
-    out: dict[str, ContentStats] = {}
-    for cid, ts in times.items():
-        out[cid] = ContentStats(
-            content_id=cid,
-            volume=len(ts),
-            lifespan=effective_lifespan(ts),
-            first_request=ts[0],
-            last_request=ts[-1],
-        )
-    return out
+    columns = (c.tolist() for c in _content_columns(trace))
+    return dict(zip(trace.ids, map(ContentStats, trace.ids, *columns)))
 
 
 def _nearest_rank(sorted_vals: Sequence[float], pct: int) -> float:
@@ -156,26 +154,23 @@ def sliced_popularity(trace: Trace, K: int, top_ranks: int) -> RankDistribution:
     """
     if top_ranks <= 0:
         raise ValueError(f"top_ranks must be positive, got {top_ranks}")
-    bounds = slice_bounds(len(trace.events), K)
-    per_rank: list[list[float]] = [[] for _ in range(top_ranks)]
-    for lo, hi in bounds:
-        counts = Counter(ev.content_id for ev in trace.events[lo:hi])
-        slice_total = hi - lo
-        ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-        for n in range(top_ranks):
-            freq = ranked[n][1] / slice_total if n < len(ranked) else 0.0
-            per_rank[n].append(freq)
-    rows = []
-    for n, freqs in enumerate(per_rank, start=1):
-        freqs.sort()
-        rows.append(
-            RankRow(
-                rank=n,
-                mean=sum(freqs) / K,
-                p5=_nearest_rank(freqs, 5),
-                p95=_nearest_rank(freqs, 95),
-            )
-        )
+    n, m = len(trace), len(trace.ids)
+    sizes = np.array([hi - lo for lo, hi in slice_bounds(n, K)])
+    pairs, counts = np.unique(np.repeat(np.arange(K), sizes) * m + trace.codes, return_counts=True)
+    slices, codes = np.divmod(pairs, m)
+    by_name = np.empty(m, np.int64)
+    by_name[sorted(range(m), key=trace.ids.__getitem__)] = np.arange(m)
+    order = np.lexsort((by_name[codes], -counts, slices))  # by slice, then rank
+    slices, counts = slices[order], counts[order]
+    rank = np.arange(order.size) - np.searchsorted(slices, slices)
+    top = rank < top_ranks
+    freqs = np.zeros((top_ranks, K))
+    freqs[rank[top], slices[top]] = counts[top] / sizes[slices[top]]
+    freqs.sort(axis=1)
+    rows = [
+        RankRow(rank=r, mean=sum(f) / K, p5=_nearest_rank(f, 5), p95=_nearest_rank(f, 95))
+        for r, f in enumerate(freqs.tolist(), start=1)
+    ]
     return RankDistribution(K=K, rows=rows)
 
 
@@ -244,35 +239,35 @@ def class_summary(
     horizon, and ``volume_samples`` collects the class's empirical
     volume multiset for later resampling.
     """
-    stats = content_stats(trace)
-    missing = next((cid for cid in stats if cid not in classes), None)
+    missing = next((cid for cid in trace.ids if cid not in classes), None)
     if missing is not None:
         raise ValueError(f"content {missing!r} missing from classes")
     n_classes = len(lifespan_bounds) + 2
-    members: list[list[ContentStats]] = [[] for _ in range(n_classes)]
-    for cid, st in stats.items():
-        k = classes[cid]
-        if not 0 <= k < n_classes:
-            raise ValueError(f"class id {k} out of range for {len(lifespan_bounds)} bounds")
-        members[k].append(st)
+    member_of = np.array([classes[cid] for cid in trace.ids], np.int64)
+    bad = (member_of < 0) | (member_of >= n_classes)
+    if bad.any():
+        k = member_of[bad.argmax()]
+        raise ValueError(f"class id {k} out of range for {len(lifespan_bounds)} bounds")
 
-    total_requests = len(trace.events)
-    total_videos = len(stats)
+    volume, lifespan, _, _ = _content_columns(trace)
+    total_requests = len(trace)
+    total_videos = len(trace.ids)
     out = []
     for k in range(n_classes):
-        group = members[k]
-        n_videos = len(group)
-        n_requests = sum(st.volume for st in group)
+        members = member_of == k
+        volumes = volume[members].tolist()
+        n_videos = len(volumes)
+        n_requests = sum(volumes)
         out.append(
             ClassSummary(
                 class_id=k,
                 lifespan_bounds=_class_bounds(k, lifespan_bounds),
                 pct_requests=100.0 * n_requests / total_requests if total_requests else 0.0,
                 pct_videos=100.0 * n_videos / total_videos if total_videos else 0.0,
-                mean_lifespan=sum(st.lifespan for st in group) / n_videos if group else math.nan,
-                mean_volume=n_requests / n_videos if group else math.nan,
+                mean_lifespan=sum(lifespan[members].tolist()) / n_videos if n_videos else math.nan,
+                mean_volume=n_requests / n_videos if n_videos else math.nan,
                 arrival_rate=n_videos / trace.horizon if trace.horizon > 0 else math.nan,
-                volume_samples=sorted(st.volume for st in group),
+                volume_samples=sorted(volumes),
             )
         )
     return out

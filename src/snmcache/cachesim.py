@@ -62,12 +62,12 @@ def simulate_lru(trace: Trace, capacity: int) -> LruResult:
     """
     if capacity < 1:
         raise ValueError(f"capacity must be >= 1, got {capacity}")
-    cache: OrderedDict[str, None] = OrderedDict()
-    last_access: dict[str, float] = {}
+    cache: OrderedDict[int, None] = OrderedDict()
+    last_access: dict[int, float] = {}
     hits = 0
     evictions = 0
     eviction_gap_total = 0.0
-    for ts, cid in zip(trace.timestamps(), trace.content_ids()):
+    for ts, cid in zip(trace.times.tolist(), trace.codes.tolist()):
         if cid in cache:
             hits += 1
             cache.move_to_end(cid)
@@ -118,33 +118,33 @@ def reuse_distances(trace: Trace) -> np.ndarray:
     First references get infinity.  A request is an LRU hit at capacity
     C iff its distance is <= C.
     """
-    ids = trace.content_ids()
-    n = len(ids)
-    if n == 0:
-        return np.empty(0, np.float64)
-    index: dict[str, int] = {}  # content id -> code, in order of first appearance
-    codes = np.fromiter((index.setdefault(c, len(index)) for c in ids), np.int64, count=n)
-    order = np.argsort(codes, kind="stable")
-    sorted_codes = codes[order]
+    n = len(trace)
+    order = np.argsort(trace.codes, kind="stable")
+    sorted_codes = trace.codes[order]
     prev = np.full(n, -1, dtype=np.int64)
     same = sorted_codes[1:] == sorted_codes[:-1]
     prev[order[1:][same]] = order[:-1][same]
     return _stack_distances(prev)
 
 
-def hit_curve(distances: Iterable[float], capacities: Sequence[int]) -> list[tuple[int, float]]:
-    """Hit probability at each capacity from precomputed reuse distances."""
+def _finite_sorted(distances: Iterable[float]) -> tuple[np.ndarray, int]:
+    # the finite distances in increasing order, and the request count
     d = np.asarray(list(distances) if not isinstance(distances, np.ndarray) else distances, float)
     if d.size == 0:
         raise ValueError("no requests")
+    return np.sort(d[np.isfinite(d)]), d.size
+
+
+def hit_curve(distances: Iterable[float], capacities: Sequence[int]) -> list[tuple[int, float]]:
+    """Hit probability at each capacity from precomputed reuse distances."""
+    finite, total = _finite_sorted(distances)
     caps = [int(c) for c in capacities]
     if any(c < 1 for c in caps):
         raise ValueError(f"capacities must be positive, got {caps}")
     if any(a > b for a, b in zip(caps, caps[1:])):
         raise ValueError("capacities must be sorted")
-    finite = np.sort(d[np.isfinite(d)])
     counts = np.searchsorted(finite, caps, side="right")
-    return [(c, int(k) / d.size) for c, k in zip(caps, counts)]
+    return [(c, int(k) / total) for c, k in zip(caps, counts)]
 
 
 def size_for_hit_prob(distances: Iterable[float], target: float) -> int | None:
@@ -155,11 +155,7 @@ def size_for_hit_prob(distances: Iterable[float], target: float) -> int | None:
     """
     if not 0.0 < target < 1.0:
         raise ValueError(f"target must be in (0, 1), got {target!r}")
-    d = np.asarray(list(distances) if not isinstance(distances, np.ndarray) else distances, float)
-    if d.size == 0:
-        raise ValueError("no requests")
-    total = d.size
-    finite = np.sort(d[np.isfinite(d)])
+    finite, total = _finite_sorted(distances)
     # smallest hit count k with k/total >= target, under float comparison
     k = math.ceil(target * total)
     while k > 1 and (k - 1) / total >= target:
@@ -178,7 +174,7 @@ def compare_required_sizes(
     """Required cache size per (trace, target hit probability) pair."""
     rows: list[tuple[str, float, int | None]] = []
     for label, trace in traces:
-        if not trace.events:
+        if not len(trace):
             raise ValueError(f"trace {label!r} is empty")
         d = reuse_distances(trace)
         rows.extend((label, t, size_for_hit_prob(d, t)) for t in targets)

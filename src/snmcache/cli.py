@@ -31,9 +31,13 @@ __all__ = ["main"]
 
 def _write_atomic(path: Path, write_fn) -> None:
     tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-    with open(tmp, "w", encoding="utf-8", newline="\n") as f:
-        write_fn(f)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as f:
+            write_fn(f)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _read_trace_file(path: str) -> Trace:
@@ -61,24 +65,11 @@ def _default_volume_bins(threshold: int, max_volume: int) -> list[float]:
 
 def cmd_analyze(args) -> int:
     trace = _read_trace_file(args.trace)
-    if not trace.events:
+    if not len(trace):
         raise ValueError(f"trace {args.trace} has no requests")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
+    # compute every output, and so check every argument, before writing any
     stats = analysis.content_stats(trace)
-
-    def write_stats(f):
-        f.write("content_id,volume,lifespan,first_request,last_request\n")
-        for cid in sorted(stats):
-            st = stats[cid]
-            f.write(f"{cid},{st.volume},{st.lifespan!r},{st.first_request!r},{st.last_request!r}\n")
-
-    _write_atomic(out / "content_stats.csv", write_stats)
-
     dist = analysis.sliced_popularity(trace, args.slices, args.top)
-    _write_atomic(out / "ranks.csv", lambda f: analysis.write_rank_csv(dist, f))
-
     if args.lifespan_bins:
         l_bins = _float_list(args.lifespan_bins)
     else:
@@ -89,18 +80,30 @@ def cmd_analyze(args) -> int:
         max_vol = max(st.volume for st in stats.values())
         v_bins = _default_volume_bins(args.volume_threshold, max_vol)
     dm = analysis.density_map(stats, args.volume_threshold, l_bins, v_bins)
+
+    def write_stats(f):
+        f.write("content_id,volume,lifespan,first_request,last_request\n")
+        for cid in sorted(stats):
+            st = stats[cid]
+            f.write(f"{cid},{st.volume},{st.lifespan!r},{st.first_request!r},{st.last_request!r}\n")
+
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    _write_atomic(out / "content_stats.csv", write_stats)
+    _write_atomic(out / "ranks.csv", lambda f: analysis.write_rank_csv(dist, f))
     _write_atomic(out / "density.csv", lambda f: analysis.write_density_csv(dm, f))
 
     if args.contents:
-        wanted = args.contents.split(",")
+        code = {cid: k for k, cid in enumerate(trace.ids)}
+        wanted = [code[cid] for cid in args.contents.split(",") if cid in code]
+        rows = np.isin(trace.codes, wanted)
 
         def write_cumulative(f):
             f.write("content_id,timestamp,cum_requests\n")
-            counts = {cid: 0 for cid in wanted}
-            for ev in trace.events:
-                if ev.content_id in counts:
-                    counts[ev.content_id] += 1
-                    f.write(f"{ev.content_id},{ev.timestamp!r},{counts[ev.content_id]}\n")
+            counts = dict.fromkeys(wanted, 0)
+            for ts, k in zip(trace.times[rows].tolist(), trace.codes[rows].tolist()):
+                counts[k] += 1
+                f.write(f"{trace.ids[k]},{ts!r},{counts[k]}\n")
 
         _write_atomic(out / "cumulative.csv", write_cumulative)
     return 0
@@ -108,7 +111,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_fit(args) -> int:
     trace = _read_trace_file(args.trace)
-    if not trace.events:
+    if not len(trace):
         raise ValueError(f"trace {args.trace} has no contents")
     bounds = _float_list(args.bounds)
     stats = analysis.content_stats(trace)
@@ -139,10 +142,7 @@ def cmd_fit(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     generators.write_snm_config(config, out / "snm.conf")
 
-    def write_summary(f):
-        analysis.write_class_summary_csv(summaries, f)
-
-    _write_atomic(out / "class_summary.csv", write_summary)
+    _write_atomic(out / "class_summary.csv", lambda f: analysis.write_class_summary_csv(summaries, f))
     return 0
 
 
@@ -197,28 +197,24 @@ def cmd_evaluate(args) -> int:
     seen_labels: dict[str, int] = {}
     for path in args.traces:
         trace = _read_trace_file(path)
-        if not trace.events:
+        if not len(trace):
             raise ValueError(f"trace {path} is empty")
         label = Path(path).stem
         seen_labels[label] = seen_labels.get(label, 0) + 1
         if seen_labels[label] > 1:
             label = f"{label}_{seen_labels[label]}"
         traces.append((label, trace))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     targets = _float_list(args.targets)
 
+    # compute every output, and so check every argument, before writing any
+    writers = {}
     rows = []
     for label, trace in traces:
         distances = cachesim.reuse_distances(trace)
-        if args.capacities:
-            caps = _int_list(args.capacities)
-        else:
-            caps = _default_capacities(len(set(trace.content_ids())))
+        caps = _int_list(args.capacities) if args.capacities else _default_capacities(len(trace.ids))
         curve = cachesim.hit_curve(distances, caps)
-        _write_atomic(out / f"curve_{label}.csv", lambda f, c=curve: cachesim.write_hit_curve_csv(c, f))
+        writers[f"curve_{label}.csv"] = lambda f, c=curve: cachesim.write_hit_curve_csv(c, f)
         rows.extend((label, t, cachesim.size_for_hit_prob(distances, t)) for t in targets)
-
         if args.eviction_stats:
             results = [cachesim.simulate_lru(trace, c) for c in caps]
 
@@ -227,9 +223,13 @@ def cmd_evaluate(args) -> int:
                 for r in res:
                     f.write(f"{r.capacity},{r.hit_prob!r},{r.evictions},{r.mean_eviction_time!r}\n")
 
-            _write_atomic(out / f"evictions_{label}.csv", write_evictions)
+            writers[f"evictions_{label}.csv"] = write_evictions
+    writers["required_sizes.csv"] = lambda f: cachesim.write_required_sizes_csv(rows, f)
 
-    _write_atomic(out / "required_sizes.csv", lambda f: cachesim.write_required_sizes_csv(rows, f))
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, write in writers.items():
+        _write_atomic(out / name, write)
     return 0
 
 

@@ -23,7 +23,6 @@ streaming event scheduler produce identical traces.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -196,6 +195,28 @@ def lifespan_to_L(kind: str, lifespan: float) -> float:
     raise ValueError(f"shape kind {kind!r} has no life-span scale")
 
 
+def _shot_times(shape, birth: float, volume: float, horizon: float, rng, daynight: bool) -> np.ndarray:
+    # The one sampling path: Poisson count, i.i.d. times from the shape
+    # truncated to [birth, horizon] (uniform over [0, horizon] when shape
+    # is None), then, under day/night modulation, thinning at twice the
+    # rate that keeps each candidate with probability f(t)/2.
+    factor = 2.0 if daynight else 1.0
+    if shape is None:
+        t = rng.uniform(0.0, horizon, rng.poisson(factor * volume))
+    else:
+        if horizon < birth:
+            raise ValueError(f"horizon {horizon!r} precedes birth {birth!r}")
+        window = horizon - birth
+        mass = float(shape.cdf(window))
+        t = shape.quantile(rng.random(rng.poisson(factor * volume * mass)) * mass)
+        np.minimum(t, window, out=t)  # guard fp rounding at the window edge
+        t += birth
+    if daynight:
+        t = t[rng.random(t.size) < 0.5 * daynight_factor(t)]
+    t.sort()
+    return t
+
+
 def sample_shot_requests(shot: ContentShot, horizon: float, rng: np.random.Generator) -> np.ndarray:
     """Request times of one shot, truncated at the horizon.
 
@@ -204,15 +225,7 @@ def sample_shot_requests(shot: ContentShot, horizon: float, rng: np.random.Gener
     are i.i.d. draws from the shape truncated to the observation window,
     shifted by the birth time.  Returns a sorted array of absolute times.
     """
-    if horizon < shot.birth:
-        raise ValueError(f"horizon {horizon!r} precedes birth {shot.birth!r}")
-    window = horizon - shot.birth
-    mass = float(shot.shape.cdf(window))
-    count = rng.poisson(shot.mean_volume * mass)
-    rel = shot.shape.quantile(rng.random(count) * mass)
-    np.minimum(rel, window, out=rel)  # guard fp rounding at the window edge
-    rel.sort()
-    return rel + shot.birth
+    return _shot_times(shot.shape, shot.birth, shot.mean_volume, horizon, rng, False)
 
 
 def modulated_shot_requests(shot: ContentShot, horizon: float, rng: np.random.Generator) -> np.ndarray:
@@ -223,18 +236,7 @@ def modulated_shot_requests(shot: ContentShot, horizon: float, rng: np.random.Ge
     expected kept volume is mean_volume * integral(shape * f), which is
     close to, but not exactly, mean_volume.
     """
-    if horizon < shot.birth:
-        raise ValueError(f"horizon {horizon!r} precedes birth {shot.birth!r}")
-    window = horizon - shot.birth
-    mass = float(shot.shape.cdf(window))
-    count = rng.poisson(2.0 * shot.mean_volume * mass)
-    rel = shot.shape.quantile(rng.random(count) * mass)
-    np.minimum(rel, window, out=rel)
-    t = shot.birth + rel
-    keep = rng.random(count) < 0.5 * daynight_factor(t)
-    kept = t[keep]
-    kept.sort()
-    return kept
+    return _shot_times(shot.shape, shot.birth, shot.mean_volume, horizon, rng, True)
 
 
 def zipf_probabilities(catalogue_size: int, alpha: float) -> np.ndarray:
@@ -255,8 +257,8 @@ def generate_irm(config: IrmConfig, seed: int) -> Trace:
     cum[-1] = 1.0
     ranks = np.searchsorted(cum, rng.random(config.total_requests), side="right") + 1
     times = np.sort(rng.uniform(0.0, config.horizon, config.total_requests))
-    events = [RequestEvent(float(t), f"r{n}") for t, n in zip(times, ranks)]
-    return Trace(events, config.horizon)
+    used, codes = np.unique(ranks, return_inverse=True)
+    return Trace.from_codes(times, codes, [f"r{n}" for n in used.tolist()], config.horizon)
 
 
 def _class_shape(cfg: SnmClassConfig) -> PopularityShape | None:
@@ -265,38 +267,11 @@ def _class_shape(cfg: SnmClassConfig) -> PopularityShape | None:
     return PopularityShape(cfg.shape_kind, lifespan_to_L(cfg.shape_kind, cfg.lifespan))
 
 
-def _sample_volume(volumes, rng: np.random.Generator) -> float:
-    if isinstance(volumes, (int, float)):
-        return float(volumes)
-    return float(volumes[rng.integers(0, len(volumes))])
-
-
-def _content_times(
-    cfg: SnmClassConfig,
-    shape: PopularityShape | None,
-    content_id: str,
-    birth: float,
-    horizon: float,
-    rng: np.random.Generator,
-    daynight: bool,
-) -> np.ndarray:
-    """Sorted request times of one content; the single sampling path
-    shared by the batch generator and the event stream."""
-    volume = _sample_volume(cfg.volumes, rng)
-    if shape is None:
-        # stationary: uniform over the whole horizon, regardless of birth
-        if daynight:
-            count = rng.poisson(2.0 * volume)
-            t = rng.uniform(0.0, horizon, count)
-            t = t[rng.random(count) < 0.5 * daynight_factor(t)]
-        else:
-            t = rng.uniform(0.0, horizon, rng.poisson(volume))
-        t.sort()
-        return t
-    shot = ContentShot(content_id, birth, volume, shape)
-    if daynight:
-        return modulated_shot_requests(shot, horizon, rng)
-    return sample_shot_requests(shot, horizon, rng)
+def _content_times(cfg: SnmClassConfig, shape, birth: float, horizon: float, rng, daynight: bool):
+    # sorted request times of one content, for the batch generator and the event stream alike
+    v = cfg.volumes
+    volume = float(v) if isinstance(v, (int, float)) else float(v[rng.integers(0, len(v))])
+    return _shot_times(shape, birth, volume, horizon, rng, daynight)
 
 
 def _class_births(cfg: SnmClassConfig, horizon: float, seed: int) -> np.ndarray:
@@ -305,7 +280,10 @@ def _class_births(cfg: SnmClassConfig, horizon: float, seed: int) -> np.ndarray:
     return np.sort(rng.uniform(0.0, horizon, n))
 
 
-def _check_classes(classes: Sequence[SnmClassConfig]) -> None:
+def _check_run(classes: Sequence[SnmClassConfig], horizon: float) -> None:
+    # preconditions shared by the batch generator and the event stream
+    if not horizon > 0:
+        raise ValueError(f"horizon must be positive, got {horizon!r}")
     if not classes:
         raise ValueError("class list must be non-empty")
     seen = set()
@@ -316,10 +294,7 @@ def _check_classes(classes: Sequence[SnmClassConfig]) -> None:
 
 
 def generate_snm(
-    classes: Sequence[SnmClassConfig],
-    horizon: float,
-    seed: int,
-    daynight: bool = False,
+    classes: Sequence[SnmClassConfig], horizon: float, seed: int, daynight: bool = False
 ) -> Trace:
     """Generate a full shot-noise trace.
 
@@ -329,19 +304,21 @@ def generate_snm(
     the horizon are censored.  Content ids are "c<class>_<serial>" with
     serials assigned in birth order.
     """
-    if not horizon > 0:
-        raise ValueError(f"horizon must be positive, got {horizon!r}")
-    _check_classes(classes)
-    events: list[RequestEvent] = []
+    _check_run(classes, horizon)
+    times, names = [], []
     for cfg in classes:
         shape = _class_shape(cfg)
-        for serial, birth in enumerate(_class_births(cfg, horizon, seed)):
-            cid = f"c{cfg.class_id}_{serial}"
+        for serial, birth in enumerate(_class_births(cfg, horizon, seed).tolist()):
             rng = _rng(seed, _TAG_CONTENT, cfg.class_id, serial)
-            times = _content_times(cfg, shape, cid, float(birth), horizon, rng, daynight)
-            events.extend(RequestEvent(float(t), cid) for t in times)
-    events.sort()
-    return Trace(events, horizon)
+            times.append(_content_times(cfg, shape, birth, horizon, rng, daynight))
+            names.append(f"c{cfg.class_id}_{serial}")
+    # Laid out in id-string order, a stable sort on time breaks ties by
+    # id string ("c1_10" before "c1_2"), as the event stream's heap does.
+    by_name = sorted(range(len(names)), key=names.__getitem__)
+    owner = np.repeat(np.array(by_name, np.int64), [times[k].size for k in by_name])
+    t = np.concatenate([np.empty(0), *(times[k] for k in by_name)])
+    order = np.argsort(t, kind="stable")
+    return Trace.from_codes(t[order], owner[order], names, horizon)
 
 
 def generate_snm_from_config(config: SnmConfig) -> Trace:
@@ -361,16 +338,10 @@ class SnmEventStream:
     the stream yields exactly the events of :func:`generate_snm`.
     """
 
-    def __init__(
-        self,
-        classes: Sequence[SnmClassConfig],
-        horizon: float,
-        seed: int,
-        daynight: bool = False,
-    ):
-        if horizon < 0:
-            raise ValueError(f"horizon must be >= 0, got {horizon!r}")
-        _check_classes(classes)
+    def __init__(self, classes: Sequence[SnmClassConfig], horizon: float, seed: int, daynight=False):
+        _check_run(classes, horizon)
+        import heapq  # only the stream needs a heap; the package import does without
+        self._heapq = heapq
         self.horizon = horizon
         self.peak_pending = 0
         self._heap: list[tuple[float, str, int]] = []
@@ -381,7 +352,7 @@ class SnmEventStream:
 
         for cfg in classes:
             shape = _class_shape(cfg)
-            births = _class_births(cfg, horizon, seed) if horizon > 0 else np.empty(0)
+            births = _class_births(cfg, horizon, seed)
             if shape is None:
                 for serial, birth in enumerate(births):
                     self._materialize(cfg, None, serial, float(birth))
@@ -395,9 +366,9 @@ class SnmEventStream:
     def _materialize(self, cfg, shape, serial: int, birth: float) -> None:
         cid = f"c{cfg.class_id}_{serial}"
         rng = _rng(self._seed, _TAG_CONTENT, cfg.class_id, serial)
-        times = _content_times(cfg, shape, cid, birth, self.horizon, rng, self._daynight)
+        times = _content_times(cfg, shape, birth, self.horizon, rng, self._daynight)
         for seq, t in enumerate(times):
-            heapq.heappush(self._heap, (float(t), cid, seq))
+            self._heapq.heappush(self._heap, (float(t), cid, seq))
         if len(self._heap) > self.peak_pending:
             self.peak_pending = len(self._heap)
 
@@ -413,7 +384,7 @@ class SnmEventStream:
             self._next_birth += 1
             self._materialize(cfg, shape, serial, birth)
         if self._heap:
-            t, cid, _ = heapq.heappop(self._heap)
+            t, cid, _ = self._heapq.heappop(self._heap)
             return RequestEvent(t, cid)
         raise StopIteration
 
@@ -514,17 +485,20 @@ def write_snm_config(config: SnmConfig, path: str | Path) -> None:
     if config.seed is not None:
         lines.append(f"seed={config.seed}")
     lines.append(f"daynight={'on' if config.daynight else 'off'}")
+    sidecars: dict[str, str] = {}
     for cfg in config.classes:
         if isinstance(cfg.volumes, (int, float)):
             vol_spec = f"const:{float(cfg.volumes)!r}"
         else:
-            vol_name = f"{cfg.class_id}.volumes"
-            with open(path.parent / vol_name, "w", encoding="utf-8") as vf:
-                vf.writelines(f"{int(v)}\n" for v in cfg.volumes)
-            vol_spec = vol_name
+            bad = next((v for v in cfg.volumes if not float(v).is_integer()), None)
+            if bad is not None:
+                raise ValueError(f"class {cfg.class_id}: volume sample {bad!r} is not an integer")
+            vol_spec = f"{cfg.class_id}.volumes"
+            sidecars[vol_spec] = "".join(f"{int(v)}\n" for v in cfg.volumes)
         lines.append(
             f"class={cfg.class_id}, arrival_rate={cfg.arrival_rate!r}, "
             f"lifespan_days={cfg.lifespan!r}, shape={cfg.shape_kind}, volumes={vol_spec}"
         )
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
+    for name, text in sidecars.items():
+        (path.parent / name).write_text(text, encoding="utf-8")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")

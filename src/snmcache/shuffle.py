@@ -29,10 +29,8 @@ def slice_shuffle(trace: Trace, K: int, seed: int) -> Trace:
     Deterministic given (trace, K, seed): each slice draws its
     permutation from an RNG keyed by (seed, slice index).
     """
-    ids = trace.content_ids()
-    source = np.empty(len(ids), np.int64)  # output position -> input position
-    for idx, (lo, hi) in enumerate(slice_bounds(len(ids), K)):
+    source = np.empty(len(trace), np.int64)  # output position -> input position
+    for idx, (lo, hi) in enumerate(slice_bounds(len(trace), K)):
         rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, _SHUFFLE_TAG, idx])
         source[lo:hi] = lo + rng.permutation(hi - lo)
-    shuffled = np.asarray(ids, dtype=object)[source].tolist()
-    return Trace.from_columns(trace.timestamps(), shuffled, trace.horizon)
+    return Trace.from_codes(trace.times, trace.codes[source], trace.ids, trace.horizon)

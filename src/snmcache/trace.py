@@ -1,9 +1,12 @@
 """Canonical request-trace representation and file I/O.
 
-A trace is a time-sorted sequence of (timestamp, content_id) request
-events plus an observation horizon.  Timestamps are real-valued days
-since the trace origin; content ids are opaque tokens.  The on-disk
-format is line-oriented text:
+A trace is a time-sorted sequence of requests plus an observation
+horizon, held as three columns: ``times`` (float64, days since the
+trace origin, one per request), ``codes`` (int32, one per request) and
+``ids``, the tuple of distinct content ids, which the codes index.  Ids
+are numbered in order of first appearance, so equal traces have equal
+columns.  Content ids are opaque tokens.  The on-disk format is
+line-oriented text:
 
     # trace-v1 horizon=<real>
     <timestamp_days>,<content_id>
@@ -17,6 +20,8 @@ from __future__ import annotations
 import math
 from typing import IO, Iterable, NamedTuple, Sequence
 
+import numpy as np
+
 __all__ = [
     "RequestEvent",
     "Trace",
@@ -29,6 +34,8 @@ __all__ = [
 
 HEADER_MAGIC = "# trace-v1"
 MAX_ID_LEN = 64
+_WRITE_ROWS = 1 << 16  # rows formatted per write call
+_READ_CHARS = 1 << 20  # text parsed per block
 
 
 class TraceFormatError(ValueError):
@@ -63,22 +70,37 @@ def _valid_content_id(cid: str) -> bool:
     return all(33 <= ord(c) <= 126 and c != "," for c in cid)
 
 
-class Trace:
-    """Immutable-by-convention sequence of request events.
+def _encode(ids: Sequence[str], index: dict[str, int]) -> np.ndarray:
+    # code each id by order of first appearance, extending ``index``
+    return np.fromiter((index.setdefault(c, len(index)) for c in ids), np.int32, count=len(ids))
 
-    ``events`` must be sorted by non-decreasing timestamp and every
-    timestamp must lie in ``[0, horizon]``; :func:`validate` reports
-    violations without raising.  A trace built with :meth:`from_columns`
-    holds parallel timestamp and id lists and makes its ``events`` list
-    only when that attribute is first read.
+
+class Trace:
+    """Immutable request trace held as columns.
+
+    ``times`` must be non-decreasing and lie in ``[0, horizon]``;
+    :func:`validate` reports violations without raising.  ``events``,
+    :meth:`timestamps` and :meth:`content_ids` build lists from the
+    columns on every call.
     """
 
-    __slots__ = ("_events", "_times", "_ids", "horizon")
+    __slots__ = ("times", "codes", "ids", "horizon")
 
     def __init__(self, events: Iterable[RequestEvent], horizon: float):
-        self._events: list[RequestEvent] | None = list(events)
-        self._times: list[float] | None = None
-        self._ids: list[str] | None = None
+        events, index = list(events), {}
+        self._fill([e[0] for e in events], _encode([e[1] for e in events], index), tuple(index), horizon)
+
+    def _fill(self, times, codes: np.ndarray, names: Sequence[str], horizon: float) -> None:
+        # renumber the names by first appearance and drop the unused ones
+        first = np.full(len(names), codes.size)
+        np.minimum.at(first, codes, np.arange(codes.size))
+        order = np.argsort(first)[: np.count_nonzero(first < codes.size)]
+        remap = np.empty(len(names), np.int32)
+        remap[order] = np.arange(order.size, dtype=np.int32)
+        self.times = np.array(times, np.float64)
+        self.codes = remap[codes]
+        self.times.flags.writeable = self.codes.flags.writeable = False
+        self.ids = tuple(names[i] for i in order.tolist())
         self.horizon = float(horizon)
 
     @classmethod
@@ -94,42 +116,80 @@ class Trace:
         """Build a trace from parallel timestamp and content-id columns."""
         if len(times) != len(ids):
             raise ValueError(f"column lengths differ: {len(times)} times, {len(ids)} ids")
-        trace = cls((), horizon)
-        trace._events = None
-        trace._times = list(times)
-        trace._ids = list(ids)
+        index: dict[str, int] = {}
+        return cls.from_codes(times, _encode(ids, index), tuple(index), horizon)
+
+    @classmethod
+    def from_codes(cls, times, codes: np.ndarray, names: Sequence[str], horizon: float) -> "Trace":
+        """Build a trace from a timestamp column and a column of indices
+        into ``names``; names that no request uses are left out."""
+        trace = cls.__new__(cls)
+        trace._fill(times, codes, names, horizon)
         return trace
 
     @property
     def events(self) -> list[RequestEvent]:
-        if self._events is None:
-            self._events = list(map(RequestEvent, self._times, self._ids))
-        return self._events
+        return list(map(RequestEvent, self.times.tolist(), self.content_ids()))
 
     def __len__(self) -> int:
-        return len(self._events) if self._ids is None else len(self._ids)
+        return self.times.size
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Trace):
             return NotImplemented
-        return (
-            self.horizon == other.horizon
-            and self.timestamps() == other.timestamps()
-            and self.content_ids() == other.content_ids()
-        )
+        if (self.horizon, self.ids) != (other.horizon, other.ids):
+            return False
+        return np.array_equal(self.times, other.times) and np.array_equal(self.codes, other.codes)
 
     def __repr__(self) -> str:
         return f"Trace({len(self)} events, horizon={self.horizon!r})"
 
     def content_ids(self) -> list[str]:
-        if self._ids is None:
-            return [e.content_id for e in self._events]
-        return list(self._ids)
+        return np.array(self.ids, dtype=object)[self.codes].tolist()
 
     def timestamps(self) -> list[float]:
-        if self._times is None:
-            return [e.timestamp for e in self._events]
-        return list(self._times)
+        return self.times.tolist()
+
+
+def _first_violations(times: np.ndarray, codes: np.ndarray, ids, horizon: float) -> dict[str, int]:
+    # first offending request of each invariant, in the order a reader checks a row
+    bad_ids = np.array([not _valid_content_id(c) for c in ids], bool)
+    masks = (
+        ("timestamp", ~(np.isfinite(times) & (times >= 0)), 0),
+        ("content_id", bad_ids[codes], 0),
+        ("sorted", times[1:] < times[:-1], 1),
+        ("horizon", times > horizon, 0),
+    )
+    return {name: int(bad.argmax()) + shift for name, bad, shift in masks if bad.any()}
+
+
+def _parse_rows(body: str) -> tuple[np.ndarray, np.ndarray, tuple[str, ...], str | None]:
+    # Columns of the rows before the first malformed one, and its error (or None),
+    # parsed a block of lines at a time so that one block's row strings are alive at once.
+    times, codes, index, start, error = [np.empty(0)], [np.empty(0, np.int32)], {}, 0, None
+    while start < len(body) and error is None:
+        stop = body.find("\n", start + _READ_CHARS) + 1 or len(body)
+        text, start = body[start:stop], stop
+        seps = np.frombuffer(text.encode("utf-8", "surrogatepass"), np.uint8)
+        seps = seps[(seps == 44) | (seps == 10)]  # commas and line ends, in order
+        commas = np.diff(np.flatnonzero(seps == 10), prepend=-1) - 1
+        if (commas != 1).any():
+            end = int((commas != 1).argmax())
+            error = f"expected 2 comma-separated columns, got {commas[end] + 1}"
+            text = "".join(line + "\n" for line in text.split("\n", end)[:end])
+        fields = text.replace("\n", ",").split(",")
+        stamps, names = fields[0:-1:2], fields[1::2]
+        unparsed = iter(stamps)
+        try:
+            times.append(np.fromiter(map(float, unparsed), np.float64, count=len(stamps)))
+        except ValueError:
+            # map stopped right after taking the unparsable stamp from the iterator
+            end = len(stamps) - 1 - sum(1 for _ in unparsed)
+            error = f"unparsable timestamp {stamps[end]!r}"
+            times.append(np.array([float(s) for s in stamps[:end]], np.float64))
+            names = names[:end]
+        codes.append(_encode(names, index))
+    return np.concatenate(times), np.concatenate(codes), tuple(index), error
 
 
 def read_trace(stream: IO[str]) -> Trace:
@@ -155,36 +215,25 @@ def read_trace(stream: IO[str]) -> Trace:
         else:
             raise TraceFormatError(f"unrecognized header field {token!r}", line=1)
 
-    events: list[RequestEvent] = []
-    prev_ts = -math.inf
-    for lineno, raw in enumerate(stream, start=2):
-        line = raw.rstrip("\n")
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise TraceFormatError(
-                f"expected 2 comma-separated columns, got {len(parts)}", line=lineno
-            )
-        try:
-            ts = float(parts[0])
-        except ValueError:
-            raise TraceFormatError(f"unparsable timestamp {parts[0]!r}", line=lineno) from None
-        if not math.isfinite(ts) or ts < 0:
-            raise TraceFormatError(f"timestamp must be finite and >= 0, got {parts[0]}", line=lineno)
-        cid = parts[1]
-        if not _valid_content_id(cid):
-            raise TraceFormatError(f"invalid content id {cid!r}", line=lineno)
-        if ts < prev_ts:
-            raise TraceFormatError(
-                f"timestamps not sorted: {ts!r} after {prev_ts!r}", line=lineno
-            )
-        if horizon is not None and ts > horizon:
-            raise TraceFormatError(f"timestamp {ts!r} beyond horizon {horizon!r}", line=lineno)
-        events.append(RequestEvent(ts, cid))
-        prev_ts = ts
-
+    body = stream.read()
+    times, codes, ids, error = _parse_rows(body if body.endswith("\n") or not body else body + "\n")
+    found = _first_violations(times, codes, ids, math.inf if horizon is None else horizon)
+    if found:
+        name, i = min(found.items(), key=lambda kv: kv[1])
+        stamp, cid = body.split("\n", i + 1)[i].split(",")
+        ts = float(times[i])
+        message = {
+            "timestamp": f"timestamp must be finite and >= 0, got {stamp}",
+            "content_id": f"invalid content id {cid!r}",
+            "sorted": f"timestamps not sorted: {ts!r} after {float(times[i - 1])!r}",
+            "horizon": f"timestamp {ts!r} beyond horizon {horizon!r}",
+        }[name]
+        raise TraceFormatError(message, line=i + 2)
+    if error is not None:
+        raise TraceFormatError(error, line=times.size + 2)
     if horizon is None:
-        horizon = events[-1].timestamp if events else 0.0
-    return Trace(events, horizon)
+        horizon = float(times[-1]) if times.size else 0.0
+    return Trace.from_codes(times, codes, ids, horizon)
 
 
 def write_trace(trace: Trace, stream: IO[str]) -> None:
@@ -194,8 +243,11 @@ def write_trace(trace: Trace, stream: IO[str]) -> None:
     decimal), so ``read_trace`` recovers the exact float values.
     """
     stream.write(f"{HEADER_MAGIC} horizon={trace.horizon!r}\n")
-    for ts, cid in zip(trace.timestamps(), trace.content_ids()):
-        stream.write(f"{ts!r},{cid}\n")
+    row = "{!r},{}\n".format
+    names = np.array(trace.ids, dtype=object)
+    for lo in range(0, len(trace), _WRITE_ROWS):
+        hi = lo + _WRITE_ROWS
+        stream.write("".join(map(row, trace.times[lo:hi].tolist(), names[trace.codes[lo:hi]].tolist())))
 
 
 def validate(trace: Trace) -> list[Violation]:
@@ -203,31 +255,14 @@ def validate(trace: Trace) -> list[Violation]:
 
     Returns an empty list iff the trace is valid.
     """
-    violations: list[Violation] = []
-    bad_ts = bad_id = unsorted = beyond = None
-    prev_ts = -math.inf
-    for i, ev in enumerate(trace.events):
-        if bad_ts is None and not (math.isfinite(ev.timestamp) and ev.timestamp >= 0):
-            bad_ts = (i, ev.timestamp)
-        if bad_id is None and not _valid_content_id(ev.content_id):
-            bad_id = (i, ev.content_id)
-        if unsorted is None and ev.timestamp < prev_ts:
-            unsorted = (i, ev.timestamp)
-        if beyond is None and ev.timestamp > trace.horizon:
-            beyond = (i, ev.timestamp)
-        prev_ts = ev.timestamp
-    if bad_ts is not None:
-        violations.append(
-            Violation("timestamp", bad_ts[0], f"timestamp {bad_ts[1]!r} not finite and >= 0")
-        )
-    if bad_id is not None:
-        violations.append(Violation("content_id", bad_id[0], f"invalid content id {bad_id[1]!r}"))
-    if unsorted is not None:
-        violations.append(
-            Violation("sorted", unsorted[0], f"timestamp {unsorted[1]!r} breaks sort order")
-        )
-    if beyond is not None:
-        violations.append(
-            Violation("horizon", beyond[0], f"timestamp {beyond[1]!r} beyond horizon {trace.horizon!r}")
-        )
+    violations = []
+    for name, i in _first_violations(trace.times, trace.codes, trace.ids, trace.horizon).items():
+        ts = float(trace.times[i])
+        message = {
+            "timestamp": f"timestamp {ts!r} not finite and >= 0",
+            "content_id": f"invalid content id {trace.ids[trace.codes[i]]!r}",
+            "sorted": f"timestamp {ts!r} breaks sort order",
+            "horizon": f"timestamp {ts!r} beyond horizon {trace.horizon!r}",
+        }[name]
+        violations.append(Violation(name, i, message))
     return violations

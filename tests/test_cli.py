@@ -94,6 +94,13 @@ class TestAnalyze:
         n_expected = sum(1 for e in trace.events if e.content_id in wanted)
         assert len(cumulative) - 1 == n_expected
 
+    def test_bad_slices_write_nothing(self, tmp_path):
+        path = tmp_path / "two.trace"
+        write_trace_file(make_trace(["a", "b"]), path)
+        out = tmp_path / "out"
+        assert cli.main(["analyze", str(path), "--slices", "5", "--out", str(out)]) == 2
+        assert not out.exists()
+
 
 class TestFit:
     def test_all_low_volume_gives_single_stationary_class(self, tmp_path):
@@ -285,10 +292,38 @@ class TestEvaluate:
         assert lines[0] == "capacity,hit_prob,evictions,mean_eviction_time"
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("flag,value", [("--capacities", "5,1"), ("--capacities", "0,3"),
+                                            ("--targets", "0.1,1.5")])
+    def test_bad_arguments_write_nothing(self, tmp_path, flag, value):
+        path = tmp_path / "t.trace"
+        write_trace_file(make_trace([1, 2, 1, 3, 1]), path)
+        out = tmp_path / "out"
+        assert cli.main(["evaluate", str(path), flag, value, "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_empty_trace_exits_2(self, tmp_path):
         path = tmp_path / "e.trace"
         path.write_text("# trace-v1 horizon=4\n")
         assert cli.main(["evaluate", str(path), "--out", str(tmp_path / "out")]) == 2
+
+
+class TestWriteAtomic:
+    def test_failed_writer_leaves_no_file(self, tmp_path):
+        def failing(f):
+            f.write("partial")
+            raise ValueError("writer failed")
+
+        with pytest.raises(ValueError, match="writer failed"):
+            cli._write_atomic(tmp_path / "out.csv", failing)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_writer_keeps_previous_file(self, tmp_path):
+        target = tmp_path / "out.csv"
+        target.write_text("old\n")
+        with pytest.raises(ZeroDivisionError):
+            cli._write_atomic(target, lambda f: f.write(str(1 / 0)))
+        assert list(tmp_path.iterdir()) == [target]
+        assert target.read_text() == "old\n"
 
 
 class TestGoldenOutputs:
@@ -317,3 +352,53 @@ class TestGoldenOutputs:
         assert sha(irm) == self.IRM_TRACE
         assert sha(shuf) == self.SHUFFLED_TRACE
         assert sorted(sha(f) for f in out.iterdir()) == self.EVALUATE_FILES
+
+    # SHA-256 of each output of an SNM pipeline, recorded with the
+    # event-list trace: generate (plain and day/night) -> analyze -> fit
+    # -> generate from the fitted config -> evaluate --eviction-stats.
+    SNM_CONFIG = (
+        "horizon_days=20.0\nseed=13\ndaynight={daynight}\n"
+        "class=0, arrival_rate=30, lifespan_days=0, shape=stationary, volumes=const:3\n"
+        "class=1, arrival_rate=4, lifespan_days=1.5, shape=exponential, volumes=vols.txt\n"
+        "class=2, arrival_rate=3, lifespan_days=6, shape=uniform, volumes=const:40\n"
+        "class=5, arrival_rate=5, lifespan_days=10, shape=stationary, volumes=const:25\n"
+    )
+    SNM_FILES = {
+        "plain.trace": "27beadff57316a6885f19a3078410ef795e5d2d2bb63850233b89ee3835a5e5e",
+        "daynight.trace": "6327bb4cae701a358db5c4f71e028967efc837749c1813b89b147a609cd4be7d",
+        "analyze/content_stats.csv": "4ea05f5a4661d652ae780ca324569d0126b6ef136869fef5ae10cd79504e7cdf",
+        "analyze/ranks.csv": "53c2bfce54f1e45f886236daf1913146ce51a95d76ffec5dfc0ae30f2028a5b6",
+        "analyze/density.csv": "2aec4107cd80adc5185ff84a5ecd6d9f33f7a16841b53a5d6932457ea8f775ff",
+        "fit/snm.conf": "020166f4073db92eaddea87981ae28d964a52f67ca987c753512b750da046979",
+        "fit/0.volumes": "60dca2cd769fd8304491541bd1aa47da72691b9cda20f8c3e7255dff25274fc0",
+        "fit/1.volumes": "30c4cf89ec95f6e57fef52c7e3533496f605cd4fbc7e0914c98d8d60d65208d7",
+        "fit/2.volumes": "09b9762c4ec40189615e6b9387d3f643b19dec44f3ff97dc7cd028330bcfecc3",
+        "fit/3.volumes": "24f21a5bba3937c536f932637576f6602b0c6375fbff5a1c59f1d96de6df6034",
+        "fit/4.volumes": "51c9478ac43844a64b2683564180be6cb09a4a8a047597f8ccf98d335afa0d54",
+        "fit/5.volumes": "7f8c12363a3f09e7bf552f2244393dbb73cf97479f25111c931e9c9996be787c",
+        "fit/class_summary.csv": "8de2a76eb65e9d0217509f5aa4a53143df90ec240f097b776a91812f2fb3f89b",
+        "refit.trace": "ed50a28a98d729ea950d285ad56bb4210dc402a11504a0eedecd60b95e9f8be7",
+        "eval/curve_plain.csv": "78ef2abbd49f95665ce6f975ab91f3bf24d2eedc024c66ce2461e0232c21f5e5",
+        "eval/curve_daynight.csv": "18bc1399817abd0e8b0ee191aae0e555b4d81a44cd04a42302046a45bdd0e35d",
+        "eval/evictions_plain.csv": "cf0fe17183c913780298693327c3300ac60d7437f9d1f2bcc39972f55c4bd6ec",
+        "eval/evictions_daynight.csv": "466a5a6dec5cbc59a4d95314dfd69825d82c5e064e6d9f0b1c480d98338a108f",
+        "eval/required_sizes.csv": "de380d84d47fccc8a99f1a44fe3d6379d7d8ca9c25b2ea31f17d672c9a5948b4",
+    }
+
+    def test_snm_generate_analyze_fit_evaluate_hashes(self, tmp_path):
+        (tmp_path / "vols.txt").write_text("10\n50\n200\n")
+        for name, daynight in (("plain", "off"), ("daynight", "on")):
+            (tmp_path / f"{name}.conf").write_text(self.SNM_CONFIG.format(daynight=daynight))
+            assert cli.main(["generate", str(tmp_path / f"{name}.conf"),
+                             "--out", str(tmp_path / f"{name}.trace")]) == 0
+        plain, daynight = str(tmp_path / "plain.trace"), str(tmp_path / "daynight.trace")
+        assert cli.main(["analyze", plain, "--slices", "10", "--out", str(tmp_path / "analyze")]) == 0
+        assert cli.main(["fit", plain, "--seed", "4", "--out", str(tmp_path / "fit")]) == 0
+        assert cli.main(["generate", str(tmp_path / "fit" / "snm.conf"),
+                         "--out", str(tmp_path / "refit.trace")]) == 0
+        assert cli.main(["evaluate", plain, daynight, "--eviction-stats",
+                         "--out", str(tmp_path / "eval")]) == 0
+        inputs = {"vols.txt", "plain.conf", "daynight.conf"}
+        hashes = {str(p.relative_to(tmp_path)): hashlib.sha256(p.read_bytes()).hexdigest()
+                  for p in tmp_path.rglob("*") if p.is_file()}
+        assert {name: h for name, h in hashes.items() if name not in inputs} == self.SNM_FILES

@@ -7,6 +7,7 @@ from scipy import stats as scipy_stats
 
 from snmcache.analysis import class_summary, classify_contents, content_stats, effective_lifespan
 from snmcache.cachesim import simulate_lru
+from snmcache import generators
 from snmcache.generators import (
     ContentShot,
     IrmConfig,
@@ -253,9 +254,12 @@ class TestEventStream:
             stream = list(SnmEventStream(classes, 8.0, seed, daynight))
             assert stream == batch.events
 
-    def test_zero_horizon_ends_immediately(self):
-        stream = SnmEventStream(self.small_classes(), 0.0, seed=0)
-        assert stream.next_event() is None
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, math.nan])
+    def test_non_positive_or_nan_horizon_rejected(self, horizon):
+        # one precondition for both entry points
+        for generate in (SnmEventStream, generate_snm):
+            with pytest.raises(ValueError, match="horizon must be positive"):
+                generate(self.small_classes(), horizon, 0)
 
     def test_next_event_interface(self):
         classes = [SnmClassConfig(1, 5.0, 1.0, "uniform", 10.0)]
@@ -264,6 +268,19 @@ class TestEventStream:
         while (ev := stream.next_event()) is not None:
             collected.append(ev)
         assert collected == generate_snm(classes, 5.0, seed=4).events
+
+    def test_equal_timestamps_order_by_id_string(self, monkeypatch):
+        # every content requests twice at the horizon, so all requests
+        # tie on time and only the id string orders them
+        monkeypatch.setattr(generators, "_content_times", lambda *args: np.full(2, 5.0))
+        classes = [SnmClassConfig(1, 4.0, 1.0, "uniform", 10.0),
+                   SnmClassConfig(5, 2.0, 1.0, "stationary", 10.0)]
+        batch = generate_snm(classes, 5.0, seed=3)
+        ids = batch.content_ids()
+        assert "c1_10" in ids and "c1_2" in ids
+        assert ids == sorted(ids)
+        assert ids.index("c1_10") < ids.index("c1_2")
+        assert list(SnmEventStream(classes, 5.0, seed=3)) == batch.events
 
     def test_pending_size_bound(self):
         # expected pending load is arrival_rate * E[volume * lifespan]
@@ -300,6 +317,21 @@ class TestConfigFile:
         )
         write_snm_config(config, tmp_path / "snm.conf")
         assert (tmp_path / "2.volumes").read_text() == "7\n3\n"
+
+    def test_non_integer_volume_samples_rejected(self, tmp_path):
+        config = SnmConfig(
+            horizon=5.0,
+            classes=[SnmClassConfig(1, 1.0, 2.0, "uniform", (4.0, 9.0)),
+                     SnmClassConfig(3, 1.0, 2.0, "uniform", (2.5, 3.7, 10.9))],
+        )
+        with pytest.raises(ValueError, match="class 3"):
+            write_snm_config(config, tmp_path / "snm.conf")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_integer_volume_samples_round_trip(self, tmp_path):
+        config = SnmConfig(horizon=5.0, classes=[SnmClassConfig(3, 1.0, 2.0, "uniform", (2.0, 37.0, 10.0))])
+        write_snm_config(config, tmp_path / "snm.conf")
+        assert parse_snm_config(tmp_path / "snm.conf").classes == config.classes
 
     def test_missing_horizon(self, tmp_path):
         p = tmp_path / "c.conf"

@@ -140,3 +140,32 @@ class TestValidate:
         t = Trace([RequestEvent(-1.0, "a"), RequestEvent(0.0, "")], 2.0)
         names = {v.invariant for v in validate(t)}
         assert names == {"timestamp", "content_id"}
+
+
+class TestReaderValidatorAgreement:
+    # Ids may hold anything but the line break, so each row stays one line
+    # of the file and the reader's line L is the validator's index L - 2.
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(st.floats(), st.sampled_from([0.0, 1.0, 2.0])),
+                st.one_of(st.text(st.characters(blacklist_characters="\n"), max_size=8),
+                          st.sampled_from(["a", "b", "c1_10"])),
+            ),
+            max_size=12,
+        ),
+        st.floats(min_value=0.0, max_value=3.0),
+    )
+    def test_first_error_line_matches_first_violation(self, rows, horizon):
+        trace = Trace([RequestEvent(t, cid) for t, cid in rows], horizon)
+        buf = io.StringIO()
+        write_trace(trace, buf)
+        buf.seek(0)
+        violations = validate(trace)
+        if violations:
+            with pytest.raises(TraceFormatError) as exc:
+                read_trace(buf)
+            assert exc.value.line == min(v.index for v in violations) + 2
+        else:
+            assert read_trace(buf) == trace
