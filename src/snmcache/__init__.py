@@ -14,7 +14,6 @@ from .analysis import (
 )
 from .cachesim import (
     LruResult,
-    compare_required_sizes,
     hit_curve,
     reuse_distances,
     simulate_lru,
@@ -30,7 +29,6 @@ from .generators import (
     daynight_factor,
     generate_irm,
     generate_snm,
-    generate_snm_from_config,
     lifespan_to_L,
     modulated_shot_requests,
     parse_snm_config,

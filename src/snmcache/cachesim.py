@@ -1,13 +1,15 @@
 """Trace-driven LRU cache evaluation.
 
-Besides a direct LRU simulation, the module computes per-request reuse
-distances (the number of distinct contents referenced since the previous
-request for the same content, counting the content itself).  A request
-is an LRU hit at capacity C iff its distance is <= C, so one distance
-pass yields the exact hit probability at every capacity at once.  The
-distance kernel is an offline dominance count in numpy (Mattson et al.
-1970; Almasi, Cascaval & Padua 2002), O(n log^2 n) with no Python loop
-per request.
+The module computes per-request reuse distances (the number of distinct
+contents referenced since the previous request for the same content,
+counting the content itself).  A request is an LRU hit at capacity C iff
+its distance is <= C, so one distance pass yields the exact hit
+probability at every capacity at once, and the eviction statistics too
+(:func:`lru_results`).  The distance kernel is an offline dominance
+count in numpy (Mattson et al. 1970; Almasi, Cascaval & Padua 2002),
+O(n log^2 n) with no Python loop per request.  :func:`simulate_lru`, a
+direct per-request LRU cache, is the reference simulator the distance
+results are tested against.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ __all__ = [
     "LruResult",
     "simulate_lru",
     "reuse_distances",
+    "lru_results",
     "hit_curve",
     "size_for_hit_prob",
-    "compare_required_sizes",
     "write_hit_curve_csv",
     "write_required_sizes_csv",
 ]
@@ -112,19 +114,42 @@ def _stack_distances(prev: np.ndarray) -> np.ndarray:
     return out
 
 
+def _previous(codes: np.ndarray) -> np.ndarray:
+    # index of the previous request for the same content, -1 if none
+    order = np.argsort(codes, kind="stable")
+    prev = np.full(codes.size, -1, dtype=np.int64)
+    same = codes[order[1:]] == codes[order[:-1]]
+    prev[order[1:][same]] = order[:-1][same]
+    return prev
+
+
 def reuse_distances(trace: Trace) -> np.ndarray:
     """Reuse (stack) distance of every request, in request order.
 
     First references get infinity.  A request is an LRU hit at capacity
     C iff its distance is <= C.
     """
-    n = len(trace)
-    order = np.argsort(trace.codes, kind="stable")
-    sorted_codes = trace.codes[order]
-    prev = np.full(n, -1, dtype=np.int64)
-    same = sorted_codes[1:] == sorted_codes[:-1]
-    prev[order[1:][same]] = order[:-1][same]
-    return _stack_distances(prev)
+    return _stack_distances(_previous(trace.codes))
+
+
+def lru_results(trace: Trace, distances: np.ndarray, capacities: Sequence[int]) -> list[LruResult]:
+    """:func:`simulate_lru`'s result at each capacity, from the trace's reuse distances.
+
+    Request i's content is evicted at capacity C iff keep[i] > C (its next request's distance, or
+    1 + the contents last requested after it); LRU evicts those i in order, at misses C+1, C+2, ..."""
+    prev = _previous(trace.codes)
+    keep = np.full(len(trace), np.nan)
+    keep[prev[prev >= 0]] = distances[prev >= 0]
+    keep[np.isnan(keep)] = np.arange(np.count_nonzero(np.isnan(keep)), 0, -1)
+    results = []
+    for c in capacities:
+        if c < 1:
+            raise ValueError(f"capacity must be >= 1, got {c}")
+        victims, evictors = np.flatnonzero(keep > c), np.flatnonzero(distances > c)[c:]
+        gaps = np.cumsum(trace.times[evictors] - trace.times[victims])  # in order, as simulate_lru sums
+        mean_gap = (0.0 + float(gaps[-1])) / gaps.size if gaps.size else math.nan  # from 0.0 too
+        results.append(LruResult(c, len(trace), int(np.count_nonzero(distances <= c)), gaps.size, mean_gap))
+    return results
 
 
 def _finite_sorted(distances: Iterable[float]) -> tuple[np.ndarray, int]:
@@ -165,20 +190,6 @@ def size_for_hit_prob(distances: Iterable[float], target: float) -> int | None:
     if k > finite.size:
         return None
     return int(finite[k - 1])
-
-
-def compare_required_sizes(
-    traces: Sequence[tuple[str, Trace]],
-    targets: Sequence[float],
-) -> list[tuple[str, float, int | None]]:
-    """Required cache size per (trace, target hit probability) pair."""
-    rows: list[tuple[str, float, int | None]] = []
-    for label, trace in traces:
-        if not len(trace):
-            raise ValueError(f"trace {label!r} is empty")
-        d = reuse_distances(trace)
-        rows.extend((label, t, size_for_hit_prob(d, t)) for t in targets)
-    return rows
 
 
 def write_hit_curve_csv(curve: Sequence[tuple[int, float]], stream: IO[str]) -> None:

@@ -9,35 +9,24 @@ emit CSV artifacts for external plotting:
     shuffle   K-slice reshuffle of an existing trace
     evaluate  LRU hit curves and required-size comparisons
 
-All commands exit 0 on success and 2 on usage or input errors.  Output
-files are written atomically (write-then-rename).  Randomized commands
+All commands exit 0 on success and 2 on usage or input errors.  Each
+command writes its output files in one atomic step (write-then-rename,
+see :func:`snmcache.trace.write_atomic`).  Randomized commands
 need an explicit seed, either on the command line or in the config.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import analysis, cachesim, generators, shuffle as shuffle_mod
-from .trace import Trace, read_trace, write_trace
+from .trace import Trace, read_trace, write_atomic, write_trace
 
 __all__ = ["main"]
-
-
-def _write_atomic(path: Path, write_fn) -> None:
-    tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as f:
-            write_fn(f)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 def _read_trace_file(path: str) -> Trace:
@@ -88,11 +77,11 @@ def cmd_analyze(args) -> int:
             f.write(f"{cid},{st.volume},{st.lifespan!r},{st.first_request!r},{st.last_request!r}\n")
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_atomic(out / "content_stats.csv", write_stats)
-    _write_atomic(out / "ranks.csv", lambda f: analysis.write_rank_csv(dist, f))
-    _write_atomic(out / "density.csv", lambda f: analysis.write_density_csv(dm, f))
-
+    files = {
+        out / "content_stats.csv": write_stats,
+        out / "ranks.csv": lambda f: analysis.write_rank_csv(dist, f),
+        out / "density.csv": lambda f: analysis.write_density_csv(dm, f),
+    }
     if args.contents:
         code = {cid: k for k, cid in enumerate(trace.ids)}
         wanted = [code[cid] for cid in args.contents.split(",") if cid in code]
@@ -105,7 +94,9 @@ def cmd_analyze(args) -> int:
                 counts[k] += 1
                 f.write(f"{trace.ids[k]},{ts!r},{counts[k]}\n")
 
-        _write_atomic(out / "cumulative.csv", write_cumulative)
+        files[out / "cumulative.csv"] = write_cumulative
+    out.mkdir(parents=True, exist_ok=True)
+    write_atomic(files)
     return 0
 
 
@@ -140,9 +131,11 @@ def cmd_fit(args) -> int:
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    generators.write_snm_config(config, out / "snm.conf")
-
-    _write_atomic(out / "class_summary.csv", lambda f: analysis.write_class_summary_csv(summaries, f))
+    # one atomic write, the config last: a failed fit leaves none of these files
+    write_atomic({
+        out / "class_summary.csv": lambda f: analysis.write_class_summary_csv(summaries, f),
+        **generators.snm_config_files(config, out / "snm.conf"),
+    })
     return 0
 
 
@@ -168,14 +161,14 @@ def cmd_generate(args) -> int:
         if seed is None:
             raise ValueError("no seed: pass --seed or add seed= to the config")
         trace = generators.generate_snm(config.classes, config.horizon, seed, config.daynight)
-    _write_atomic(Path(args.out), lambda f: write_trace(trace, f))
+    write_atomic({Path(args.out): lambda f: write_trace(trace, f)})
     return 0
 
 
 def cmd_shuffle(args) -> int:
     trace = _read_trace_file(args.trace)
     shuffled = shuffle_mod.slice_shuffle(trace, args.K, args.seed)
-    _write_atomic(Path(args.out), lambda f: write_trace(shuffled, f))
+    write_atomic({Path(args.out): lambda f: write_trace(shuffled, f)})
     return 0
 
 
@@ -207,29 +200,27 @@ def cmd_evaluate(args) -> int:
     targets = _float_list(args.targets)
 
     # compute every output, and so check every argument, before writing any
+    out = Path(args.out)
     writers = {}
     rows = []
     for label, trace in traces:
         distances = cachesim.reuse_distances(trace)
         caps = _int_list(args.capacities) if args.capacities else _default_capacities(len(trace.ids))
         curve = cachesim.hit_curve(distances, caps)
-        writers[f"curve_{label}.csv"] = lambda f, c=curve: cachesim.write_hit_curve_csv(c, f)
+        writers[out / f"curve_{label}.csv"] = lambda f, c=curve: cachesim.write_hit_curve_csv(c, f)
         rows.extend((label, t, cachesim.size_for_hit_prob(distances, t)) for t in targets)
         if args.eviction_stats:
-            results = [cachesim.simulate_lru(trace, c) for c in caps]
+            results = cachesim.lru_results(trace, distances, caps)
 
             def write_evictions(f, res=results):
                 f.write("capacity,hit_prob,evictions,mean_eviction_time\n")
                 for r in res:
                     f.write(f"{r.capacity},{r.hit_prob!r},{r.evictions},{r.mean_eviction_time!r}\n")
 
-            writers[f"evictions_{label}.csv"] = write_evictions
-    writers["required_sizes.csv"] = lambda f: cachesim.write_required_sizes_csv(rows, f)
-
-    out = Path(args.out)
+            writers[out / f"evictions_{label}.csv"] = write_evictions
+    writers[out / "required_sizes.csv"] = lambda f: cachesim.write_required_sizes_csv(rows, f)
     out.mkdir(parents=True, exist_ok=True)
-    for name, write in writers.items():
-        _write_atomic(out / name, write)
+    write_atomic(writers)
     return 0
 
 
@@ -278,7 +269,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("traces", nargs="+")
     p.add_argument("--targets", default="0.05,0.1,0.2", help="target hit probabilities")
     p.add_argument("--capacities", default="", help="cache sizes to evaluate (default: auto ladder)")
-    p.add_argument("--eviction-stats", action="store_true", help="also simulate per-capacity eviction times")
+    p.add_argument("--eviction-stats", action="store_true", help="also report eviction counts and times")
     p.add_argument("--out", default=".", help="output directory")
     p.set_defaults(func=cmd_evaluate)
     return parser

@@ -26,11 +26,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import IO, Callable, Sequence
 
 import numpy as np
 
-from .trace import RequestEvent, Trace
+from .trace import RequestEvent, Trace, write_atomic
 
 __all__ = [
     "PopularityShape",
@@ -46,9 +46,9 @@ __all__ = [
     "modulated_shot_requests",
     "generate_irm",
     "generate_snm",
-    "generate_snm_from_config",
     "zipf_probabilities",
     "parse_snm_config",
+    "snm_config_files",
     "write_snm_config",
 ]
 
@@ -321,12 +321,6 @@ def generate_snm(
     return Trace.from_codes(t[order], owner[order], names, horizon)
 
 
-def generate_snm_from_config(config: SnmConfig) -> Trace:
-    if config.seed is None:
-        raise ValueError("config has no seed")
-    return generate_snm(config.classes, config.horizon, config.seed, config.daynight)
-
-
 class SnmEventStream:
     """Streaming shot-noise generator: events in global timestamp order.
 
@@ -413,6 +407,17 @@ def _parse_kv(item: str, lineno: int):
     return key.strip(), value.strip()
 
 
+def _real(key: str, text: str, where: str) -> float:
+    # a config number: finite and >= 0, checked before it reaches numpy
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{where}: {key} must be a finite number >= 0, got {text!r}")
+    return value
+
+
 def _load_volume_file(path: Path) -> tuple[float, ...]:
     values = []
     with open(path, encoding="utf-8") as f:
@@ -421,9 +426,12 @@ def _load_volume_file(path: Path) -> tuple[float, ...]:
             if not line:
                 continue
             try:
-                values.append(float(int(line)))
+                volume = int(line)
             except ValueError:
-                raise ValueError(f"{path} line {lineno}: expected an integer, got {line!r}") from None
+                volume = -1
+            if volume < 0:
+                raise ValueError(f"{path} line {lineno}: expected an integer >= 0, got {line!r}")
+            values.append(float(volume))
     if not values:
         raise ValueError(f"{path}: empty volume file")
     return tuple(values)
@@ -443,10 +451,11 @@ def parse_snm_config(path: str | Path) -> SnmConfig:
                 continue
             if line.startswith("class="):
                 fields = dict(_parse_kv(item, lineno) for item in line.split(","))
+                where = f"config line {lineno}"
                 try:
                     class_id = int(fields.pop("class"))
-                    arrival_rate = float(fields.pop("arrival_rate"))
-                    lifespan = float(fields.pop("lifespan_days"))
+                    arrival_rate = _real("arrival_rate", fields.pop("arrival_rate"), where)
+                    lifespan = _real("lifespan_days", fields.pop("lifespan_days"), where)
                     shape = fields.pop("shape")
                     vol_spec = fields.pop("volumes")
                 except KeyError as exc:
@@ -454,14 +463,14 @@ def parse_snm_config(path: str | Path) -> SnmConfig:
                 if fields:
                     raise ValueError(f"config line {lineno}: unknown field {next(iter(fields))!r}")
                 if vol_spec.startswith("const:"):
-                    volumes: float | tuple[float, ...] = float(vol_spec[len("const:"):])
+                    volumes: float | tuple[float, ...] = _real("volumes", vol_spec[len("const:"):], where)
                 else:
                     volumes = _load_volume_file(path.parent / vol_spec)
                 classes.append(SnmClassConfig(class_id, arrival_rate, lifespan, shape, volumes))
             else:
                 key, value = _parse_kv(line, lineno)
                 if key == "horizon_days":
-                    horizon = float(value)
+                    horizon = _real(key, value, f"config line {lineno}")
                 elif key == "seed":
                     seed = int(value)
                 elif key == "daynight":
@@ -477,15 +486,16 @@ def parse_snm_config(path: str | Path) -> SnmConfig:
     return SnmConfig(horizon=horizon, classes=classes, seed=seed, daynight=daynight)
 
 
-def write_snm_config(config: SnmConfig, path: str | Path) -> None:
-    """Write a generation config; empirical volume samples go to sidecar
-    files "<class>.volumes" next to the config."""
+def snm_config_files(config: SnmConfig, path: str | Path) -> dict[Path, Callable[[IO[str]], object]]:
+    """The files of a generation config, as {path: writer} for
+    :func:`write_atomic`: empirical volume samples go to sidecar files
+    "<class>.volumes" next to the config, which comes last."""
     path = Path(path)
     lines = [f"horizon_days={config.horizon!r}"]
     if config.seed is not None:
         lines.append(f"seed={config.seed}")
     lines.append(f"daynight={'on' if config.daynight else 'off'}")
-    sidecars: dict[str, str] = {}
+    texts: dict[Path, str] = {}
     for cfg in config.classes:
         if isinstance(cfg.volumes, (int, float)):
             vol_spec = f"const:{float(cfg.volumes)!r}"
@@ -494,11 +504,15 @@ def write_snm_config(config: SnmConfig, path: str | Path) -> None:
             if bad is not None:
                 raise ValueError(f"class {cfg.class_id}: volume sample {bad!r} is not an integer")
             vol_spec = f"{cfg.class_id}.volumes"
-            sidecars[vol_spec] = "".join(f"{int(v)}\n" for v in cfg.volumes)
+            texts[path.parent / vol_spec] = "".join(f"{int(v)}\n" for v in cfg.volumes)
         lines.append(
             f"class={cfg.class_id}, arrival_rate={cfg.arrival_rate!r}, "
             f"lifespan_days={cfg.lifespan!r}, shape={cfg.shape_kind}, volumes={vol_spec}"
         )
-    for name, text in sidecars.items():
-        (path.parent / name).write_text(text, encoding="utf-8")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    texts[path] = "\n".join(lines) + "\n"
+    return {p: lambda f, text=text: f.write(text) for p, text in texts.items()}
+
+
+def write_snm_config(config: SnmConfig, path: str | Path) -> None:
+    """Write a generation config and its volume sidecars atomically."""
+    write_atomic(snm_config_files(config, path))

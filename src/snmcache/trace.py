@@ -13,12 +13,15 @@ line-oriented text:
     ...
 
 Timestamps are written with ``repr`` so a read/write cycle is lossless.
+:func:`write_atomic` is the package's one way to write output files.
 """
 
 from __future__ import annotations
 
 import math
-from typing import IO, Iterable, NamedTuple, Sequence
+import os
+from pathlib import Path
+from typing import IO, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,6 +33,7 @@ __all__ = [
     "read_trace",
     "write_trace",
     "validate",
+    "write_atomic",
 ]
 
 HEADER_MAGIC = "# trace-v1"
@@ -266,3 +270,27 @@ def validate(trace: Trace) -> list[Violation]:
         }[name]
         violations.append(Violation(name, i, message))
     return violations
+
+
+def write_atomic(files: Mapping[Path, Callable[[IO[str]], object]]) -> None:
+    """Write each file through a temporary file next to it, then rename
+    them all into place in order, so the last one appears last.
+
+    Nothing is renamed until every writer has returned.  On any failure
+    the temporary files and the files this call already renamed into
+    place are removed (an older file one of them replaced is not
+    restored), so a failed call leaves none of its outputs.
+    """
+    tmps = {path: path.with_name(path.name + f".tmp{os.getpid()}") for path in files}
+    placed = []
+    try:
+        for path, write in files.items():
+            with open(tmps[path], "w", encoding="utf-8", newline="\n") as f:
+                write(f)
+        for path, tmp in tmps.items():
+            os.replace(tmp, path)
+            placed.append(path)
+    except BaseException:
+        for path in (*tmps.values(), *placed):
+            path.unlink(missing_ok=True)
+        raise

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from snmcache.cachesim import (
-    compare_required_sizes,
     hit_curve,
+    lru_results,
     reuse_distances,
     simulate_lru,
     size_for_hit_prob,
@@ -115,6 +115,49 @@ class TestReuseDistances:
             assert int(np.count_nonzero(d <= cap)) == simulate_lru(trace, cap).hits
 
 
+def lru_fields(results):
+    # every field, mean_eviction_time by repr so NaN and the last bit count
+    return [(r.capacity, r.requests, r.hits, r.evictions, repr(r.mean_eviction_time)) for r in results]
+
+
+class TestLruResults:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 6), st.sampled_from([-0.0, 0.0, 0.5, 1.0, 2.25, 7.0])),
+                    min_size=1, max_size=80))
+    def test_equals_simulate_lru(self, requests):
+        # few distinct timestamps give equal-time requests (and both zeros);
+        # capacities run from 1 to past the distinct-content count
+        requests.sort(key=lambda r: r[1])
+        trace = make_trace([cid for cid, _ in requests], [t for _, t in requests])
+        caps = list(range(1, len(trace.ids) + 3))
+        expected = lru_fields(simulate_lru(trace, c) for c in caps)
+        assert lru_fields(lru_results(trace, reuse_distances(trace), caps)) == expected
+
+    def test_single_content(self):
+        trace = make_trace(["x"] * 7, times=[0.0, 0.0, 1.0, 1.0, 1.0, 3.0, 3.0])
+        caps = [1, 2, 5]
+        results = lru_results(trace, reuse_distances(trace), caps)
+        assert lru_fields(results) == lru_fields(simulate_lru(trace, c) for c in caps)
+        assert [(r.hits, r.evictions) for r in results] == [(6, 0)] * 3
+
+    def test_eviction_time(self):
+        trace = make_trace(["a", "b", "a", "c"], times=[0.0, 1.0, 3.0, 7.0])
+        [r] = lru_results(trace, reuse_distances(trace), [2])
+        assert (r.evictions, r.mean_eviction_time) == (1, 6.0)
+
+    @pytest.mark.parametrize("daynight", [False, True])
+    def test_equals_simulate_lru_on_snm_trace(self, daynight):
+        trace = generate_snm(reference_classes(n_videos=800.0), 30.0, seed=3, daynight=daynight)
+        caps = [1, 2, 5, 10, 20, 50, 100, 200, 500, len(trace.ids)]
+        expected = lru_fields(simulate_lru(trace, c) for c in caps)
+        assert lru_fields(lru_results(trace, reuse_distances(trace), caps)) == expected
+
+    def test_capacity_error(self):
+        trace = make_trace([1, 2])
+        with pytest.raises(ValueError):
+            lru_results(trace, reuse_distances(trace), [0])
+
+
 class TestHitCurve:
     def test_basic(self):
         curve = hit_curve([math.inf, 1.0, 1.0], [1])
@@ -161,29 +204,31 @@ class TestSizeForHitProb:
                 size_for_hit_prob(d, bad)
 
 
+def required_sizes(trace, targets):
+    d = reuse_distances(trace)
+    return [size_for_hit_prob(d, t) for t in targets]
+
+
 class TestCompareRequiredSizes:
     def test_identical_traces_identical_columns(self):
         rng = np.random.default_rng(2)
         trace = random_trace(rng, 400, 20)
-        rows = compare_required_sizes([("one", trace), ("two", trace)], [0.1, 0.3])
-        assert [r[2] for r in rows[:2]] == [r[2] for r in rows[2:]]
+        assert required_sizes(trace, [0.1, 0.3]) == required_sizes(trace, [0.1, 0.3])
 
     def test_identity_shuffle_equal_sizes(self):
         rng = np.random.default_rng(4)
         trace = random_trace(rng, 300, 15)
         same = slice_shuffle(trace, len(trace.events), seed=9)
-        rows = compare_required_sizes([("orig", trace), ("shuf", same)], [0.2, 0.5])
-        assert rows[0][2] == rows[2][2] and rows[1][2] == rows[3][2]
+        assert required_sizes(same, [0.2, 0.5]) == required_sizes(trace, [0.2, 0.5])
 
     def test_snm_shuffle_needs_strictly_larger_size(self):
         trace = generate_snm(reference_classes(n_videos=800.0), 30.0, seed=1)
         shuffled = slice_shuffle(trace, 1, seed=1)
-        rows = compare_required_sizes([("orig", trace), ("irm", shuffled)], [0.10])
-        assert rows[1][2] > rows[0][2]
+        assert required_sizes(shuffled, [0.10])[0] > required_sizes(trace, [0.10])[0]
 
     def test_empty_trace_error(self):
         with pytest.raises(ValueError):
-            compare_required_sizes([("empty", Trace([], 1.0))], [0.1])
+            required_sizes(Trace([], 1.0), [0.1])
 
     def test_csv_unattainable_cell(self):
         buf = io.StringIO()

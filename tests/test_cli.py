@@ -17,7 +17,7 @@ from snmcache.analysis import (
     write_rank_csv,
 )
 from snmcache.generators import generate_snm, parse_snm_config
-from snmcache.trace import read_trace, write_trace
+from snmcache.trace import read_trace, write_atomic, write_trace
 
 from helpers import make_trace, random_trace, reference_classes
 
@@ -133,6 +133,15 @@ class TestFit:
         path = tmp_path / "empty.trace"
         path.write_text("# trace-v1 horizon=5\n")
         assert cli.main(["fit", str(path), "--out", str(tmp_path / "fit")]) == 2
+
+    def test_failed_config_write_leaves_no_file(self, tmp_path):
+        path = tmp_path / "t.trace"
+        write_trace_file(generate_snm(reference_classes(n_videos=100.0), 30.0, seed=3), path)
+        out = tmp_path / "fit"
+        (out / "snm.conf").mkdir(parents=True)  # the config cannot be renamed into place
+        assert cli.main(["fit", str(path), "--out", str(out)]) == 2
+        assert [p.name for p in out.iterdir()] == ["snm.conf"]
+        assert (out / "snm.conf").is_dir()
 
     def test_fit_generate_fit_reproduces_arrival_rates(self, tmp_path):
         horizon = 90.0
@@ -314,16 +323,24 @@ class TestWriteAtomic:
             raise ValueError("writer failed")
 
         with pytest.raises(ValueError, match="writer failed"):
-            cli._write_atomic(tmp_path / "out.csv", failing)
+            write_atomic({tmp_path / "out.csv": failing})
         assert list(tmp_path.iterdir()) == []
 
     def test_failed_writer_keeps_previous_file(self, tmp_path):
         target = tmp_path / "out.csv"
         target.write_text("old\n")
         with pytest.raises(ZeroDivisionError):
-            cli._write_atomic(target, lambda f: f.write(str(1 / 0)))
+            write_atomic({target: lambda f: f.write(str(1 / 0))})
         assert list(tmp_path.iterdir()) == [target]
         assert target.read_text() == "old\n"
+
+    def test_failed_rename_removes_the_files_already_placed(self, tmp_path):
+        (tmp_path / "last").mkdir()  # a directory cannot be replaced by a file
+        with pytest.raises(OSError):
+            write_atomic({tmp_path / "first": lambda f: f.write("1"),
+                          tmp_path / "last": lambda f: f.write("2")})
+        assert [p.name for p in tmp_path.iterdir()] == ["last"]
+        assert (tmp_path / "last").is_dir()
 
 
 class TestGoldenOutputs:

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from snmcache.analysis import class_summary, classify_contents, content_stats, effective_lifespan
@@ -362,6 +364,51 @@ class TestConfigFile:
         p.write_text("horizon_days=5\nclass=1, arrival_rate=1, lifespan_days=1, shape=uniform, volumes=nope.volumes\n")
         with pytest.raises(OSError):
             parse_snm_config(p)
+
+    CLASS_LINE = "class=1, arrival_rate={rate}, lifespan_days={life}, shape=uniform, volumes={vols}\n"
+
+    @pytest.mark.parametrize("horizon,rate,life,vols,message", [
+        ("inf", "1", "1", "const:5", "config line 1: horizon_days must be a finite number >= 0, got 'inf'"),
+        ("-3", "1", "1", "const:5", "config line 1: horizon_days"),
+        ("5", "inf", "1", "const:5", "config line 2: arrival_rate must be a finite number >= 0, got 'inf'"),
+        ("5", "nan", "1", "const:5", "config line 2: arrival_rate"),
+        ("5", "1", "-2", "const:5", "config line 2: lifespan_days"),
+        ("5", "1", "1", "const:inf", "config line 2: volumes must be a finite number >= 0, got 'inf'"),
+        ("5", "1", "1", "const:-5", "config line 2: volumes"),
+        ("5", "1", "1", "v.volumes", r"v\.volumes line 2: expected an integer >= 0, got '-4'"),
+    ])
+    def test_bad_values_rejected_at_parse_with_line(self, tmp_path, horizon, rate, life, vols, message):
+        # each of these reached numpy unchecked ("lam value too large",
+        # "lam < 0 or lam is NaN") with no file or line in the message
+        (tmp_path / "v.volumes").write_text("3\n-4\n")
+        p = tmp_path / "c.conf"
+        p.write_text(f"horizon_days={horizon}\n" + self.CLASS_LINE.format(rate=rate, life=life, vols=vols))
+        with pytest.raises(ValueError, match=message):
+            parse_snm_config(p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        horizon=st.floats(0.001, 1e6),
+        seed=st.none() | st.integers(-(2**70), 2**70),
+        daynight=st.booleans(),
+        specs=st.lists(
+            st.tuples(
+                st.floats(1e-6, 1e6),
+                st.floats(1e-6, 1e6),
+                st.sampled_from(generators.SHAPE_KINDS),
+                st.floats(1e-6, 1e6) | st.lists(st.integers(0, 10**9).map(float), min_size=1, max_size=5).map(tuple),
+            ),
+            min_size=1, max_size=4,
+        ),
+    )
+    def test_round_trip_property(self, tmp_path_factory, horizon, seed, daynight, specs):
+        config = SnmConfig(
+            horizon=horizon, seed=seed, daynight=daynight,
+            classes=[SnmClassConfig(k, *spec) for k, spec in enumerate(specs)],
+        )
+        path = tmp_path_factory.mktemp("conf") / "snm.conf"
+        write_snm_config(config, path)
+        assert parse_snm_config(path) == config
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         p = tmp_path / "c.conf"
