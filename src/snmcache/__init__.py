@@ -20,7 +20,6 @@ from .cachesim import (
     size_for_hit_prob,
 )
 from .generators import (
-    ContentShot,
     IrmConfig,
     PopularityShape,
     SnmClassConfig,
@@ -30,9 +29,8 @@ from .generators import (
     generate_irm,
     generate_snm,
     lifespan_to_L,
-    modulated_shot_requests,
     parse_snm_config,
-    sample_shot_requests,
+    shot_requests,
     write_snm_config,
     zipf_probabilities,
 )

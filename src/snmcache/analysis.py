@@ -206,6 +206,8 @@ def classify_contents(
     l > b_last -> last class.
     """
     bounds = list(lifespan_bounds)
+    if not all(map(math.isfinite, bounds)):
+        raise ValueError(f"lifespan bounds must be finite, got {bounds}")
     if any(b1 >= b2 for b1, b2 in zip(bounds, bounds[1:])):
         raise ValueError(f"lifespan bounds must be strictly increasing, got {bounds}")
     out: dict[str, int] = {}

@@ -14,15 +14,18 @@ Two traffic models are provided:
 
 An optional day/night modulation multiplies every content's rate by
 f(t) = 1 + sin(2*pi*t) (t in days), realized by exact thinning against
-the bound f <= 2.
+the bound f <= 2.  :func:`shot_requests` is the one per-content
+sampler, for shots, stationary contents and thinning alike.
 
 Generation is deterministic given a seed: every content draws from an
-RNG keyed by (seed, class, serial), so the batch generator and the
-streaming event scheduler produce identical traces.
+RNG keyed by (seed, class, serial), so the batch generator
+(:func:`generate_snm`) and the streaming event scheduler
+(:class:`SnmEventStream`) produce identical traces.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,7 +37,6 @@ from .trace import RequestEvent, Trace, write_atomic
 
 __all__ = [
     "PopularityShape",
-    "ContentShot",
     "IrmConfig",
     "SnmClassConfig",
     "SnmConfig",
@@ -42,8 +44,7 @@ __all__ = [
     "SHAPE_KINDS",
     "daynight_factor",
     "lifespan_to_L",
-    "sample_shot_requests",
-    "modulated_shot_requests",
+    "shot_requests",
     "generate_irm",
     "generate_snm",
     "zipf_probabilities",
@@ -106,16 +107,6 @@ class PopularityShape:
 
 
 @dataclass(frozen=True)
-class ContentShot:
-    """One content's request process: rate mean_volume * shape(t - birth)."""
-
-    content_id: str
-    birth: float  # days
-    mean_volume: float
-    shape: PopularityShape
-
-
-@dataclass(frozen=True)
 class IrmConfig:
     catalogue_size: int
     alpha: float
@@ -125,12 +116,12 @@ class IrmConfig:
     def __post_init__(self):
         if self.catalogue_size < 1:
             raise ValueError(f"catalogue_size must be >= 1, got {self.catalogue_size}")
-        if self.alpha < 0:
+        if not self.alpha >= 0:
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
         if self.total_requests < 1:
             raise ValueError(f"total_requests must be >= 1, got {self.total_requests}")
-        if not self.horizon > 0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
+        if not 0 < self.horizon < math.inf:
+            raise ValueError(f"horizon must be finite and positive, got {self.horizon}")
 
 
 @dataclass(frozen=True)
@@ -195,11 +186,23 @@ def lifespan_to_L(kind: str, lifespan: float) -> float:
     raise ValueError(f"shape kind {kind!r} has no life-span scale")
 
 
-def _shot_times(shape, birth: float, volume: float, horizon: float, rng, daynight: bool) -> np.ndarray:
-    # The one sampling path: Poisson count, i.i.d. times from the shape
-    # truncated to [birth, horizon] (uniform over [0, horizon] when shape
-    # is None), then, under day/night modulation, thinning at twice the
-    # rate that keeps each candidate with probability f(t)/2.
+def shot_requests(
+    shape: PopularityShape | None, birth: float, volume: float, horizon: float,
+    rng: np.random.Generator, daynight: bool,
+) -> np.ndarray:
+    """Sorted absolute request times of one content, truncated at the horizon.
+
+    Order-statistics construction of the inhomogeneous Poisson process
+    with rate ``volume * shape(t - birth)``: the count is
+    Poisson(volume * F(horizon - birth)) and the times are i.i.d. draws
+    from the shape truncated to [birth, horizon].  With ``shape`` None
+    the count is Poisson(volume) and the times are uniform over
+    [0, horizon] (a stationary content).  Under day/night modulation the
+    candidates are drawn at the dominating rate ``2 * volume * shape``
+    and each, at absolute time t, is kept with probability f(t)/2, so
+    the expected kept volume is volume * integral(shape * f): close to,
+    but not exactly, ``volume``.
+    """
     factor = 2.0 if daynight else 1.0
     if shape is None:
         t = rng.uniform(0.0, horizon, rng.poisson(factor * volume))
@@ -215,28 +218,6 @@ def _shot_times(shape, birth: float, volume: float, horizon: float, rng, daynigh
         t = t[rng.random(t.size) < 0.5 * daynight_factor(t)]
     t.sort()
     return t
-
-
-def sample_shot_requests(shot: ContentShot, horizon: float, rng: np.random.Generator) -> np.ndarray:
-    """Request times of one shot, truncated at the horizon.
-
-    Order-statistics construction of the inhomogeneous Poisson process:
-    the count is Poisson(mean_volume * F(horizon - birth)) and the times
-    are i.i.d. draws from the shape truncated to the observation window,
-    shifted by the birth time.  Returns a sorted array of absolute times.
-    """
-    return _shot_times(shot.shape, shot.birth, shot.mean_volume, horizon, rng, False)
-
-
-def modulated_shot_requests(shot: ContentShot, horizon: float, rng: np.random.Generator) -> np.ndarray:
-    """Shot request times under day/night modulation.
-
-    Thinning against the dominating rate 2 * mean_volume * shape: each
-    candidate at absolute time t is kept with probability f(t)/2.  The
-    expected kept volume is mean_volume * integral(shape * f), which is
-    close to, but not exactly, mean_volume.
-    """
-    return _shot_times(shot.shape, shot.birth, shot.mean_volume, horizon, rng, True)
 
 
 def zipf_probabilities(catalogue_size: int, alpha: float) -> np.ndarray:
@@ -258,7 +239,7 @@ def generate_irm(config: IrmConfig, seed: int) -> Trace:
     ranks = np.searchsorted(cum, rng.random(config.total_requests), side="right") + 1
     times = np.sort(rng.uniform(0.0, config.horizon, config.total_requests))
     used, codes = np.unique(ranks, return_inverse=True)
-    return Trace.from_codes(times, codes, [f"r{n}" for n in used.tolist()], config.horizon)
+    return Trace(times, codes, [f"r{n}" for n in used.tolist()], config.horizon)
 
 
 def _class_shape(cfg: SnmClassConfig) -> PopularityShape | None:
@@ -271,7 +252,7 @@ def _content_times(cfg: SnmClassConfig, shape, birth: float, horizon: float, rng
     # sorted request times of one content, for the batch generator and the event stream alike
     v = cfg.volumes
     volume = float(v) if isinstance(v, (int, float)) else float(v[rng.integers(0, len(v))])
-    return _shot_times(shape, birth, volume, horizon, rng, daynight)
+    return shot_requests(shape, birth, volume, horizon, rng, daynight)
 
 
 def _class_births(cfg: SnmClassConfig, horizon: float, seed: int) -> np.ndarray:
@@ -318,7 +299,7 @@ def generate_snm(
     owner = np.repeat(np.array(by_name, np.int64), [times[k].size for k in by_name])
     t = np.concatenate([np.empty(0), *(times[k] for k in by_name)])
     order = np.argsort(t, kind="stable")
-    return Trace.from_codes(t[order], owner[order], names, horizon)
+    return Trace(t[order], owner[order], names, horizon)
 
 
 class SnmEventStream:
@@ -334,8 +315,6 @@ class SnmEventStream:
 
     def __init__(self, classes: Sequence[SnmClassConfig], horizon: float, seed: int, daynight=False):
         _check_run(classes, horizon)
-        import heapq  # only the stream needs a heap; the package import does without
-        self._heapq = heapq
         self.horizon = horizon
         self.peak_pending = 0
         self._heap: list[tuple[float, str, int]] = []
@@ -362,7 +341,7 @@ class SnmEventStream:
         rng = _rng(self._seed, _TAG_CONTENT, cfg.class_id, serial)
         times = _content_times(cfg, shape, birth, self.horizon, rng, self._daynight)
         for seq, t in enumerate(times):
-            self._heapq.heappush(self._heap, (float(t), cid, seq))
+            heapq.heappush(self._heap, (float(t), cid, seq))
         if len(self._heap) > self.peak_pending:
             self.peak_pending = len(self._heap)
 
@@ -378,16 +357,9 @@ class SnmEventStream:
             self._next_birth += 1
             self._materialize(cfg, shape, serial, birth)
         if self._heap:
-            t, cid, _ = self._heapq.heappop(self._heap)
+            t, cid, _ = heapq.heappop(self._heap)
             return RequestEvent(t, cid)
         raise StopIteration
-
-    def next_event(self) -> RequestEvent | None:
-        """Next event in timestamp order, or None at end of stream."""
-        try:
-            return next(self)
-        except StopIteration:
-            return None
 
 
 # --- generation config file ------------------------------------------------
@@ -400,9 +372,9 @@ class SnmEventStream:
 # Volume sample paths are resolved relative to the config file.
 
 
-def _parse_kv(item: str, lineno: int):
+def _parse_kv(item: str, where: str):
     if "=" not in item:
-        raise ValueError(f"config line {lineno}: expected key=value, got {item!r}")
+        raise ValueError(f"{where}: expected key=value, got {item!r}")
     key, _, value = item.partition("=")
     return key.strip(), value.strip()
 
@@ -416,6 +388,13 @@ def _real(key: str, text: str, where: str) -> float:
     if not (math.isfinite(value) and value >= 0):
         raise ValueError(f"{where}: {key} must be a finite number >= 0, got {text!r}")
     return value
+
+
+def _int(key: str, text: str, where: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{where}: {key} must be an integer, got {text!r}") from None
 
 
 def _load_volume_file(path: Path) -> tuple[float, ...]:
@@ -449,36 +428,39 @@ def parse_snm_config(path: str | Path) -> SnmConfig:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
+            where = f"{path} line {lineno}"
             if line.startswith("class="):
-                fields = dict(_parse_kv(item, lineno) for item in line.split(","))
-                where = f"config line {lineno}"
+                fields = dict(_parse_kv(item, where) for item in line.split(","))
                 try:
-                    class_id = int(fields.pop("class"))
+                    class_id = _int("class", fields.pop("class"), where)
                     arrival_rate = _real("arrival_rate", fields.pop("arrival_rate"), where)
                     lifespan = _real("lifespan_days", fields.pop("lifespan_days"), where)
                     shape = fields.pop("shape")
                     vol_spec = fields.pop("volumes")
                 except KeyError as exc:
-                    raise ValueError(f"config line {lineno}: missing field {exc.args[0]}") from None
+                    raise ValueError(f"{where}: missing field {exc.args[0]}") from None
                 if fields:
-                    raise ValueError(f"config line {lineno}: unknown field {next(iter(fields))!r}")
+                    raise ValueError(f"{where}: unknown field {next(iter(fields))!r}")
                 if vol_spec.startswith("const:"):
                     volumes: float | tuple[float, ...] = _real("volumes", vol_spec[len("const:"):], where)
                 else:
                     volumes = _load_volume_file(path.parent / vol_spec)
-                classes.append(SnmClassConfig(class_id, arrival_rate, lifespan, shape, volumes))
+                try:
+                    classes.append(SnmClassConfig(class_id, arrival_rate, lifespan, shape, volumes))
+                except ValueError as exc:
+                    raise ValueError(f"{where}: {exc}") from None
             else:
-                key, value = _parse_kv(line, lineno)
+                key, value = _parse_kv(line, where)
                 if key == "horizon_days":
-                    horizon = _real(key, value, f"config line {lineno}")
+                    horizon = _real(key, value, where)
                 elif key == "seed":
-                    seed = int(value)
+                    seed = _int(key, value, where)
                 elif key == "daynight":
                     if value not in ("on", "off"):
-                        raise ValueError(f"config line {lineno}: daynight must be on|off, got {value!r}")
+                        raise ValueError(f"{where}: daynight must be on|off, got {value!r}")
                     daynight = value == "on"
                 else:
-                    raise ValueError(f"config line {lineno}: unknown field {key!r}")
+                    raise ValueError(f"{where}: unknown field {key!r}")
     if horizon is None:
         raise ValueError(f"{path}: missing field horizon_days")
     if not classes:

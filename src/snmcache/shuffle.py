@@ -33,4 +33,4 @@ def slice_shuffle(trace: Trace, K: int, seed: int) -> Trace:
     for idx, (lo, hi) in enumerate(slice_bounds(len(trace), K)):
         rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, _SHUFFLE_TAG, idx])
         source[lo:hi] = lo + rng.permutation(hi - lo)
-    return Trace.from_codes(trace.times, trace.codes[source], trace.ids, trace.horizon)
+    return Trace(trace.times, trace.codes[source], trace.ids, trace.horizon)

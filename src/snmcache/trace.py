@@ -82,20 +82,19 @@ def _encode(ids: Sequence[str], index: dict[str, int]) -> np.ndarray:
 class Trace:
     """Immutable request trace held as columns.
 
-    ``times`` must be non-decreasing and lie in ``[0, horizon]``;
-    :func:`validate` reports violations without raising.  ``events``,
-    :meth:`timestamps` and :meth:`content_ids` build lists from the
-    columns on every call.
+    ``Trace(times, codes, names, horizon)`` takes a timestamp column and
+    a column of indices into ``names``; the names are renumbered by first
+    appearance and those that no request uses are left out.
+    :meth:`from_columns` takes the content ids themselves and
+    :meth:`from_events` collects a stream of events.  ``times`` must be
+    non-decreasing and lie in ``[0, horizon]``; :func:`validate` reports
+    violations without raising.  ``events``, :meth:`timestamps` and
+    :meth:`content_ids` build lists from the columns on every call.
     """
 
     __slots__ = ("times", "codes", "ids", "horizon")
 
-    def __init__(self, events: Iterable[RequestEvent], horizon: float):
-        events, index = list(events), {}
-        self._fill([e[0] for e in events], _encode([e[1] for e in events], index), tuple(index), horizon)
-
-    def _fill(self, times, codes: np.ndarray, names: Sequence[str], horizon: float) -> None:
-        # renumber the names by first appearance and drop the unused ones
+    def __init__(self, times, codes: np.ndarray, names: Sequence[str], horizon: float):
         first = np.full(len(names), codes.size)
         np.minimum.at(first, codes, np.arange(codes.size))
         order = np.argsort(first)[: np.count_nonzero(first < codes.size)]
@@ -109,11 +108,11 @@ class Trace:
 
     @classmethod
     def from_events(cls, events: Iterable[RequestEvent], horizon: float | None = None) -> "Trace":
-        """Build a trace, defaulting the horizon to the last timestamp."""
+        """Collect a stream of events, defaulting the horizon to the last timestamp."""
         events = list(events)
         if horizon is None:
             horizon = events[-1].timestamp if events else 0.0
-        return cls(events, horizon)
+        return cls.from_columns([e[0] for e in events], [e[1] for e in events], horizon)
 
     @classmethod
     def from_columns(cls, times: Sequence[float], ids: Sequence[str], horizon: float) -> "Trace":
@@ -121,15 +120,7 @@ class Trace:
         if len(times) != len(ids):
             raise ValueError(f"column lengths differ: {len(times)} times, {len(ids)} ids")
         index: dict[str, int] = {}
-        return cls.from_codes(times, _encode(ids, index), tuple(index), horizon)
-
-    @classmethod
-    def from_codes(cls, times, codes: np.ndarray, names: Sequence[str], horizon: float) -> "Trace":
-        """Build a trace from a timestamp column and a column of indices
-        into ``names``; names that no request uses are left out."""
-        trace = cls.__new__(cls)
-        trace._fill(times, codes, names, horizon)
-        return trace
+        return cls(times, _encode(ids, index), tuple(index), horizon)
 
     @property
     def events(self) -> list[RequestEvent]:
@@ -237,7 +228,7 @@ def read_trace(stream: IO[str]) -> Trace:
         raise TraceFormatError(error, line=times.size + 2)
     if horizon is None:
         horizon = float(times[-1]) if times.size else 0.0
-    return Trace.from_codes(times, codes, ids, horizon)
+    return Trace(times, codes, ids, horizon)
 
 
 def write_trace(trace: Trace, stream: IO[str]) -> None:

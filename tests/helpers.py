@@ -51,7 +51,7 @@ def random_trace(rng: np.random.Generator, n_requests: int, n_ids: int, horizon:
     ids = rng.integers(0, n_ids, n_requests)
     times = np.sort(rng.uniform(0.0, horizon, n_requests))
     events = [RequestEvent(float(t), f"id{x}") for t, x in zip(times, ids)]
-    return Trace(events, horizon)
+    return Trace.from_events(events, horizon)
 
 
 def naive_reuse_distances(ids) -> list[float]:

@@ -26,7 +26,6 @@ from snmcache.analysis import (
 )
 from snmcache.cachesim import hit_curve, reuse_distances, simulate_lru, size_for_hit_prob
 from snmcache.generators import (
-    ContentShot,
     IrmConfig,
     PopularityShape,
     SnmClassConfig,
@@ -34,7 +33,7 @@ from snmcache.generators import (
     generate_irm,
     generate_snm,
     lifespan_to_L,
-    sample_shot_requests,
+    shot_requests,
 )
 from snmcache.shuffle import slice_shuffle
 from snmcache.trace import read_trace, write_trace
@@ -79,7 +78,7 @@ def test_criterion_02_lifespan_recovery():
             shape = PopularityShape(kind, lifespan_to_L(kind, target))
             horizon = 60.0 * shape.L
             pooled = [
-                sample_shot_requests(ContentShot("x", 0.0, 10.0, shape), horizon, rng)
+                shot_requests(shape, 0.0, 10.0, horizon, rng, False)
                 for _ in range(10_000)
             ]
             estimate = effective_lifespan(np.sort(np.concatenate(pooled)))

@@ -144,7 +144,7 @@ class TestClassifyContents:
     def test_partition_and_time_shift_invariance(self):
         rng = np.random.default_rng(12)
         trace = random_trace(rng, 800, 25)
-        shifted = Trace(
+        shifted = Trace.from_events(
             [RequestEvent(e.timestamp + 5.0, e.content_id) for e in trace.events],
             trace.horizon + 5.0,
         )
@@ -156,6 +156,11 @@ class TestClassifyContents:
     def test_bounds_must_increase(self):
         with pytest.raises(ValueError):
             classify_contents(self.stats_for(50, 1.0), lifespan_bounds=[2, 2, 8, 13])
+
+    @pytest.mark.parametrize("bounds", [[math.nan], [2, math.nan, 8], [2, 5, math.inf], [-math.inf, 2]])
+    def test_bounds_must_be_finite(self, bounds):
+        with pytest.raises(ValueError, match="must be finite"):
+            classify_contents(self.stats_for(50, 1.0), lifespan_bounds=bounds)
 
 
 class TestClassSummary:

@@ -52,8 +52,8 @@ class TestSimulateLru:
     def test_timestamp_scaling_irrelevance(self):
         rng = np.random.default_rng(11)
         trace = random_trace(rng, 400, 30)
-        scaled = Trace([RequestEvent(e.timestamp * 3.0, e.content_id) for e in trace.events],
-                       trace.horizon * 3.0)
+        scaled = Trace.from_events([RequestEvent(e.timestamp * 3.0, e.content_id) for e in trace.events],
+                                   trace.horizon * 3.0)
         for cap in (1, 5, 17):
             a = simulate_lru(trace, cap)
             b = simulate_lru(scaled, cap)
@@ -228,7 +228,7 @@ class TestCompareRequiredSizes:
 
     def test_empty_trace_error(self):
         with pytest.raises(ValueError):
-            required_sizes(Trace([], 1.0), [0.1])
+            required_sizes(Trace.from_events([], 1.0), [0.1])
 
     def test_csv_unattainable_cell(self):
         buf = io.StringIO()

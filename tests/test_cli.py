@@ -134,6 +134,15 @@ class TestFit:
         path.write_text("# trace-v1 horizon=5\n")
         assert cli.main(["fit", str(path), "--out", str(tmp_path / "fit")]) == 2
 
+    @pytest.mark.parametrize("bounds", ["nan", "2,nan,8", "2,5,inf"])
+    def test_non_finite_bounds_write_nothing(self, tmp_path, capsys, bounds):
+        path = tmp_path / "t.trace"
+        write_trace_file(generate_snm(reference_classes(n_videos=100.0), 30.0, seed=3), path)
+        out = tmp_path / "fit"
+        assert cli.main(["fit", str(path), "--bounds", bounds, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
     def test_failed_config_write_leaves_no_file(self, tmp_path):
         path = tmp_path / "t.trace"
         write_trace_file(generate_snm(reference_classes(n_videos=100.0), 30.0, seed=3), path)
@@ -203,6 +212,13 @@ class TestGenerate:
         assert len(trace.events) == 20000
         share = trace.content_ids().count("r1") / 20000
         assert share == pytest.approx(0.5, abs=0.02)
+
+    @pytest.mark.parametrize("irm", ["10,nan,100,1", "10,0.8,100,inf", "10,0.8,100,nan"])
+    def test_bad_irm_parameters_write_nothing(self, tmp_path, capsys, irm):
+        out = tmp_path / "irm.trace"
+        assert cli.main(["generate", "--irm", irm, "--seed", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
 
     def test_irm_requires_seed(self, tmp_path):
         assert cli.main(["generate", "--irm", "2,0.0,100,5", "--out", str(tmp_path / "x.trace")]) == 2

@@ -1,5 +1,6 @@
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from snmcache.analysis import class_summary, classify_contents, content_stats, e
 from snmcache.cachesim import simulate_lru
 from snmcache import generators
 from snmcache.generators import (
-    ContentShot,
     IrmConfig,
     PopularityShape,
     SnmClassConfig,
@@ -21,9 +21,8 @@ from snmcache.generators import (
     generate_irm,
     generate_snm,
     lifespan_to_L,
-    modulated_shot_requests,
     parse_snm_config,
-    sample_shot_requests,
+    shot_requests,
     write_snm_config,
     zipf_probabilities,
 )
@@ -69,16 +68,14 @@ class TestPopularityShape:
 class TestShotSampling:
     def test_uniform_times_are_uniform(self):
         shape = PopularityShape("uniform", 5.0)
-        shot = ContentShot("x", 0.0, 1e5, shape)
         rng = np.random.default_rng(0)
-        times = sample_shot_requests(shot, 12.0, rng)
+        times = shot_requests(shape, 0.0, 1e5, 12.0, rng, False)
         stat = scipy_stats.kstest(times, "uniform", args=(0.0, 10.0)).statistic
         assert stat < 1.628 / math.sqrt(len(times))  # 1% critical value
 
     def test_vanishing_rate_gives_empty(self):
         shape = PopularityShape("exponential", 1.0)
-        shot = ContentShot("x", 0.0, 1e-12, shape)
-        times = sample_shot_requests(shot, 100.0, np.random.default_rng(1))
+        times = shot_requests(shape, 0.0, 1e-12, 100.0, np.random.default_rng(1), False)
         assert len(times) == 0
 
     def test_exponential_lifespan_recovery(self):
@@ -86,7 +83,7 @@ class TestShotSampling:
         shape = PopularityShape("exponential", lifespan_to_L("exponential", target))
         rng = np.random.default_rng(2)
         pooled = [
-            sample_shot_requests(ContentShot("x", 0.0, 50.0, shape), 100 * shape.L, rng)
+            shot_requests(shape, 0.0, 50.0, 100 * shape.L, rng, False)
             for _ in range(2000)
         ]
         times = np.sort(np.concatenate(pooled))
@@ -97,7 +94,7 @@ class TestShotSampling:
         shape = PopularityShape("uniform", 2.0)
         rng = np.random.default_rng(3)
         counts = [
-            len(sample_shot_requests(ContentShot("x", 0.0, 40.0, shape), 50.0, rng))
+            len(shot_requests(shape, 0.0, 40.0, 50.0, rng, False))
             for _ in range(10_000)
         ]
         tol = 3.0 * math.sqrt(40.0) / math.sqrt(10_000)
@@ -107,14 +104,14 @@ class TestShotSampling:
         shape = PopularityShape("exponential", 1.5)
         rng = np.random.default_rng(4)
         for birth in (0.0, 3.7, 9.99):
-            times = sample_shot_requests(ContentShot("x", birth, 200.0, shape), 10.0, rng)
+            times = shot_requests(shape, birth, 200.0, 10.0, rng, False)
             assert np.all(times >= birth)
             assert np.all(times <= 10.0)
 
     def test_horizon_before_birth_rejected(self):
         shape = PopularityShape("uniform", 1.0)
         with pytest.raises(ValueError):
-            sample_shot_requests(ContentShot("x", 5.0, 10.0, shape), 4.0, np.random.default_rng(0))
+            shot_requests(shape, 5.0, 10.0, 4.0, np.random.default_rng(0), False)
 
 
 class TestDayNight:
@@ -127,14 +124,12 @@ class TestDayNight:
         # uniform profile spanning exactly 2 days: mean of f over the
         # support is 1, so the kept volume should recover mean_volume
         shape = PopularityShape("uniform", 1.0)
-        shot = ContentShot("x", 0.0, 1e5, shape)
-        times = modulated_shot_requests(shot, 10.0, np.random.default_rng(5))
+        times = shot_requests(shape, 0.0, 1e5, 10.0, np.random.default_rng(5), True)
         assert len(times) == pytest.approx(1e5, rel=0.01)
 
     def test_modulated_times_follow_f(self):
         shape = PopularityShape("uniform", 2.0)  # spans 4 whole days
-        shot = ContentShot("x", 0.0, 5e4, shape)
-        times = modulated_shot_requests(shot, 10.0, np.random.default_rng(6))
+        times = shot_requests(shape, 0.0, 5e4, 10.0, np.random.default_rng(6), True)
         frac = np.asarray(times) % 1.0
         cdf = lambda x: x + (1.0 - np.cos(2 * np.pi * x)) / (2 * np.pi)
         stat = scipy_stats.kstest(frac, cdf).statistic
@@ -263,14 +258,6 @@ class TestEventStream:
             with pytest.raises(ValueError, match="horizon must be positive"):
                 generate(self.small_classes(), horizon, 0)
 
-    def test_next_event_interface(self):
-        classes = [SnmClassConfig(1, 5.0, 1.0, "uniform", 10.0)]
-        stream = SnmEventStream(classes, 5.0, seed=4)
-        collected = []
-        while (ev := stream.next_event()) is not None:
-            collected.append(ev)
-        assert collected == generate_snm(classes, 5.0, seed=4).events
-
     def test_equal_timestamps_order_by_id_string(self, monkeypatch):
         # every content requests twice at the horizon, so all requests
         # tie on time and only the id string orders them
@@ -383,7 +370,22 @@ class TestConfigFile:
         (tmp_path / "v.volumes").write_text("3\n-4\n")
         p = tmp_path / "c.conf"
         p.write_text(f"horizon_days={horizon}\n" + self.CLASS_LINE.format(rate=rate, life=life, vols=vols))
-        with pytest.raises(ValueError, match=message):
+        # "config" in a message stands for the config file's path
+        with pytest.raises(ValueError, match=message.replace("config line", re.escape(str(p)) + " line")):
+            parse_snm_config(p)
+
+    @pytest.mark.parametrize("text,message", [
+        ("horizon_days=5\nseed=abc\n", "config line 2: seed must be an integer, got 'abc'"),
+        (CLASS_LINE.replace("class=1", "class=x").format(rate=1, life=1, vols="const:5"),
+         "config line 1: class must be an integer, got 'x'"),
+        (CLASS_LINE.replace("uniform", "square").format(rate=1, life=1, vols="const:5"),
+         "config line 1: class 1: unknown shape 'square'"),
+        (CLASS_LINE.format(rate=0, life=1, vols="const:5"), "config line 1: class 1: arrival_rate must be positive"),
+    ])
+    def test_bad_fields_name_the_file_and_line(self, tmp_path, text, message):
+        p = tmp_path / "c.conf"
+        p.write_text(text)
+        with pytest.raises(ValueError, match=message.replace("config line", re.escape(str(p)) + " line")):
             parse_snm_config(p)
 
     @settings(max_examples=60, deadline=None)

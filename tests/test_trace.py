@@ -73,7 +73,7 @@ class TestReadTrace:
 class TestWriteTrace:
     def test_empty_trace_header_only(self):
         buf = io.StringIO()
-        write_trace(Trace([], 0.0), buf)
+        write_trace(Trace.from_events([], 0.0), buf)
         assert buf.getvalue() == "# trace-v1 horizon=0.0\n"
 
     def test_single_event_row(self):
@@ -85,7 +85,7 @@ class TestWriteTrace:
         rng = np.random.default_rng(7)
         times = np.sort(rng.uniform(0, 30, 10_000))
         events = [RequestEvent(float(t), f"v{rng.integers(0, 500)}") for t in times]
-        trace = Trace(events, 30.0)
+        trace = Trace.from_events(events, 30.0)
         first = io.StringIO()
         write_trace(trace, first)
         first.seek(0)
@@ -99,7 +99,7 @@ class TestRoundTrip:
         rng = np.random.default_rng(3)
         times = np.sort(rng.uniform(0, 12, 1000))
         events = [RequestEvent(float(t), f"c{rng.integers(0, 40)}") for t in times]
-        trace = Trace(events, 15.0)
+        trace = Trace.from_events(events, 15.0)
         assert roundtrip(trace) == trace
 
     @settings(max_examples=50, deadline=None)
@@ -116,7 +116,7 @@ class TestRoundTrip:
         rows.sort(key=lambda r: r[0])
         events = [RequestEvent(t, cid) for t, cid in rows]
         horizon = (events[-1].timestamp if events else 0.0) + 1.0
-        trace = Trace(events, horizon)
+        trace = Trace.from_events(events, horizon)
         assert roundtrip(trace) == trace
 
 
@@ -125,19 +125,19 @@ class TestValidate:
         assert validate(make_trace(["a", "b", "a"])) == []
 
     def test_unsorted(self):
-        t = Trace([RequestEvent(1.0, "a"), RequestEvent(0.5, "b")], 2.0)
+        t = Trace.from_events([RequestEvent(1.0, "a"), RequestEvent(0.5, "b")], 2.0)
         v = validate(t)
         assert len(v) == 1
         assert v[0].invariant == "sorted" and v[0].index == 1
 
     def test_beyond_horizon(self):
-        t = Trace([RequestEvent(1.0, "a")], 0.5)
+        t = Trace.from_events([RequestEvent(1.0, "a")], 0.5)
         v = validate(t)
         assert len(v) == 1
         assert v[0].invariant == "horizon" and v[0].index == 0
 
     def test_bad_timestamp_and_id(self):
-        t = Trace([RequestEvent(-1.0, "a"), RequestEvent(0.0, "")], 2.0)
+        t = Trace.from_events([RequestEvent(-1.0, "a"), RequestEvent(0.0, "")], 2.0)
         names = {v.invariant for v in validate(t)}
         assert names == {"timestamp", "content_id"}
 
@@ -158,7 +158,7 @@ class TestReaderValidatorAgreement:
         st.floats(min_value=0.0, max_value=3.0),
     )
     def test_first_error_line_matches_first_violation(self, rows, horizon):
-        trace = Trace([RequestEvent(t, cid) for t, cid in rows], horizon)
+        trace = Trace.from_events([RequestEvent(t, cid) for t, cid in rows], horizon)
         buf = io.StringIO()
         write_trace(trace, buf)
         buf.seek(0)
