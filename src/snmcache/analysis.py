@@ -220,13 +220,9 @@ def classify_contents(
 
 
 def _class_bounds(class_id: int, bounds: Sequence[float]) -> tuple[float, float]:
-    if class_id == 0:
-        return (0.0, math.inf)  # volume-defined class, spans all life-spans
-    if class_id == 1:
-        return (0.0, bounds[0])
-    if class_id == len(bounds) + 1:
-        return (bounds[-1], math.inf)
-    return (bounds[class_id - 2], bounds[class_id - 1])
+    # class 0 is volume-defined and spans all life-spans
+    edges = (0.0, *bounds, math.inf)
+    return (0.0, math.inf) if class_id == 0 else edges[class_id - 1:class_id + 1]
 
 
 def class_summary(

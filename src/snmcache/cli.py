@@ -42,6 +42,13 @@ def _int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok.strip()]
 
 
+def _check_volume_threshold(threshold: int) -> None:
+    # a volume is a request count of at least 1; doubling bins from a
+    # threshold below 1 would never pass the largest volume
+    if threshold < 1:
+        raise ValueError(f"--volume-threshold must be >= 1, got {threshold}")
+
+
 def _default_volume_bins(threshold: int, max_volume: int) -> list[float]:
     # doubling bins from the volume threshold up to the largest volume
     edges = [float(threshold)]
@@ -53,6 +60,7 @@ def _default_volume_bins(threshold: int, max_volume: int) -> list[float]:
 
 
 def cmd_analyze(args) -> int:
+    _check_volume_threshold(args.volume_threshold)
     trace = _read_trace_file(args.trace)
     if not len(trace):
         raise ValueError(f"trace {args.trace} has no requests")
@@ -101,6 +109,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    _check_volume_threshold(args.volume_threshold)
     trace = _read_trace_file(args.trace)
     if not len(trace):
         raise ValueError(f"trace {args.trace} has no contents")

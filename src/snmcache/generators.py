@@ -18,9 +18,10 @@ the bound f <= 2.  :func:`shot_requests` is the one per-content
 sampler, for shots, stationary contents and thinning alike.
 
 Generation is deterministic given a seed: every content draws from an
-RNG keyed by (seed, class, serial), so the batch generator
-(:func:`generate_snm`) and the streaming event scheduler
-(:class:`SnmEventStream`) produce identical traces.
+RNG keyed by (seed, class, serial).  The batch generator
+(:func:`generate_snm`) and the event stream (:class:`SnmEventStream`)
+walk one content list, the stream in birth order through one merge
+loop, so they produce identical traces.
 """
 
 from __future__ import annotations
@@ -255,23 +256,25 @@ def _content_times(cfg: SnmClassConfig, shape, birth: float, horizon: float, rng
     return shot_requests(shape, birth, volume, horizon, rng, daynight)
 
 
-def _class_births(cfg: SnmClassConfig, horizon: float, seed: int) -> np.ndarray:
-    rng = _rng(seed, _TAG_BIRTHS, cfg.class_id)
-    n = rng.poisson(cfg.arrival_rate * horizon)
-    return np.sort(rng.uniform(0.0, horizon, n))
-
-
-def _check_run(classes: Sequence[SnmClassConfig], horizon: float) -> None:
-    # preconditions shared by the batch generator and the event stream
+def _contents(classes: Sequence[SnmClassConfig], horizon: float, seed: int) -> list[tuple]:
+    # Every content of a run, for the batch generator and the event stream
+    # alike: (birth, class id, serial, class, shape), serials in birth order.
+    # A stationary content is listed at birth 0, which shot_requests ignores.
     if not horizon > 0:
         raise ValueError(f"horizon must be positive, got {horizon!r}")
     if not classes:
         raise ValueError("class list must be non-empty")
-    seen = set()
+    contents, seen = [], set()
     for cfg in classes:
         if cfg.class_id in seen:
             raise ValueError(f"duplicate class id {cfg.class_id}")
         seen.add(cfg.class_id)
+        rng = _rng(seed, _TAG_BIRTHS, cfg.class_id)
+        births = np.sort(rng.uniform(0.0, horizon, rng.poisson(cfg.arrival_rate * horizon)))
+        shape = _class_shape(cfg)
+        contents += [(0.0 if shape is None else birth, cfg.class_id, serial, cfg, shape)
+                     for serial, birth in enumerate(births.tolist())]
+    return contents
 
 
 def generate_snm(
@@ -285,14 +288,11 @@ def generate_snm(
     the horizon are censored.  Content ids are "c<class>_<serial>" with
     serials assigned in birth order.
     """
-    _check_run(classes, horizon)
     times, names = [], []
-    for cfg in classes:
-        shape = _class_shape(cfg)
-        for serial, birth in enumerate(_class_births(cfg, horizon, seed).tolist()):
-            rng = _rng(seed, _TAG_CONTENT, cfg.class_id, serial)
-            times.append(_content_times(cfg, shape, birth, horizon, rng, daynight))
-            names.append(f"c{cfg.class_id}_{serial}")
+    for birth, class_id, serial, cfg, shape in _contents(classes, horizon, seed):
+        rng = _rng(seed, _TAG_CONTENT, class_id, serial)
+        times.append(_content_times(cfg, shape, birth, horizon, rng, daynight))
+        names.append(f"c{class_id}_{serial}")
     # Laid out in id-string order, a stable sort on time breaks ties by
     # id string ("c1_10" before "c1_2"), as the event stream's heap does.
     by_name = sorted(range(len(names)), key=names.__getitem__)
@@ -305,61 +305,38 @@ def generate_snm(
 class SnmEventStream:
     """Streaming shot-noise generator: events in global timestamp order.
 
-    Contents are materialized lazily as the stream crosses their birth
-    times; a content's future requests go into a heap of pending events,
-    so the per-event cost is logarithmic in the number of pending
-    requests.  Stationary contents have no causal birth and are
-    scheduled up front.  For a given (classes, horizon, seed, daynight)
-    the stream yields exactly the events of :func:`generate_snm`.
+    One merge loop walks the content list of :func:`generate_snm` in
+    birth order (stationary contents, listed at birth 0, first): it
+    yields the pending events earlier than each birth, then pushes that
+    content's requests onto a heap, so contents are materialized lazily
+    and each event costs a log of the pending count.  The stream yields
+    exactly the events of :func:`generate_snm` for the same arguments.
     """
 
     def __init__(self, classes: Sequence[SnmClassConfig], horizon: float, seed: int, daynight=False):
-        _check_run(classes, horizon)
         self.horizon = horizon
         self.peak_pending = 0
-        self._heap: list[tuple[float, str, int]] = []
-        self._pending_births: list[tuple[float, int, SnmClassConfig, PopularityShape, int]] = []
-        self._seed = seed
-        self._daynight = daynight
-        self._next_birth = 0
+        # (birth, class id, serial) is unique, so the sort never compares classes
+        self._events = self._merge(sorted(_contents(classes, horizon, seed)), seed, daynight)
 
-        for cfg in classes:
-            shape = _class_shape(cfg)
-            births = _class_births(cfg, horizon, seed)
-            if shape is None:
-                for serial, birth in enumerate(births):
-                    self._materialize(cfg, None, serial, float(birth))
-            else:
-                self._pending_births.extend(
-                    (float(birth), cfg.class_id, cfg, shape, serial)
-                    for serial, birth in enumerate(births)
-                )
-        self._pending_births.sort(key=lambda b: (b[0], b[1], b[4]))
-
-    def _materialize(self, cfg, shape, serial: int, birth: float) -> None:
-        cid = f"c{cfg.class_id}_{serial}"
-        rng = _rng(self._seed, _TAG_CONTENT, cfg.class_id, serial)
-        times = _content_times(cfg, shape, birth, self.horizon, rng, self._daynight)
-        for seq, t in enumerate(times):
-            heapq.heappush(self._heap, (float(t), cid, seq))
-        if len(self._heap) > self.peak_pending:
-            self.peak_pending = len(self._heap)
+    def _merge(self, contents: list[tuple], seed: int, daynight: bool):
+        heap: list[RequestEvent] = []
+        for birth, class_id, serial, cfg, shape in contents:
+            while heap and heap[0].timestamp < birth:
+                yield heapq.heappop(heap)
+            cid = f"c{class_id}_{serial}"
+            rng = _rng(seed, _TAG_CONTENT, class_id, serial)
+            for t in _content_times(cfg, shape, birth, self.horizon, rng, daynight).tolist():
+                heapq.heappush(heap, RequestEvent(t, cid))
+            self.peak_pending = max(self.peak_pending, len(heap))
+        while heap:
+            yield heapq.heappop(heap)
 
     def __iter__(self):
         return self
 
     def __next__(self) -> RequestEvent:
-        births = self._pending_births
-        while self._next_birth < len(births) and (
-            not self._heap or births[self._next_birth][0] <= self._heap[0][0]
-        ):
-            birth, _, cfg, shape, serial = births[self._next_birth]
-            self._next_birth += 1
-            self._materialize(cfg, shape, serial, birth)
-        if self._heap:
-            t, cid, _ = heapq.heappop(self._heap)
-            return RequestEvent(t, cid)
-        raise StopIteration
+        return next(self._events)
 
 
 # --- generation config file ------------------------------------------------
@@ -369,14 +346,20 @@ class SnmEventStream:
 # and one line per class:
 #     class=<id>, arrival_rate=<real>, lifespan_days=<real>,
 #     shape=<exponential|uniform|stationary>, volumes=<path|const:<real>>
-# Volume sample paths are resolved relative to the config file.
+# Volume sample paths are resolved relative to the config file.  A field
+# may appear once (top-level fields once per file) and class ids are unique.
 
 
-def _parse_kv(item: str, where: str):
+def _add_field(fields: dict[str, str], item: str, where: str) -> tuple[str, str]:
+    # parse one key=value into fields, where each key may appear once
     if "=" not in item:
         raise ValueError(f"{where}: expected key=value, got {item!r}")
     key, _, value = item.partition("=")
-    return key.strip(), value.strip()
+    key, value = key.strip(), value.strip()
+    if key in fields:
+        raise ValueError(f"{where}: repeated field {key!r}")
+    fields[key] = value
+    return key, value
 
 
 def _real(key: str, text: str, where: str) -> float:
@@ -423,6 +406,7 @@ def parse_snm_config(path: str | Path) -> SnmConfig:
     seed = None
     daynight = False
     classes: list[SnmClassConfig] = []
+    top: dict[str, str] = {}
     with open(path, encoding="utf-8") as f:
         for lineno, raw in enumerate(f, start=1):
             line = raw.strip()
@@ -430,7 +414,9 @@ def parse_snm_config(path: str | Path) -> SnmConfig:
                 continue
             where = f"{path} line {lineno}"
             if line.startswith("class="):
-                fields = dict(_parse_kv(item, where) for item in line.split(","))
+                fields: dict[str, str] = {}
+                for item in line.split(","):
+                    _add_field(fields, item, where)
                 try:
                     class_id = _int("class", fields.pop("class"), where)
                     arrival_rate = _real("arrival_rate", fields.pop("arrival_rate"), where)
@@ -441,6 +427,8 @@ def parse_snm_config(path: str | Path) -> SnmConfig:
                     raise ValueError(f"{where}: missing field {exc.args[0]}") from None
                 if fields:
                     raise ValueError(f"{where}: unknown field {next(iter(fields))!r}")
+                if any(cfg.class_id == class_id for cfg in classes):
+                    raise ValueError(f"{where}: duplicate class id {class_id}")
                 if vol_spec.startswith("const:"):
                     volumes: float | tuple[float, ...] = _real("volumes", vol_spec[len("const:"):], where)
                 else:
@@ -450,9 +438,11 @@ def parse_snm_config(path: str | Path) -> SnmConfig:
                 except ValueError as exc:
                     raise ValueError(f"{where}: {exc}") from None
             else:
-                key, value = _parse_kv(line, where)
+                key, value = _add_field(top, line, where)
                 if key == "horizon_days":
                     horizon = _real(key, value, where)
+                    if horizon == 0:
+                        raise ValueError(f"{where}: horizon_days must be positive, got {value!r}")
                 elif key == "seed":
                     seed = _int(key, value, where)
                 elif key == "daynight":

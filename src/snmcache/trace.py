@@ -146,7 +146,7 @@ class Trace:
         return self.times.tolist()
 
 
-def _first_violations(times: np.ndarray, codes: np.ndarray, ids, horizon: float) -> dict[str, int]:
+def _violations(times: np.ndarray, codes: np.ndarray, ids, horizon: float) -> list[Violation]:
     # first offending request of each invariant, in the order a reader checks a row
     bad_ids = np.array([not _valid_content_id(c) for c in ids], bool)
     masks = (
@@ -155,7 +155,19 @@ def _first_violations(times: np.ndarray, codes: np.ndarray, ids, horizon: float)
         ("sorted", times[1:] < times[:-1], 1),
         ("horizon", times > horizon, 0),
     )
-    return {name: int(bad.argmax()) + shift for name, bad, shift in masks if bad.any()}
+    violations = []
+    for name, bad, shift in masks:
+        if bad.any():
+            i = int(bad.argmax()) + shift
+            ts = float(times[i])
+            message = {
+                "timestamp": f"timestamp {ts!r} not finite and >= 0",
+                "content_id": f"invalid content id {ids[codes[i]]!r}",
+                "sorted": f"timestamps not sorted: {ts!r} after {float(times[i - 1])!r}",
+                "horizon": f"timestamp {ts!r} beyond horizon {horizon!r}",
+            }[name]
+            violations.append(Violation(name, i, message))
+    return violations
 
 
 def _parse_rows(body: str) -> tuple[np.ndarray, np.ndarray, tuple[str, ...], str | None]:
@@ -212,18 +224,10 @@ def read_trace(stream: IO[str]) -> Trace:
 
     body = stream.read()
     times, codes, ids, error = _parse_rows(body if body.endswith("\n") or not body else body + "\n")
-    found = _first_violations(times, codes, ids, math.inf if horizon is None else horizon)
-    if found:
-        name, i = min(found.items(), key=lambda kv: kv[1])
-        stamp, cid = body.split("\n", i + 1)[i].split(",")
-        ts = float(times[i])
-        message = {
-            "timestamp": f"timestamp must be finite and >= 0, got {stamp}",
-            "content_id": f"invalid content id {cid!r}",
-            "sorted": f"timestamps not sorted: {ts!r} after {float(times[i - 1])!r}",
-            "horizon": f"timestamp {ts!r} beyond horizon {horizon!r}",
-        }[name]
-        raise TraceFormatError(message, line=i + 2)
+    violations = _violations(times, codes, ids, math.inf if horizon is None else horizon)
+    if violations:
+        first = min(violations, key=lambda v: v.index)
+        raise TraceFormatError(first.message, line=first.index + 2)
     if error is not None:
         raise TraceFormatError(error, line=times.size + 2)
     if horizon is None:
@@ -250,17 +254,7 @@ def validate(trace: Trace) -> list[Violation]:
 
     Returns an empty list iff the trace is valid.
     """
-    violations = []
-    for name, i in _first_violations(trace.times, trace.codes, trace.ids, trace.horizon).items():
-        ts = float(trace.times[i])
-        message = {
-            "timestamp": f"timestamp {ts!r} not finite and >= 0",
-            "content_id": f"invalid content id {trace.ids[trace.codes[i]]!r}",
-            "sorted": f"timestamp {ts!r} breaks sort order",
-            "horizon": f"timestamp {ts!r} beyond horizon {trace.horizon!r}",
-        }[name]
-        violations.append(Violation(name, i, message))
-    return violations
+    return _violations(trace.times, trace.codes, trace.ids, trace.horizon)
 
 
 def write_atomic(files: Mapping[Path, Callable[[IO[str]], object]]) -> None:

@@ -1,6 +1,11 @@
 import hashlib
 import io
 import math
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +35,18 @@ def write_trace_file(trace, path):
 def read_trace_file(path):
     with open(path, encoding="utf-8") as f:
         return read_trace(f)
+
+
+def run_cli_capped(argv):
+    # the CLI in a child process under a 1 GiB address-space cap and a
+    # timeout, so a command that loops or grows without end fails fast
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    return subprocess.run([sys.executable, "-m", "snmcache.cli", *argv], capture_output=True,
+                          text=True, timeout=10, preexec_fn=cap, env=env)
 
 
 @pytest.fixture
@@ -102,6 +119,22 @@ class TestAnalyze:
         assert not out.exists()
 
 
+class TestVolumeThreshold:
+    # a volume is a request count >= 1; analyze's doubling volume bins
+    # never ended from a threshold below 1, and fit accepted one silently
+    @pytest.mark.parametrize("command,threshold", [
+        ("analyze", "0"), ("analyze", "-1"), ("fit", "0"), ("fit", "-5"),
+    ])
+    def test_threshold_below_one_rejected(self, toy_trace_path, tmp_path, command, threshold):
+        out = tmp_path / "out"
+        result = run_cli_capped([command, str(toy_trace_path), "--volume-threshold", threshold,
+                                 "--out", str(out)])
+        assert result.returncode == 2, result.stderr[-2000:]
+        assert result.stderr.startswith("error:")
+        assert "--volume-threshold" in result.stderr
+        assert not out.exists()
+
+
 class TestFit:
     def test_all_low_volume_gives_single_stationary_class(self, tmp_path):
         path = tmp_path / "small.trace"
@@ -142,6 +175,20 @@ class TestFit:
         assert cli.main(["fit", str(path), "--bounds", bounds, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
+
+    @pytest.mark.parametrize("bounds", ["", ","])
+    def test_empty_bounds_give_one_life_span_class(self, tmp_path, bounds):
+        # no bounds: class 1 spans all life-spans and, as the last class, is stationary
+        path = tmp_path / "t.trace"
+        write_trace_file(generate_snm(reference_classes(n_videos=100.0), 30.0, seed=3), path)
+        out = tmp_path / "fit"
+        assert cli.main(["fit", str(path), "--bounds", bounds, "--out", str(out)]) == 0
+        config = parse_snm_config(out / "snm.conf")
+        assert max(c.class_id for c in config.classes) == 1
+        assert all(c.shape_kind == "stationary" for c in config.classes)
+        rows = (out / "class_summary.csv").read_text().splitlines()
+        assert rows[1].startswith("0,0.0,inf,") and rows[2].startswith("1,0.0,inf,")
+        assert len(rows) == 3
 
     def test_failed_config_write_leaves_no_file(self, tmp_path):
         path = tmp_path / "t.trace"
@@ -203,6 +250,14 @@ class TestGenerate:
         cfg.write_text("horizon_days=5\nclass=1, arrival_rate=1, shape=uniform, volumes=const:5\n")
         assert cli.main(["generate", str(cfg), "--seed", "1", "--out", str(tmp_path / "x.trace")]) == 2
         assert "lifespan_days" in capsys.readouterr().err
+
+    def test_config_errors_name_the_line_and_write_nothing(self, tmp_path, capsys):
+        cfg = tmp_path / "snm.conf"
+        cfg.write_text(self.snm_config_text().replace("class=5", "class=1"))
+        out = tmp_path / "x.trace"
+        assert cli.main(["generate", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {cfg} line 5: duplicate class id 1")
+        assert not out.exists()
 
     def test_irm_generation(self, tmp_path):
         out = tmp_path / "irm.trace"

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 import re
@@ -279,6 +280,27 @@ class TestEventStream:
         assert n_events > 0
         assert stream.peak_pending <= 5 * 10.0 * 40.0 * 3.4
 
+    @pytest.mark.parametrize("seed,daynight,n_events,peak,digest", [
+        (4, False, 2907, 928, "32f9c632e62736fc1ea7899d9ecc1e71eb7c49864c616f683aa45db25c8f0cda"),
+        (5, True, 2996, 1203, "9b3faae52e41b5cccda83118e3d182f611d4ce5ed3821e06abac0bb69ab9ffc5"),
+    ])
+    def test_pinned_events_and_peak_pending(self, seed, daynight, n_events, peak, digest):
+        # exact events and pending peak of the stream, stationary class included
+        stream = SnmEventStream(self.small_classes(), 8.0, seed, daynight)
+        assert iter(stream) is stream
+        events = list(stream)
+        assert len(events) == n_events
+        assert stream.peak_pending == peak
+        assert hashlib.sha256(repr(events).encode()).hexdigest() == digest
+
+    def test_contents_materialized_lazily(self):
+        # after one event only the contents born by then hold pending requests
+        classes = [SnmClassConfig(1, 10.0, 1.0, "uniform", 40.0)]
+        stream = SnmEventStream(classes, 30.0, seed=0)
+        next(stream)
+        n_events = sum(1 for _ in SnmEventStream(classes, 30.0, seed=0))
+        assert stream.peak_pending < n_events / 100
+
 
 class TestConfigFile:
     def test_round_trip(self, tmp_path):
@@ -381,6 +403,14 @@ class TestConfigFile:
         (CLASS_LINE.replace("uniform", "square").format(rate=1, life=1, vols="const:5"),
          "config line 1: class 1: unknown shape 'square'"),
         (CLASS_LINE.format(rate=0, life=1, vols="const:5"), "config line 1: class 1: arrival_rate must be positive"),
+        # these passed the parser: the last value won, or the generator
+        # failed later with no file or line in the message
+        ("horizon_days=0\n", "config line 1: horizon_days must be positive, got '0'"),
+        ("horizon_days=5\nseed=1\nhorizon_days=6\n", "config line 3: repeated field 'horizon_days'"),
+        (CLASS_LINE.format(rate=1, life=1, vols="const:5, volumes=const:6"),
+         "config line 1: repeated field 'volumes'"),
+        ("horizon_days=5\n" + 2 * CLASS_LINE.format(rate=1, life=1, vols="const:5"),
+         "config line 3: duplicate class id 1"),
     ])
     def test_bad_fields_name_the_file_and_line(self, tmp_path, text, message):
         p = tmp_path / "c.conf"

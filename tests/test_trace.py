@@ -166,6 +166,10 @@ class TestReaderValidatorAgreement:
         if violations:
             with pytest.raises(TraceFormatError) as exc:
                 read_trace(buf)
-            assert exc.value.line == min(v.index for v in violations) + 2
+            first = min(violations, key=lambda v: v.index)
+            assert exc.value.line == first.index + 2
+            # a comma in an id splits its row, which the reader reports as a malformed row
+            if "," not in trace.content_ids()[first.index]:
+                assert str(exc.value) == f"line {first.index + 2}: {first.message}"
         else:
             assert read_trace(buf) == trace
