@@ -5,11 +5,13 @@ contents referenced since the previous request for the same content,
 counting the content itself).  A request is an LRU hit at capacity C iff
 its distance is <= C, so one distance pass yields the exact hit
 probability at every capacity at once, and the eviction statistics too
-(:func:`lru_results`).  The distance kernel is an offline dominance
-count in numpy (Mattson et al. 1970; Almasi, Cascaval & Padua 2002),
-O(n log^2 n) with no Python loop per request.  :func:`simulate_lru`, a
-direct per-request LRU cache, is the reference simulator the distance
-results are tested against.
+(:func:`lru_results`).  The distance kernel (Mattson et al. 1970;
+Almasi, Cascaval & Padua 2002) counts, for each request, the earlier
+requests whose previous reference is older than its own, as a sum of
+rank differences over aligned power-of-two blocks: one in-place numpy
+sort of packed int64 keys per bit level, O(n log^2 n) with no Python
+loop per request.  :func:`simulate_lru`, a direct per-request LRU cache,
+is the reference simulator the distance results are tested against.
 """
 
 from __future__ import annotations
@@ -90,27 +92,35 @@ def simulate_lru(trace: Trace, capacity: int) -> LruResult:
 
 
 def _stack_distances(prev: np.ndarray) -> np.ndarray:
-    # With p = prev[i] >= 0, the requests strictly between p and i that
-    # repeat a content already seen in that gap are exactly the k < i
-    # with prev[k] > p, so d_i = (i - p) - #{k < i : prev[k] > p}.  The
-    # count is a 2-D dominance query answered offline: [0, i) splits into
-    # aligned power-of-two blocks, one per set bit of i.  At bit level b
-    # the points k are sorted by (block k >> b, prev[k]); all points of
-    # earlier blocks plus those of block j with prev <= p sort below the
-    # key (j, p + 1), so one searchsorted gives the in-block count.
+    # For p = prev[i] >= 0, d_i = (i - p) - #{k < i : prev[k] > p}, which
+    # is #{k < i : prev[k] < p} - p.  [0, i) is the left siblings of i's
+    # aligned 2^b blocks, b a set bit of i; with rank_c(i) the requests in
+    # i's 2^c block with prev below p, such a sibling holds rank_{b+1}(i)
+    # - rank_b(i).  Level c sorts the keys (block start << s) | ((prev + 1)
+    # << c) | (k & mask) in place; a block fills its own positions, so the
+    # low c bits of key and position give request and rank.  Keys take 2s
+    # bits and ranks are int32, hence n < 2^31.  O(n log^2 n): s sorts.
     n = prev.shape[0]
-    out = np.full(n, np.inf)
-    i = np.flatnonzero(prev >= 0)
-    p = prev[i]
-    k = np.arange(n, dtype=np.int64)
-    later = np.zeros(i.size, np.int64)
-    for b in range(n.bit_length()):
-        sel = ((i >> b) & 1).astype(bool)
-        keys = np.sort((k >> b) * (n + 1) + prev + 1)
-        block = (i[sel] >> b) - 1
-        below = np.searchsorted(keys, block * (n + 1) + p[sel] + 2)
-        later[sel] += ((block + 1) << b) - below
-    out[i] = (i - p) - later
+    if n >= 1 << 31:
+        raise ValueError(f"at most 2**31 - 1 requests, got {n}")
+    s, k, p1 = n.bit_length(), np.arange(n, dtype=np.int64), prev + 1
+    key, head, tail = np.empty(n, np.int64), np.empty(n, np.int64), np.empty(n, np.int64)
+    low, high, below = np.zeros(n, np.int32), np.empty(n, np.int32), np.zeros(n, np.int32)
+    for c in range(1, s + 1):
+        mask, h, m = (1 << c) - 1, 1 << (c - 1), n >> c << c  # m: the end of the whole 2^c blocks
+        np.left_shift(p1, c, out=key)
+        key |= np.bitwise_and(k, mask, out=tail)
+        key |= np.left_shift(np.bitwise_and(k, ~mask, out=head), s, out=tail)
+        key.sort()
+        key &= mask
+        high[np.bitwise_or(key, head, out=key)] = np.bitwise_and(k, mask, out=tail)
+        # below += high - low where bit c - 1 of i is set: whole blocks' second halves, and from m + h on
+        right, hi, lo = (a[:m].reshape(-1, 2, h)[:, 1] for a in (below, high, low))
+        right += hi - lo
+        below[m + h:] += high[m + h:] - low[m + h:]
+        low, high = high, low
+    out = np.subtract(below, prev, out=key.view(np.float64))  # the keys are done with
+    out[prev < 0] = np.inf
     return out
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from pathlib import Path
 from typing import IO, Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -40,6 +41,8 @@ HEADER_MAGIC = "# trace-v1"
 MAX_ID_LEN = 64
 _WRITE_ROWS = 1 << 16  # rows formatted per write call
 _READ_CHARS = 1 << 20  # text parsed per block
+# a content id: 1 to 64 visible ASCII chars (33-126) other than the comma, the field separator
+_CONTENT_ID = re.compile(r"[!-+\--~]{1,%d}" % MAX_ID_LEN)
 
 
 class TraceFormatError(ValueError):
@@ -64,14 +67,6 @@ class Violation(NamedTuple):
     invariant: str  # "timestamp" | "content_id" | "sorted" | "horizon"
     index: int  # first offending event index
     message: str
-
-
-def _valid_content_id(cid: str) -> bool:
-    # non-empty, at most 64 visible ASCII chars, no comma (the field
-    # separator) and no whitespace
-    if not cid or len(cid) > MAX_ID_LEN:
-        return False
-    return all(33 <= ord(c) <= 126 and c != "," for c in cid)
 
 
 def _encode(ids: Sequence[str], index: dict[str, int]) -> np.ndarray:
@@ -148,7 +143,7 @@ class Trace:
 
 def _violations(times: np.ndarray, codes: np.ndarray, ids, horizon: float) -> list[Violation]:
     # first offending request of each invariant, in the order a reader checks a row
-    bad_ids = np.array([not _valid_content_id(c) for c in ids], bool)
+    bad_ids = np.array([_CONTENT_ID.fullmatch(c) is None for c in ids], bool)
     masks = (
         ("timestamp", ~(np.isfinite(times) & (times >= 0)), 0),
         ("content_id", bad_ids[codes], 0),
@@ -239,8 +234,14 @@ def write_trace(trace: Trace, stream: IO[str]) -> None:
     """Emit the trace file format.
 
     Timestamps are rendered with ``repr`` (shortest round-tripping
-    decimal), so ``read_trace`` recovers the exact float values.
+    decimal), so ``read_trace`` recovers the exact float values.  A
+    trace that :func:`validate` rejects raises ``ValueError`` with the
+    first violation's message before anything is written.
     """
+    violations = _violations(trace.times, trace.codes, trace.ids, trace.horizon)
+    if violations:
+        first = min(violations, key=lambda v: v.index)
+        raise ValueError(f"cannot write request {first.index}: {first.message}")
     stream.write(f"{HEADER_MAGIC} horizon={trace.horizon!r}\n")
     row = "{!r},{}\n".format
     names = np.array(trace.ids, dtype=object)

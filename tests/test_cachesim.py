@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from snmcache.cachesim import (
+    _stack_distances,
     hit_curve,
     lru_results,
     reuse_distances,
@@ -106,6 +107,27 @@ class TestReuseDistances:
         for n_ids in (1, 7, n):
             ids = [f"id{x}" for x in rng.integers(0, n_ids, n)]
             assert list(reuse_distances(make_trace(ids))) == naive_reuse_distances(ids)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 3000), st.sampled_from([3, 2000]), st.integers(0, 2**32 - 1))
+    def test_naive_oracle_on_long_traces(self, n, n_ids, seed):
+        # levels up to 2^11: few ids give short gaps, many ids long gaps and many first references
+        ids = np.random.default_rng(seed).integers(0, n_ids, n).tolist()
+        assert list(reuse_distances(make_trace(ids))) == naive_reuse_distances(ids)
+
+    @pytest.mark.parametrize("n", sorted({2**k + d for k in range(13) for d in (-1, 0, 1)}))
+    def test_one_content_and_all_distinct_at_power_of_two_edges(self, n):
+        assert list(reuse_distances(make_trace(["a"] * n))) == [math.inf] * min(n, 1) + [1.0] * (n - 1)
+        assert list(reuse_distances(make_trace(range(n)))) == [math.inf] * n
+
+    def test_empty_trace(self):
+        d = reuse_distances(Trace.from_columns([], [], 0.0))
+        assert d.dtype == np.float64 and d.shape == (0,)
+
+    def test_request_bound_checked_before_allocating(self):
+        prev = np.broadcast_to(np.int64(-1), (2**31,))  # a zero-stride view: no memory behind it
+        with pytest.raises(ValueError, match=r"2\*\*31"):
+            _stack_distances(prev)
 
     def test_matches_lru_on_reference_snm_trace(self):
         trace = generate_snm(reference_classes(), 30.0, seed=1)

@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from snmcache.trace import RequestEvent, Trace, TraceFormatError, read_trace, validate, write_trace
+from snmcache.trace import (
+    RequestEvent,
+    Trace,
+    TraceFormatError,
+    read_trace,
+    validate,
+    write_atomic,
+    write_trace,
+)
 
 from helpers import make_trace
 
@@ -93,6 +101,28 @@ class TestWriteTrace:
         write_trace(read_trace(first), second)
         assert first.getvalue() == second.getvalue()
 
+    @pytest.mark.parametrize(
+        "times, ids, horizon, message",
+        [
+            ([0.0], [","], 1.0, "cannot write request 0: invalid content id ','"),
+            ([0.0, 2.0, 1.0], ["a", "b", "c"], 3.0, "cannot write request 2: timestamps not sorted: 1.0 after 2.0"),
+            ([0.0, 2.5], ["a", "b"], 2.0, "cannot write request 1: timestamp 2.5 beyond horizon 2.0"),
+        ],
+        ids=["bad-id", "unsorted", "beyond-horizon"],
+    )
+    def test_invalid_trace_writes_nothing(self, times, ids, horizon, message):
+        buf = io.StringIO()
+        with pytest.raises(ValueError) as exc:
+            write_trace(Trace.from_columns(times, ids, horizon), buf)
+        assert str(exc.value) == message
+        assert buf.getvalue() == ""
+
+    def test_invalid_trace_leaves_no_file(self, tmp_path):
+        path = tmp_path / "bad.trace"
+        with pytest.raises(ValueError):
+            write_atomic({path: lambda f: write_trace(Trace.from_columns([0.0], [","], 1.0), f)})
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestRoundTrip:
     def test_random_thousand_rows(self):
@@ -141,6 +171,21 @@ class TestValidate:
         names = {v.invariant for v in validate(t)}
         assert names == {"timestamp", "content_id"}
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.text(),
+            st.text(st.one_of(st.characters(max_codepoint=130),  # ASCII edges and lone surrogates
+                              st.characters(min_codepoint=0xD7F0, max_codepoint=0xE00F, exclude_categories=()))),
+            st.text(st.sampled_from(" !+,-~\x7f"), max_size=3),  # each edge of the allowed ranges
+            st.text(st.characters(min_codepoint=32, max_codepoint=127), min_size=62, max_size=66),
+        )
+    )
+    def test_content_id_rule(self, cid):
+        rule = 1 <= len(cid) <= 64 and all(33 <= ord(c) <= 126 and c != "," for c in cid)
+        violations = validate(Trace.from_columns([0.0], [cid], 1.0))
+        assert [v.invariant for v in violations] == ([] if rule else ["content_id"])
+
 
 class TestReaderValidatorAgreement:
     # Ids may hold anything but the line break, so each row stays one line
@@ -159,11 +204,13 @@ class TestReaderValidatorAgreement:
     )
     def test_first_error_line_matches_first_violation(self, rows, horizon):
         trace = Trace.from_events([RequestEvent(t, cid) for t, cid in rows], horizon)
-        buf = io.StringIO()
-        write_trace(trace, buf)
-        buf.seek(0)
+        # the rows as write_trace formats them, which it refuses to do for an invalid trace
+        buf = io.StringIO(f"# trace-v1 horizon={trace.horizon!r}\n"
+                          + "".join(f"{t!r},{cid}\n" for t, cid in zip(trace.times.tolist(), trace.content_ids())))
         violations = validate(trace)
         if violations:
+            with pytest.raises(ValueError):
+                write_trace(trace, io.StringIO())
             with pytest.raises(TraceFormatError) as exc:
                 read_trace(buf)
             first = min(violations, key=lambda v: v.index)
@@ -173,3 +220,6 @@ class TestReaderValidatorAgreement:
                 assert str(exc.value) == f"line {first.index + 2}: {first.message}"
         else:
             assert read_trace(buf) == trace
+            written = io.StringIO()
+            write_trace(trace, written)
+            assert written.getvalue() == buf.getvalue()
