@@ -31,7 +31,10 @@ __all__ = ["main"]
 
 def _read_trace_file(path: str) -> Trace:
     with open(path, encoding="utf-8") as f:
-        return read_trace(f)
+        trace = read_trace(f)
+    if not len(trace):
+        raise ValueError(f"trace {path} has no requests")
+    return trace
 
 
 def _float_list(text: str) -> list[float]:
@@ -62,8 +65,6 @@ def _default_volume_bins(threshold: int, max_volume: int) -> list[float]:
 def cmd_analyze(args) -> int:
     _check_volume_threshold(args.volume_threshold)
     trace = _read_trace_file(args.trace)
-    if not len(trace):
-        raise ValueError(f"trace {args.trace} has no requests")
     # compute every output, and so check every argument, before writing any
     stats = analysis.content_stats(trace)
     dist = analysis.sliced_popularity(trace, args.slices, args.top)
@@ -111,8 +112,6 @@ def cmd_analyze(args) -> int:
 def cmd_fit(args) -> int:
     _check_volume_threshold(args.volume_threshold)
     trace = _read_trace_file(args.trace)
-    if not len(trace):
-        raise ValueError(f"trace {args.trace} has no contents")
     bounds = _float_list(args.bounds)
     stats = analysis.content_stats(trace)
     classes = analysis.classify_contents(stats, args.volume_threshold, bounds)
@@ -199,8 +198,6 @@ def cmd_evaluate(args) -> int:
     seen_labels: dict[str, int] = {}
     for path in args.traces:
         trace = _read_trace_file(path)
-        if not len(trace):
-            raise ValueError(f"trace {path} is empty")
         label = Path(path).stem
         seen_labels[label] = seen_labels.get(label, 0) + 1
         if seen_labels[label] > 1:
@@ -233,8 +230,13 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is an input error like any other
+        raise ValueError(f"{self.prog}: {message}\n{self.format_usage().rstrip()}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="snmcache",
         description="Analyze request traces, synthesize IRM/shot-noise traffic, evaluate LRU caches.",
     )
@@ -285,13 +287,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -68,6 +68,15 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng([seed & _MASK64, *key])
 
 
+def _require(key: str, value, positive: bool = True) -> None:
+    # the configs' one value rule, over a number or (in one pass) a sequence
+    values = np.asarray(value, dtype=float)
+    bad = ~np.isfinite(values) | ((values <= 0) if positive else (values < 0))
+    if bad.any():
+        rule = "positive" if positive else ">= 0"
+        raise ValueError(f"{key} must be {rule} and finite, got {values[bad].flat[0]}")
+
+
 @dataclass(frozen=True)
 class PopularityShape:
     """Normalized causal request-rate profile.
@@ -84,8 +93,7 @@ class PopularityShape:
     def __post_init__(self):
         if self.kind not in ("exponential", "uniform"):
             raise ValueError(f"unknown shape kind {self.kind!r}")
-        if not self.L > 0:
-            raise ValueError(f"L must be positive, got {self.L!r}")
+        _require("L", self.L)
 
     def density(self, t):
         t = np.asarray(t, dtype=float)
@@ -121,8 +129,7 @@ class IrmConfig:
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
         if self.total_requests < 1:
             raise ValueError(f"total_requests must be >= 1, got {self.total_requests}")
-        if not 0 < self.horizon < math.inf:
-            raise ValueError(f"horizon must be finite and positive, got {self.horizon}")
+        _require("horizon", self.horizon)
 
 
 @dataclass(frozen=True)
@@ -134,6 +141,10 @@ class SnmClassConfig:
     life-span and place requests uniformly over the horizon with count
     Poisson(V_m), which is how classes without a usable life-span
     estimate are handled.
+
+    Rules shared with the config file: arrival rate, life-span (>= 0 if
+    stationary) and a constant volume are finite and positive; volume
+    samples are one or more finite values >= 0.
     """
 
     class_id: int
@@ -143,27 +154,36 @@ class SnmClassConfig:
     volumes: float | tuple[float, ...]
 
     def __post_init__(self):
+        where = f"class {self.class_id}"
         if self.shape_kind not in SHAPE_KINDS:
-            raise ValueError(f"class {self.class_id}: unknown shape {self.shape_kind!r}")
-        if not self.arrival_rate > 0:
-            raise ValueError(f"class {self.class_id}: arrival_rate must be positive")
-        if self.shape_kind != "stationary" and not self.lifespan > 0:
-            raise ValueError(f"class {self.class_id}: lifespan must be positive")
+            raise ValueError(f"{where}: unknown shape {self.shape_kind!r}")
+        _require(f"{where}: arrival_rate", self.arrival_rate)
+        _require(f"{where}: lifespan_days", self.lifespan, positive=self.shape_kind != "stationary")
         if isinstance(self.volumes, (int, float)):
-            if not self.volumes > 0:
-                raise ValueError(f"class {self.class_id}: constant volume must be positive")
+            _require(f"{where}: volumes", self.volumes)
         elif len(self.volumes) == 0:
-            raise ValueError(f"class {self.class_id}: empty volume sample list")
+            raise ValueError(f"{where}: empty volume sample list")
+        else:
+            _require(f"{where}: volumes sample", self.volumes, positive=False)
 
 
 @dataclass
 class SnmConfig:
-    """A full generation run: horizon, seed, modulation flag, classes."""
+    """A full generation run: horizon (finite and positive), seed,
+    modulation flag and one or more classes with unique ids."""
 
     horizon: float
     classes: list[SnmClassConfig]
     seed: int | None = None
     daynight: bool = False
+
+    def __post_init__(self):
+        _require("horizon", self.horizon)
+        if not self.classes:
+            raise ValueError("class list must be non-empty")
+        ids = [cfg.class_id for cfg in self.classes]
+        if len(set(ids)) < len(ids):
+            raise ValueError(f"duplicate class id {next(k for k in ids if ids.count(k) > 1)}")
 
 
 def daynight_factor(t):
@@ -178,8 +198,7 @@ def lifespan_to_L(kind: str, lifespan: float) -> float:
     0.9 quantiles: 1.6*L for the uniform shape (so L = 0.5*lifespan/0.8)
     and L*ln(9) for the exponential.
     """
-    if not lifespan > 0:
-        raise ValueError(f"lifespan must be positive, got {lifespan!r}")
+    _require("lifespan", lifespan)
     if kind == "uniform":
         return lifespan / 1.6
     if kind == "exponential":
@@ -260,15 +279,8 @@ def _contents(classes: Sequence[SnmClassConfig], horizon: float, seed: int) -> l
     # Every content of a run, for the batch generator and the event stream
     # alike: (birth, class id, serial, class, shape), serials in birth order.
     # A stationary content is listed at birth 0, which shot_requests ignores.
-    if not horizon > 0:
-        raise ValueError(f"horizon must be positive, got {horizon!r}")
-    if not classes:
-        raise ValueError("class list must be non-empty")
-    contents, seen = [], set()
-    for cfg in classes:
-        if cfg.class_id in seen:
-            raise ValueError(f"duplicate class id {cfg.class_id}")
-        seen.add(cfg.class_id)
+    contents = []
+    for cfg in SnmConfig(horizon, list(classes)).classes:
         rng = _rng(seed, _TAG_BIRTHS, cfg.class_id)
         births = np.sort(rng.uniform(0.0, horizon, rng.poisson(cfg.arrival_rate * horizon)))
         shape = _class_shape(cfg)
@@ -348,36 +360,28 @@ class SnmEventStream:
 #     shape=<exponential|uniform|stationary>, volumes=<path|const:<real>>
 # Volume sample paths are resolved relative to the config file.  A field
 # may appear once (top-level fields once per file) and class ids are unique.
+# The values follow the rules of SnmConfig and SnmClassConfig.
 
 
-def _add_field(fields: dict[str, str], item: str, where: str) -> tuple[str, str]:
+def _add_field(fields: dict[str, str], item: str) -> tuple[str, str]:
     # parse one key=value into fields, where each key may appear once
     if "=" not in item:
-        raise ValueError(f"{where}: expected key=value, got {item!r}")
+        raise ValueError(f"expected key=value, got {item!r}")
     key, _, value = item.partition("=")
     key, value = key.strip(), value.strip()
     if key in fields:
-        raise ValueError(f"{where}: repeated field {key!r}")
+        raise ValueError(f"repeated field {key!r}")
     fields[key] = value
     return key, value
 
 
-def _real(key: str, text: str, where: str) -> float:
-    # a config number: finite and >= 0, checked before it reaches numpy
+def _number(kind: type, key: str, text: str):
+    # a config number of the given kind, int or float, with no range rule
     try:
-        value = float(text)
+        return kind(text)
     except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value >= 0):
-        raise ValueError(f"{where}: {key} must be a finite number >= 0, got {text!r}")
-    return value
-
-
-def _int(key: str, text: str, where: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"{where}: {key} must be an integer, got {text!r}") from None
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"{key} must be {noun}, got {text!r}") from None
 
 
 def _load_volume_file(path: Path) -> tuple[float, ...]:
@@ -387,24 +391,17 @@ def _load_volume_file(path: Path) -> tuple[float, ...]:
             line = raw.strip()
             if not line:
                 continue
-            try:
-                volume = int(line)
-            except ValueError:
-                volume = -1
-            if volume < 0:
+            if not line.isdecimal():
                 raise ValueError(f"{path} line {lineno}: expected an integer >= 0, got {line!r}")
-            values.append(float(volume))
-    if not values:
-        raise ValueError(f"{path}: empty volume file")
+            values.append(float(line))
     return tuple(values)
 
 
 def parse_snm_config(path: str | Path) -> SnmConfig:
-    """Load a generation config, resolving volume files next to it."""
+    """Load a generation config, resolving volume files next to it.  The
+    config classes check its values; every error names the path and line."""
     path = Path(path)
-    horizon = None
-    seed = None
-    daynight = False
+    horizon, seed, daynight = None, None, False
     classes: list[SnmClassConfig] = []
     top: dict[str, str] = {}
     with open(path, encoding="utf-8") as f:
@@ -412,45 +409,43 @@ def parse_snm_config(path: str | Path) -> SnmConfig:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            where = f"{path} line {lineno}"
-            if line.startswith("class="):
-                fields: dict[str, str] = {}
-                for item in line.split(","):
-                    _add_field(fields, item, where)
-                try:
-                    class_id = _int("class", fields.pop("class"), where)
-                    arrival_rate = _real("arrival_rate", fields.pop("arrival_rate"), where)
-                    lifespan = _real("lifespan_days", fields.pop("lifespan_days"), where)
-                    shape = fields.pop("shape")
-                    vol_spec = fields.pop("volumes")
-                except KeyError as exc:
-                    raise ValueError(f"{where}: missing field {exc.args[0]}") from None
-                if fields:
-                    raise ValueError(f"{where}: unknown field {next(iter(fields))!r}")
-                if any(cfg.class_id == class_id for cfg in classes):
-                    raise ValueError(f"{where}: duplicate class id {class_id}")
-                if vol_spec.startswith("const:"):
-                    volumes: float | tuple[float, ...] = _real("volumes", vol_spec[len("const:"):], where)
-                else:
-                    volumes = _load_volume_file(path.parent / vol_spec)
-                try:
+            try:
+                if line.startswith("class="):
+                    fields: dict[str, str] = {}
+                    for item in line.split(","):
+                        _add_field(fields, item)
+                    try:
+                        class_id = _number(int, "class", fields.pop("class"))
+                        arrival_rate = _number(float, "arrival_rate", fields.pop("arrival_rate"))
+                        lifespan = _number(float, "lifespan_days", fields.pop("lifespan_days"))
+                        shape = fields.pop("shape")
+                        vol_spec = fields.pop("volumes")
+                    except KeyError as exc:
+                        raise ValueError(f"missing field {exc.args[0]}") from None
+                    if fields:
+                        raise ValueError(f"unknown field {next(iter(fields))!r}")
+                    if any(cfg.class_id == class_id for cfg in classes):
+                        raise ValueError(f"duplicate class id {class_id}")
+                    if vol_spec.startswith("const:"):
+                        volumes = _number(float, "volumes", vol_spec[len("const:"):])
+                    else:
+                        volumes = _load_volume_file(path.parent / vol_spec)
                     classes.append(SnmClassConfig(class_id, arrival_rate, lifespan, shape, volumes))
-                except ValueError as exc:
-                    raise ValueError(f"{where}: {exc}") from None
-            else:
-                key, value = _add_field(top, line, where)
-                if key == "horizon_days":
-                    horizon = _real(key, value, where)
-                    if horizon == 0:
-                        raise ValueError(f"{where}: horizon_days must be positive, got {value!r}")
-                elif key == "seed":
-                    seed = _int(key, value, where)
-                elif key == "daynight":
-                    if value not in ("on", "off"):
-                        raise ValueError(f"{where}: daynight must be on|off, got {value!r}")
-                    daynight = value == "on"
                 else:
-                    raise ValueError(f"{where}: unknown field {key!r}")
+                    key, value = _add_field(top, line)
+                    if key == "horizon_days":
+                        horizon = _number(float, key, value)
+                        _require(key, horizon)  # SnmConfig's rule, applied here to name the line
+                    elif key == "seed":
+                        seed = _number(int, key, value)
+                    elif key == "daynight":
+                        if value not in ("on", "off"):
+                            raise ValueError(f"daynight must be on|off, got {value!r}")
+                        daynight = value == "on"
+                    else:
+                        raise ValueError(f"unknown field {key!r}")
+            except ValueError as exc:
+                raise ValueError(f"{path} line {lineno}: {exc}") from None
     if horizon is None:
         raise ValueError(f"{path}: missing field horizon_days")
     if not classes:

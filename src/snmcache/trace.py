@@ -65,7 +65,7 @@ class RequestEvent(NamedTuple):
 
 class Violation(NamedTuple):
     invariant: str  # "timestamp" | "content_id" | "sorted" | "horizon"
-    index: int  # first offending event index
+    index: int  # first offending event index, or -1 for the horizon itself
     message: str
 
 
@@ -82,9 +82,9 @@ class Trace:
     appearance and those that no request uses are left out.
     :meth:`from_columns` takes the content ids themselves and
     :meth:`from_events` collects a stream of events.  ``times`` must be
-    non-decreasing and lie in ``[0, horizon]``; :func:`validate` reports
-    violations without raising.  ``events``, :meth:`timestamps` and
-    :meth:`content_ids` build lists from the columns on every call.
+    non-decreasing and lie in ``[0, horizon]``, a finite horizon >= 0;
+    :func:`validate` reports violations without raising.  ``events``,
+    :meth:`timestamps` and :meth:`content_ids` build lists anew per call.
     """
 
     __slots__ = ("times", "codes", "ids", "horizon")
@@ -142,7 +142,11 @@ class Trace:
 
 
 def _violations(times: np.ndarray, codes: np.ndarray, ids, horizon: float) -> list[Violation]:
-    # first offending request of each invariant, in the order a reader checks a row
+    # first offender of each invariant in file order; a bad horizon is the header's, index -1
+    violations = []
+    if not 0 <= horizon < math.inf:
+        violations.append(Violation("horizon", -1, f"horizon must be finite and >= 0, got {horizon!r}"))
+        horizon = math.inf  # one horizon violation, not one more for each request
     bad_ids = np.array([_CONTENT_ID.fullmatch(c) is None for c in ids], bool)
     masks = (
         ("timestamp", ~(np.isfinite(times) & (times >= 0)), 0),
@@ -150,7 +154,6 @@ def _violations(times: np.ndarray, codes: np.ndarray, ids, horizon: float) -> li
         ("sorted", times[1:] < times[:-1], 1),
         ("horizon", times > horizon, 0),
     )
-    violations = []
     for name, bad, shift in masks:
         if bad.any():
             i = int(bad.argmax()) + shift
@@ -199,8 +202,9 @@ def read_trace(stream: IO[str]) -> Trace:
 
     The horizon defaults to the last timestamp unless the header carries
     an explicit ``horizon=`` field.  Raises :class:`TraceFormatError`
-    (with the offending line number) on malformed rows, unsorted
-    timestamps, or timestamps beyond the declared horizon.
+    (with the offending line number) on a declared horizon that is not
+    finite and >= 0, malformed rows, unsorted timestamps, or timestamps
+    beyond the declared horizon.
     """
     header = stream.readline()
     if not header.startswith(HEADER_MAGIC):
@@ -212,21 +216,19 @@ def read_trace(stream: IO[str]) -> Trace:
                 horizon = float(token[len("horizon="):])
             except ValueError:
                 raise TraceFormatError(f"unparsable horizon {token!r}", line=1) from None
-            if not math.isfinite(horizon) or horizon < 0:
-                raise TraceFormatError(f"horizon must be finite and >= 0, got {horizon}", line=1)
         else:
             raise TraceFormatError(f"unrecognized header field {token!r}", line=1)
 
     body = stream.read()
     times, codes, ids, error = _parse_rows(body if body.endswith("\n") or not body else body + "\n")
-    violations = _violations(times, codes, ids, math.inf if horizon is None else horizon)
+    if horizon is None:  # the last timestamp, or 0; the largest finite one if the rows are unsorted
+        horizon = float(np.max(times, initial=0.0, where=np.isfinite(times)))
+    violations = _violations(times, codes, ids, horizon)
     if violations:
         first = min(violations, key=lambda v: v.index)
         raise TraceFormatError(first.message, line=first.index + 2)
     if error is not None:
         raise TraceFormatError(error, line=times.size + 2)
-    if horizon is None:
-        horizon = float(times[-1]) if times.size else 0.0
     return Trace(times, codes, ids, horizon)
 
 
@@ -241,7 +243,8 @@ def write_trace(trace: Trace, stream: IO[str]) -> None:
     violations = _violations(trace.times, trace.codes, trace.ids, trace.horizon)
     if violations:
         first = min(violations, key=lambda v: v.index)
-        raise ValueError(f"cannot write request {first.index}: {first.message}")
+        where = "header" if first.index < 0 else f"request {first.index}"
+        raise ValueError(f"cannot write {where}: {first.message}")
     stream.write(f"{HEADER_MAGIC} horizon={trace.horizon!r}\n")
     row = "{!r},{}\n".format
     names = np.array(trace.ids, dtype=object)

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import io
 import math
@@ -9,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from snmcache import cli
@@ -326,6 +329,26 @@ class TestShuffle:
         assert rc == 2
 
 
+class TestInputErrors:
+    @pytest.mark.parametrize("command", ["analyze", "fit", "shuffle", "evaluate"])
+    def test_empty_trace_one_message_and_no_output(self, tmp_path, capsys, command):
+        # shuffle used to fail later, with "K must be in [1, 0]"
+        path = tmp_path / "e.trace"
+        path.write_text("# trace-v1 horizon=4.0\n")
+        k_and_seed = ["1", "--seed", "1"] if command == "shuffle" else []
+        out = tmp_path / "out"
+        assert cli.main([command, str(path), *k_and_seed, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: trace {path} has no requests\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_usage_error_is_an_error_line(self, toy_trace_path, tmp_path, capsys):
+        out = tmp_path / "s.trace"
+        assert cli.main(["shuffle", str(toy_trace_path), "x", "--seed", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: snmcache shuffle: argument K: invalid int value: 'x'\nusage:")
+        assert not out.exists()
+
+
 class TestEvaluate:
     def test_toy_curve_matches_hand_traced_lru(self, tmp_path):
         path = tmp_path / "t.trace"
@@ -490,3 +513,103 @@ class TestGoldenOutputs:
         hashes = {str(p.relative_to(tmp_path)): hashlib.sha256(p.read_bytes()).hexdigest()
                   for p in tmp_path.rglob("*") if p.is_file()}
         assert {name: h for name, h in hashes.items() if name not in inputs} == self.SNM_FILES
+
+
+class TestFuzzContract:
+    """Every subcommand, on tiny inputs, with argv built from valid and
+    invalid tokens: it exits 0 with outputs that read back, or exits 2
+    with an ``error:`` line and no new file, and never with a traceback.
+    Every size token (--top, --slices, K, --irm N and requests,
+    capacities, thresholds) is at most 1000, so no example allocates much.
+    Half the examples draw only from the valid tokens, so that they reach
+    the commands' outputs rather than stopping at the first bad token."""
+
+    SIZES = ["1", "2", "3", "10", "1000"]
+    BAD_SIZES = ["0", "-1", "-1000", "nan", "inf", "-inf", "", "x", "2.5"]
+    REALS = ["0.05", "0.5", "1", "2", "5", "1000", "1e3"]
+    BAD_REALS = ["0", "-1", "-0.5", "nan", "inf", "-inf", "", "x"]
+    # config values stay small, so that a valid config has about 20 requests at most
+    CONFIG_VALUES = ["1", "2.5"]
+    BAD_CONFIG_VALUES = ["0", "-1", "nan", "inf", "-inf", "", "x"]
+    SHAPES = ["exponential", "uniform"]
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        folder = tmp_path_factory.mktemp("fuzz-inputs")
+        write_trace_file(random_trace(np.random.default_rng(5), 40, 6, horizon=4.0), folder / "tiny.trace")
+        write_trace_file(make_trace(["a", "a", "b"], times=[0.0, 0.0, 0.0]), folder / "flat.trace")
+        (folder / "empty.trace").write_text("# trace-v1 horizon=3.0\n")
+        (folder / "unsorted.trace").write_text("# trace-v1\n1.0,a\n0.5,b\n")
+        return folder
+
+    @classmethod
+    def argv(cls, clean, traces, config):
+        def pool(good, bad):
+            return st.sampled_from(good if clean else good + bad)
+
+        size, real = pool(cls.SIZES, cls.BAD_SIZES), pool(cls.REALS, cls.BAD_REALS)
+        reals = st.lists(real, max_size=4).map(",".join)  # unsorted lists included
+
+        def flags(**values):
+            # any subset of the optional flags, each as one --flag=value token
+            return st.fixed_dictionaries({}, optional=values).map(lambda chosen: [
+                f"--{flag.replace('_', '-')}" + ("" if value is None else f"={value}")
+                for flag, value in chosen.items()])
+
+        paths = st.sampled_from(traces[:2] if clean else traces)
+        trace = paths.map(lambda path: [path])
+        analyze = st.tuples(st.just(["analyze"]), trace, flags(
+            slices=size, top=size, volume_threshold=size, lifespan_bins=reals, volume_bins=reals,
+            contents=st.lists(st.sampled_from(["id1", "id2", "a", "zz"]), max_size=3).map(",".join)))
+        fit = st.tuples(st.just(["fit"]), trace, flags(
+            volume_threshold=size, bounds=reals, seed=size,
+            shape=pool(cls.SHAPES, ["stationary", ""])))
+        irm = st.tuples(size, real, size, real).map(lambda fields: ["--irm=" + ",".join(fields)])
+        seed = size.map(lambda seed: ["--seed=" + seed])
+        generate = st.tuples(st.just(["generate"]), st.just([config]) | irm, seed if clean else flags(seed=size))
+        shuffle = st.tuples(st.just(["shuffle"]), trace, size.map(lambda k: [k]), seed)
+        evaluate = st.tuples(st.just(["evaluate"]), st.lists(paths, min_size=1, max_size=2), flags(
+            targets=reals, capacities=st.lists(size, max_size=4).map(",".join), eviction_stats=st.none()))
+        return st.one_of(analyze, fit, generate, shuffle, evaluate).map(lambda parts: sum(parts, []))
+
+    @staticmethod
+    def read_back(command, out):
+        # every output parses: traces and configs by their readers, CSVs as rectangular tables
+        if command in ("generate", "shuffle"):
+            read_trace_file(out)
+            return
+        if command == "fit":
+            parse_snm_config(out / "snm.conf")
+        csvs = sorted(out.glob("*.csv"))
+        assert csvs
+        for path in csvs:
+            rows = [line.split(",") for line in path.read_text().splitlines()]
+            assert rows and all(len(row) == len(rows[0]) for row in rows), path
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_exit_code_message_and_outputs(self, inputs, tmp_path_factory, data):
+        clean = data.draw(st.booleans())
+        value = st.sampled_from(self.CONFIG_VALUES if clean else self.CONFIG_VALUES + self.BAD_CONFIG_VALUES)
+        shape = st.sampled_from(self.SHAPES + ["stationary"] + ([] if clean else ["", "square"]))
+        spec = data.draw(st.tuples(value, value, value, value, shape))
+        work = tmp_path_factory.mktemp("fuzz")
+        config = work / "snm.conf"
+        config.write_text("horizon_days={0}\nseed=7\nclass=1, arrival_rate={1}, lifespan_days={2}, "
+                          "shape={4}, volumes=const:{3}\n".format(*spec))
+        traces = [str(inputs / name) for name in
+                  ("tiny.trace", "flat.trace", "empty.trace", "unsorted.trace", "absent.trace")]
+        argv = data.draw(self.argv(clean, traces, str(config)))
+        out = work / ("out.trace" if argv[0] in ("generate", "shuffle") else "out")
+        before = sorted(work.rglob("*"))
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            rc = cli.main([*argv, "--out", str(out)])
+        message = stderr.getvalue()
+        assert "Traceback" not in message
+        assert rc in (0, 2), (argv, message)
+        if rc == 2:
+            assert message.startswith("error:"), (argv, message)
+            assert sorted(work.rglob("*")) == before, argv
+        else:
+            self.read_back(argv[0], out)

@@ -302,6 +302,78 @@ class TestEventStream:
         assert stream.peak_pending < n_events / 100
 
 
+class TestConfigRules:
+    # Every value rule lives in the config dataclasses: a bad class cannot
+    # be built, so neither generator reaches numpy ("lam value too large",
+    # "lam < 0 or lam is NaN") or returns an empty trace without a word.
+    @staticmethod
+    def one_class(**changes):
+        fields = dict(class_id=1, arrival_rate=2.0, lifespan=1.5, shape_kind="uniform", volumes=5.0)
+        return [SnmClassConfig(**{**fields, **changes})]
+
+    @pytest.mark.parametrize("generate", [generate_snm, SnmEventStream])
+    @pytest.mark.parametrize("changes,message", [
+        ({"arrival_rate": math.inf}, "class 1: arrival_rate must be positive and finite, got inf"),
+        ({"volumes": math.inf}, "class 1: volumes must be positive and finite, got inf"),
+        ({"volumes": (4.0, -3.0)}, "class 1: volumes sample must be >= 0 and finite, got -3.0"),
+        ({"volumes": (math.nan, 4.0)}, "class 1: volumes sample must be >= 0 and finite, got nan"),
+        ({"lifespan": math.inf}, "class 1: lifespan_days must be positive and finite, got inf"),
+        ({"lifespan": -1.0, "shape_kind": "stationary"},
+         "class 1: lifespan_days must be >= 0 and finite, got -1.0"),
+    ])
+    def test_bad_class_values_name_class_and_field(self, generate, changes, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            generate(self.one_class(**changes), 10.0, 0)
+
+    @pytest.mark.parametrize("generate", [generate_snm, SnmEventStream])
+    def test_infinite_horizon_rejected(self, generate):
+        with pytest.raises(ValueError, match="horizon must be positive and finite, got inf"):
+            generate(self.one_class(), math.inf, 0)
+
+    def test_stationary_class_may_have_zero_lifespan(self):
+        assert len(generate_snm(self.one_class(lifespan=0.0, shape_kind="stationary"), 10.0, 0)) > 0
+
+    @pytest.mark.parametrize("build,message", [
+        (lambda c: SnmConfig(math.inf, c()), "horizon must be positive and finite, got inf"),
+        (lambda c: SnmConfig(5.0, []), "class list must be non-empty"),
+        (lambda c: SnmConfig(5.0, c() + c(arrival_rate=3.0)), "duplicate class id 1"),
+        (lambda c: SnmConfig(5.0, c(arrival_rate=math.inf)), "class 1: arrival_rate"),
+        (lambda c: SnmConfig(5.0, c(volumes=(4.0, -3.0))), "class 1: volumes sample"),
+    ])
+    def test_configs_the_parser_rejects_cannot_be_written(self, tmp_path, build, message):
+        # write_snm_config used to write each of these, which parse_snm_config then rejected
+        with pytest.raises(ValueError, match=message):
+            write_snm_config(build(self.one_class), tmp_path / "snm.conf")
+        assert list(tmp_path.iterdir()) == []
+
+    REALS = st.floats() | st.sampled_from([0.0, -0.0, -1.0, math.inf, -math.inf, math.nan])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        horizon=REALS,
+        specs=st.lists(
+            st.tuples(
+                st.integers(0, 3),
+                REALS,
+                REALS,
+                st.sampled_from(generators.SHAPE_KINDS),
+                REALS | st.lists(st.integers(-3, 10**9).map(float) | st.sampled_from([math.nan, math.inf]),
+                                 max_size=4).map(tuple),
+            ),
+            max_size=3,
+        ),
+    )
+    def test_dataclass_rejects_or_file_round_trips(self, tmp_path_factory, horizon, specs):
+        # the file and the library share one set of rules
+        try:
+            config = SnmConfig(horizon, [SnmClassConfig(*spec) for spec in specs])
+        except ValueError:
+            return
+        path = tmp_path_factory.mktemp("conf") / "snm.conf"
+        write_snm_config(config, path)
+        assert parse_snm_config(path) == config
+
+
 class TestConfigFile:
     def test_round_trip(self, tmp_path):
         config = SnmConfig(
@@ -377,13 +449,13 @@ class TestConfigFile:
     CLASS_LINE = "class=1, arrival_rate={rate}, lifespan_days={life}, shape=uniform, volumes={vols}\n"
 
     @pytest.mark.parametrize("horizon,rate,life,vols,message", [
-        ("inf", "1", "1", "const:5", "config line 1: horizon_days must be a finite number >= 0, got 'inf'"),
+        ("inf", "1", "1", "const:5", "config line 1: horizon_days must be positive and finite, got inf"),
         ("-3", "1", "1", "const:5", "config line 1: horizon_days"),
-        ("5", "inf", "1", "const:5", "config line 2: arrival_rate must be a finite number >= 0, got 'inf'"),
-        ("5", "nan", "1", "const:5", "config line 2: arrival_rate"),
-        ("5", "1", "-2", "const:5", "config line 2: lifespan_days"),
-        ("5", "1", "1", "const:inf", "config line 2: volumes must be a finite number >= 0, got 'inf'"),
-        ("5", "1", "1", "const:-5", "config line 2: volumes"),
+        ("5", "inf", "1", "const:5", "config line 2: class 1: arrival_rate must be positive and finite, got inf"),
+        ("5", "nan", "1", "const:5", "config line 2: class 1: arrival_rate must be positive and finite, got nan"),
+        ("5", "1", "-2", "const:5", "config line 2: class 1: lifespan_days must be positive and finite, got -2.0"),
+        ("5", "1", "1", "const:inf", "config line 2: class 1: volumes must be positive and finite, got inf"),
+        ("5", "1", "1", "const:-5", "config line 2: class 1: volumes must be positive and finite, got -5.0"),
         ("5", "1", "1", "v.volumes", r"v\.volumes line 2: expected an integer >= 0, got '-4'"),
     ])
     def test_bad_values_rejected_at_parse_with_line(self, tmp_path, horizon, rate, life, vols, message):
@@ -405,7 +477,7 @@ class TestConfigFile:
         (CLASS_LINE.format(rate=0, life=1, vols="const:5"), "config line 1: class 1: arrival_rate must be positive"),
         # these passed the parser: the last value won, or the generator
         # failed later with no file or line in the message
-        ("horizon_days=0\n", "config line 1: horizon_days must be positive, got '0'"),
+        ("horizon_days=0\n", "config line 1: horizon_days must be positive and finite, got 0.0"),
         ("horizon_days=5\nseed=1\nhorizon_days=6\n", "config line 3: repeated field 'horizon_days'"),
         (CLASS_LINE.format(rate=1, life=1, vols="const:5, volumes=const:6"),
          "config line 1: repeated field 'volumes'"),
@@ -441,6 +513,18 @@ class TestConfigFile:
         path = tmp_path_factory.mktemp("conf") / "snm.conf"
         write_snm_config(config, path)
         assert parse_snm_config(path) == config
+
+    def test_volume_file_values_follow_the_sample_rule(self, tmp_path):
+        # a sample too large for a float used to escape as an OverflowError
+        (tmp_path / "v.volumes").write_text("3\n" + "9" * 400 + "\n")
+        p = tmp_path / "c.conf"
+        p.write_text("horizon_days=5\n" + self.CLASS_LINE.format(rate=1, life=1, vols="v.volumes"))
+        with pytest.raises(ValueError, match=re.escape(f"{p} line 2: class 1: volumes sample must be >= 0 "
+                                                       "and finite, got inf")):
+            parse_snm_config(p)
+        (tmp_path / "v.volumes").write_text("\n")
+        with pytest.raises(ValueError, match=re.escape(f"{p} line 2: class 1: empty volume sample list")):
+            parse_snm_config(p)
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         p = tmp_path / "c.conf"

@@ -1,4 +1,5 @@
 import io
+import math
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from snmcache.trace import (
     RequestEvent,
     Trace,
     TraceFormatError,
+    Violation,
     read_trace,
     validate,
     write_atomic,
@@ -122,6 +124,42 @@ class TestWriteTrace:
         with pytest.raises(ValueError):
             write_atomic({path: lambda f: write_trace(Trace.from_columns([0.0], [","], 1.0), f)})
         assert list(tmp_path.iterdir()) == []
+
+
+class TestHorizonRule:
+    # one rule, "finite and >= 0", for validate, write_trace and read_trace;
+    # write_trace used to write a header that read_trace then rejected
+    BAD = [math.nan, math.inf, -math.inf, -1.0]
+
+    @pytest.mark.parametrize("horizon", BAD)
+    def test_validate_reports_the_horizon(self, horizon):
+        expected = [Violation("horizon", -1, f"horizon must be finite and >= 0, got {horizon!r}")]
+        assert validate(Trace.from_columns([], [], horizon)) == expected
+        assert validate(Trace.from_columns([0.0, 0.5], ["a", "b"], horizon)) == expected
+
+    @pytest.mark.parametrize("horizon", BAD)
+    def test_write_trace_writes_nothing(self, horizon):
+        buf = io.StringIO()
+        with pytest.raises(ValueError) as exc:
+            write_trace(Trace.from_columns([], [], horizon), buf)
+        assert str(exc.value) == f"cannot write header: horizon must be finite and >= 0, got {horizon!r}"
+        assert buf.getvalue() == ""
+
+    @pytest.mark.parametrize("horizon", BAD)
+    def test_read_trace_reports_line_one(self, horizon):
+        with pytest.raises(TraceFormatError) as exc:
+            read_trace(io.StringIO(f"# trace-v1 horizon={horizon!r}\n0.0,a\n"))
+        assert exc.value.line == 1
+        assert str(exc.value) == f"line 1: horizon must be finite and >= 0, got {horizon!r}"
+
+    def test_headerless_default_is_no_bad_horizon(self):
+        # with no horizon= field the horizon is the last timestamp, or 0, and a
+        # non-finite row is reported at its own line rather than as the horizon
+        assert read_trace(io.StringIO("# trace-v1\n")).horizon == 0.0
+        for row in ("inf", "nan"):
+            with pytest.raises(TraceFormatError) as exc:
+                read_trace(io.StringIO(f"# trace-v1\n0.5,a\n{row},b\n"))
+            assert str(exc.value) == f"line 3: timestamp {float(row)!r} not finite and >= 0"
 
 
 class TestRoundTrip:
