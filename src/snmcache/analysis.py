@@ -10,9 +10,8 @@ generator.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import IO, Mapping, NamedTuple, Sequence
+from typing import IO, NamedTuple, Sequence
 
 import numpy as np
 
@@ -47,11 +46,13 @@ DEFAULT_LIFESPAN_BOUNDS = (2.0, 5.0, 8.0, 13.0)
 
 
 class ContentStats(NamedTuple):
-    content_id: str
-    volume: int  # number of requests observed in the trace
-    lifespan: float  # effective life-span, days
-    first_request: float
-    last_request: float
+    """Per-content table, one column per measure: row k is content ``ids[k]``."""
+
+    ids: tuple[str, ...]  # the trace's ids
+    volume: np.ndarray  # number of requests observed in the trace
+    lifespan: np.ndarray  # effective life-span, days
+    first_request: np.ndarray
+    last_request: np.ndarray
 
 
 class RankRow(NamedTuple):
@@ -118,27 +119,14 @@ def effective_lifespan(times: Sequence[float]) -> float:
     return times[i_hi - 1] - times[i_lo - 1]
 
 
-def _content_columns(trace: Trace) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    # volume, effective life-span, first and last request time, per code
+def content_stats(trace: Trace) -> ContentStats:
+    """Measure volume, effective life-span and first/last request per content."""
     times = trace.times[np.argsort(trace.codes, kind="stable")]
     volume = np.bincount(trace.codes, minlength=len(trace.ids))
     start = np.cumsum(volume) - volume
     lo = start + (volume + 9) // 10 - 1  # as in effective_lifespan
     hi = start + (9 * volume + 9) // 10 - 1
-    return volume, times[hi] - times[lo], times[start], times[start + volume - 1]
-
-
-def content_stats(trace: Trace) -> dict[str, ContentStats]:
-    """Measure volume, effective life-span and first/last request per content."""
-    columns = (c.tolist() for c in _content_columns(trace))
-    return dict(zip(trace.ids, map(ContentStats, trace.ids, *columns)))
-
-
-def _nearest_rank(sorted_vals: Sequence[float], pct: int) -> float:
-    # nearest-rank percentile: value at index ceil(pct/100 * n), 1-based
-    n = len(sorted_vals)
-    idx = (pct * n + 99) // 100
-    return sorted_vals[max(idx, 1) - 1]
+    return ContentStats(trace.ids, volume, times[hi] - times[lo], times[start], times[start + volume - 1])
 
 
 def sliced_popularity(trace: Trace, K: int, top_ranks: int) -> RankDistribution:
@@ -148,9 +136,9 @@ def sliced_popularity(trace: Trace, K: int, top_ranks: int) -> RankDistribution:
     possible) equal size.  Within each slice contents are ranked by
     slice-local frequency (ties broken by content id) and frequencies
     are normalized to the slice total.  For each rank up to
-    ``top_ranks`` the mean and nearest-rank 5/95 percentiles across
-    slices are reported; a slice with fewer distinct contents than the
-    rank contributes frequency 0.
+    ``top_ranks`` the mean (summed in slice order) and nearest-rank
+    5/95 percentiles across slices are reported; a slice with fewer
+    distinct contents than the rank contributes frequency 0.
     """
     if top_ranks <= 0:
         raise ValueError(f"top_ranks must be positive, got {top_ranks}")
@@ -164,13 +152,15 @@ def sliced_popularity(trace: Trace, K: int, top_ranks: int) -> RankDistribution:
     slices, counts = slices[order], counts[order]
     rank = np.arange(order.size) - np.searchsorted(slices, slices)
     top = rank < top_ranks
-    freqs = np.zeros((top_ranks, K))
+    ranked = min(top_ranks, m)  # no slice ranks more contents than the trace has
+    freqs = np.zeros((ranked, K))
     freqs[rank[top], slices[top]] = counts[top] / sizes[slices[top]]
     freqs.sort(axis=1)
-    rows = [
-        RankRow(rank=r, mean=sum(f) / K, p5=_nearest_rank(f, 5), p95=_nearest_rank(f, 95))
-        for r, f in enumerate(freqs.tolist(), start=1)
-    ]
+    mean = np.cumsum(freqs, axis=1)[:, -1] / K
+    # nearest-rank percentile: the value at 1-based index ceil(pct/100 * K)
+    p5, p95 = (freqs[:, (pct * K + 99) // 100 - 1] for pct in (5, 95))
+    rows = list(map(RankRow, range(1, ranked + 1), mean.tolist(), p5.tolist(), p95.tolist()))
+    rows += [RankRow(r, 0.0, 0.0, 0.0) for r in range(ranked + 1, top_ranks + 1)]
     return RankDistribution(K=K, rows=rows)
 
 
@@ -194,11 +184,11 @@ def fit_zipf(rank_freqs: Sequence[tuple[int, float]], rank_range: tuple[int, int
 
 
 def classify_contents(
-    stats: Mapping[str, ContentStats],
+    stats: ContentStats,
     volume_threshold: int = DEFAULT_VOLUME_THRESHOLD,
     lifespan_bounds: Sequence[float] = DEFAULT_LIFESPAN_BOUNDS,
-) -> dict[str, int]:
-    """Partition contents into classes 0..len(bounds)+1.
+) -> np.ndarray:
+    """Class column of a content table: classes 0..len(bounds)+1, row k for content k.
 
     Contents below the volume threshold fall into class 0 regardless of
     life-span.  The rest are classed by life-span interval with
@@ -210,61 +200,56 @@ def classify_contents(
         raise ValueError(f"lifespan bounds must be finite, got {bounds}")
     if any(b1 >= b2 for b1, b2 in zip(bounds, bounds[1:])):
         raise ValueError(f"lifespan bounds must be strictly increasing, got {bounds}")
-    out: dict[str, int] = {}
-    for cid, st in stats.items():
-        if st.volume < volume_threshold:
-            out[cid] = 0
-        else:
-            out[cid] = bisect_left(bounds, st.lifespan) + 1
-    return out
-
-
-def _class_bounds(class_id: int, bounds: Sequence[float]) -> tuple[float, float]:
-    # class 0 is volume-defined and spans all life-spans
-    edges = (0.0, *bounds, math.inf)
-    return (0.0, math.inf) if class_id == 0 else edges[class_id - 1:class_id + 1]
+    classes = np.searchsorted(np.asarray(bounds, dtype=float), stats.lifespan) + 1
+    classes[stats.volume < volume_threshold] = 0
+    return classes
 
 
 def class_summary(
     trace: Trace,
-    classes: Mapping[str, int],
+    classes: np.ndarray,
     lifespan_bounds: Sequence[float] = DEFAULT_LIFESPAN_BOUNDS,
 ) -> list[ClassSummary]:
     """Aggregate request/content shares and means per class.
 
-    ``classes`` must cover every content appearing in the trace.  The
-    per-class arrival rate is the content count divided by the trace
-    horizon, and ``volume_samples`` collects the class's empirical
-    volume multiset for later resampling.
+    ``classes`` is a class column of :func:`classify_contents`, one class
+    per content of the trace.  The per-class arrival rate is the content
+    count divided by the trace horizon, which must be positive, and
+    ``volume_samples`` collects the class's empirical volume multiset
+    for later resampling.
     """
-    missing = next((cid for cid in trace.ids if cid not in classes), None)
-    if missing is not None:
-        raise ValueError(f"content {missing!r} missing from classes")
+    classes = np.asarray(classes)
+    if classes.shape != (len(trace.ids),):
+        raise ValueError(f"need one class per content: {len(trace.ids)} contents, got shape {classes.shape}")
     n_classes = len(lifespan_bounds) + 2
-    member_of = np.array([classes[cid] for cid in trace.ids], np.int64)
-    bad = (member_of < 0) | (member_of >= n_classes)
+    bad = (classes < 0) | (classes >= n_classes)
     if bad.any():
-        k = member_of[bad.argmax()]
+        k = classes[bad.argmax()]
         raise ValueError(f"class id {k} out of range for {len(lifespan_bounds)} bounds")
+    if not trace.horizon > 0:
+        raise ValueError(f"trace horizon must be positive to give arrival rates, got {trace.horizon!r}")
 
-    volume, lifespan, _, _ = _content_columns(trace)
+    stats = content_stats(trace)
+    edges = (0.0, *lifespan_bounds, math.inf)
     total_requests = len(trace)
     total_videos = len(trace.ids)
     out = []
     for k in range(n_classes):
-        members = member_of == k
-        volumes = volume[members].tolist()
+        members = classes == k
+        volumes = stats.volume[members].tolist()
+        lifespans = np.cumsum(stats.lifespan[members])  # summed in content order
         n_videos = len(volumes)
         n_requests = sum(volumes)
         out.append(
             ClassSummary(
                 class_id=k,
-                lifespan_bounds=_class_bounds(k, lifespan_bounds),
+                # class 0 is volume-defined and spans all life-spans
+                lifespan_bounds=(0.0, math.inf) if k == 0 else edges[k - 1:k + 1],
                 pct_requests=100.0 * n_requests / total_requests if total_requests else 0.0,
                 pct_videos=100.0 * n_videos / total_videos if total_videos else 0.0,
-                mean_lifespan=sum(lifespan[members].tolist()) / n_videos if n_videos else math.nan,
+                mean_lifespan=lifespans[-1].item() / n_videos if n_videos else math.nan,
                 mean_volume=n_requests / n_videos if n_videos else math.nan,
-                arrival_rate=n_videos / trace.horizon if trace.horizon > 0 else math.nan,
+                arrival_rate=n_videos / trace.horizon,
                 volume_samples=sorted(volumes),
             )
         )
@@ -272,7 +257,7 @@ def class_summary(
 
 
 def density_map(
-    stats: Mapping[str, ContentStats],
+    stats: ContentStats,
     volume_threshold: int,
     lifespan_bins: Sequence[float],
     volume_bins: Sequence[float],
@@ -288,9 +273,9 @@ def density_map(
     for name, edges in (("lifespan", l_edges), ("volume", v_edges)):
         if edges.ndim != 1 or len(edges) < 2 or not np.all(np.diff(edges) > 0):
             raise ValueError(f"{name} bin edges must be strictly increasing, got {edges}")
-    qualifying = [st for st in stats.values() if st.volume >= volume_threshold]
-    ls = np.clip([st.lifespan for st in qualifying], l_edges[0], l_edges[-1])
-    vs = np.clip([st.volume for st in qualifying], v_edges[0], v_edges[-1])
+    qualifying = stats.volume >= volume_threshold
+    ls = np.clip(stats.lifespan[qualifying], l_edges[0], l_edges[-1])
+    vs = np.clip(stats.volume[qualifying], v_edges[0], v_edges[-1])
     counts, _, _ = np.histogram2d(ls, vs, bins=[l_edges, v_edges])
     return DensityMap(lifespan_bins=l_edges, volume_bins=v_edges, counts=counts.astype(int))
 

@@ -75,15 +75,14 @@ def cmd_analyze(args) -> int:
     if args.volume_bins:
         v_bins = _float_list(args.volume_bins)
     else:
-        max_vol = max(st.volume for st in stats.values())
-        v_bins = _default_volume_bins(args.volume_threshold, max_vol)
+        v_bins = _default_volume_bins(args.volume_threshold, int(stats.volume.max()))
     dm = analysis.density_map(stats, args.volume_threshold, l_bins, v_bins)
 
     def write_stats(f):
         f.write("content_id,volume,lifespan,first_request,last_request\n")
-        for cid in sorted(stats):
-            st = stats[cid]
-            f.write(f"{cid},{st.volume},{st.lifespan!r},{st.first_request!r},{st.last_request!r}\n")
+        # ids are unique, so the rows sort by id alone
+        for row in sorted(zip(stats.ids, *(c.tolist() for c in stats[1:]))):
+            f.write("%s,%d,%r,%r,%r\n" % row)
 
     out = Path(args.out)
     files = {
@@ -154,14 +153,12 @@ def cmd_generate(args) -> int:
         if args.seed is None:
             raise ValueError("--seed is required for --irm generation")
         fields = args.irm.split(",")
-        if len(fields) != 4:
-            raise ValueError("--irm expects N,alpha,requests,horizon")
-        cfg = generators.IrmConfig(
-            catalogue_size=int(fields[0]),
-            alpha=float(fields[1]),
-            total_requests=int(fields[2]),
-            horizon=float(fields[3]),
-        )
+        try:
+            if len(fields) != 4:
+                raise ValueError("expected N,alpha,requests,horizon")
+            cfg = generators.IrmConfig(int(fields[0]), float(fields[1]), int(fields[2]), float(fields[3]))
+        except ValueError as exc:
+            raise ValueError(f"--irm {args.irm}: {exc}") from None
         trace = generators.generate_irm(cfg, args.seed)
     else:
         config = generators.parse_snm_config(args.config)

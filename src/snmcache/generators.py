@@ -62,6 +62,9 @@ _TAG_IRM = 0x12
 _TAG_BIRTHS = 0xB1
 _TAG_CONTENT = 0xC0
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+# numpy draws no Poisson count of a larger mean ("lam value too large"):
+# the configs bound every value that becomes one
+_POISSON_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
 
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
@@ -75,6 +78,11 @@ def _require(key: str, value, positive: bool = True) -> None:
     if bad.any():
         rule = "positive" if positive else ">= 0"
         raise ValueError(f"{key} must be {rule} and finite, got {values[bad].flat[0]}")
+
+
+def _require_poisson(key: str, mean: float) -> None:
+    if not mean <= _POISSON_MAX:
+        raise ValueError(f"{key} must be <= {_POISSON_MAX!r}, numpy's Poisson limit, got {mean!r}")
 
 
 @dataclass(frozen=True)
@@ -144,7 +152,8 @@ class SnmClassConfig:
 
     Rules shared with the config file: arrival rate, life-span (>= 0 if
     stationary) and a constant volume are finite and positive; volume
-    samples are one or more finite values >= 0.
+    samples are one or more finite values >= 0; twice the largest volume
+    (a content's day/night candidate mean) is within numpy's Poisson limit.
     """
 
     class_id: int
@@ -165,12 +174,14 @@ class SnmClassConfig:
             raise ValueError(f"{where}: empty volume sample list")
         else:
             _require(f"{where}: volumes sample", self.volumes, positive=False)
+        _require_poisson(f"{where}: 2 * volumes", 2 * float(np.max(self.volumes)))
 
 
 @dataclass
 class SnmConfig:
     """A full generation run: horizon (finite and positive), seed,
-    modulation flag and one or more classes with unique ids."""
+    modulation flag and one or more classes with unique ids, each with
+    expected births (arrival rate * horizon) within numpy's Poisson limit."""
 
     horizon: float
     classes: list[SnmClassConfig]
@@ -184,6 +195,8 @@ class SnmConfig:
         ids = [cfg.class_id for cfg in self.classes]
         if len(set(ids)) < len(ids):
             raise ValueError(f"duplicate class id {next(k for k in ids if ids.count(k) > 1)}")
+        for cfg in self.classes:
+            _require_poisson(f"class {cfg.class_id}: arrival_rate * horizon", cfg.arrival_rate * self.horizon)
 
 
 def daynight_factor(t):
@@ -448,9 +461,10 @@ def parse_snm_config(path: str | Path) -> SnmConfig:
                 raise ValueError(f"{path} line {lineno}: {exc}") from None
     if horizon is None:
         raise ValueError(f"{path}: missing field horizon_days")
-    if not classes:
-        raise ValueError(f"{path}: no class lines")
-    return SnmConfig(horizon=horizon, classes=classes, seed=seed, daynight=daynight)
+    try:
+        return SnmConfig(horizon=horizon, classes=classes, seed=seed, daynight=daynight)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def snm_config_files(config: SnmConfig, path: str | Path) -> dict[Path, Callable[[IO[str]], object]]:

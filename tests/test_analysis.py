@@ -1,11 +1,16 @@
+import functools
 import io
 import math
-from collections import Counter
+import operator
+from bisect import bisect_left
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from snmcache.analysis import (
+    ContentStats,
     class_summary,
     classify_contents,
     content_stats,
@@ -24,20 +29,33 @@ from snmcache.trace import RequestEvent, Trace
 from helpers import make_trace, random_trace, reference_classes
 
 
+def row(stats: ContentStats, cid: str) -> tuple:
+    """(volume, lifespan, first_request, last_request) of one content, as Python scalars."""
+    k = stats.ids.index(cid)
+    return tuple(column[k].item() for column in stats[1:])
+
+
+def own_times(trace: Trace) -> list[list[float]]:
+    """Each content's request times, in trace order, row k for content k."""
+    times: list[list[float]] = [[] for _ in trace.ids]
+    for t, k in zip(trace.times.tolist(), trace.codes.tolist()):
+        times[k].append(t)
+    return times
+
+
 class TestContentStats:
     def test_single_request(self):
-        st = content_stats(make_trace(["a"], times=[3.0]))["a"]
-        assert (st.volume, st.lifespan) == (1, 0.0)
-        assert (st.first_request, st.last_request) == (3.0, 3.0)
+        stats = content_stats(make_trace(["a"], times=[3.0]))
+        assert stats.ids == ("a",)
+        assert row(stats, "a") == (1, 0.0, 3.0, 3.0)
 
     def test_ten_requests_one_per_day(self):
-        st = content_stats(make_trace(["a"] * 10, times=[float(i) for i in range(10)]))["a"]
-        assert st.volume == 10
-        assert st.lifespan == 8.0  # requests 1 through 9 of 10
+        volume, lifespan, _, _ = row(content_stats(make_trace(["a"] * 10, times=[float(i) for i in range(10)])), "a")
+        assert volume == 10
+        assert lifespan == 8.0  # requests 1 through 9 of 10
 
     def test_identical_timestamps(self):
-        st = content_stats(make_trace(["a"] * 7, times=[2.0] * 7))["a"]
-        assert st.lifespan == 0.0
+        assert row(content_stats(make_trace(["a"] * 7, times=[2.0] * 7)), "a")[1] == 0.0
 
     def test_quantile_indices_are_exact_integers(self):
         # V=30 must use requests 3 and 27; float ceil of 0.1*30 would give 4
@@ -47,13 +65,45 @@ class TestContentStats:
     def test_lifespan_bounded_by_span(self):
         rng = np.random.default_rng(0)
         trace = random_trace(rng, 500, 12)
-        for st in content_stats(trace).values():
-            assert 0.0 <= st.lifespan <= st.last_request - st.first_request
+        stats = content_stats(trace)
+        assert np.all(0.0 <= stats.lifespan)
+        assert np.all(stats.lifespan <= stats.last_request - stats.first_request)
 
     def test_equal_timestamp_permutation_invariance(self):
         a = make_trace(["x", "x", "x", "x"], times=[0.0, 1.0, 1.0, 2.0])
         b = make_trace(["x", "x", "x", "x"], times=[0.0, 1.0, 1.0, 2.0])
-        assert content_stats(a)["x"].lifespan == content_stats(b)["x"].lifespan
+        assert row(content_stats(a), "x")[1] == row(content_stats(b), "x")[1]
+
+    def test_rows_follow_trace_ids(self):
+        trace = make_trace(["b", "a", "b", "c"])
+        stats = content_stats(trace)
+        assert stats.ids == trace.ids == ("b", "a", "c")
+        assert stats.volume.tolist() == [2, 1, 1]
+        assert stats.first_request.tolist() == [0.0, 1.0, 3.0]
+        assert stats.last_request.tolist() == [2.0, 1.0, 3.0]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        requests=st.lists(st.tuples(st.integers(0, 200), st.integers(0, 6)), min_size=1, max_size=80),
+        volume_threshold=st.integers(1, 6),
+        bounds=st.lists(st.integers(0, 200), unique=True, max_size=4).map(sorted),
+    )
+    def test_table_matches_scalar_definitions(self, requests, volume_threshold, bounds):
+        # quarter-day ticks make life-spans land exactly on the bounds
+        requests.sort()
+        times = [tick / 4 for tick, _ in requests]
+        trace = Trace.from_columns(times, [f"id{x}" for _, x in requests], times[-1])
+        bounds = [b / 4 for b in bounds]
+        stats = content_stats(trace)
+        classes = classify_contents(stats, volume_threshold, bounds)
+        assert stats.ids == trace.ids
+        assert classes.shape == (len(trace.ids),)
+        for k, own in enumerate(own_times(trace)):
+            volume, lifespan, first, last = row(stats, trace.ids[k])
+            assert (volume, first, last) == (len(own), own[0], own[-1])
+            assert lifespan == effective_lifespan(own)
+            expected = 0 if volume < volume_threshold else bisect_left(bounds, lifespan) + 1
+            assert classes[k] == expected
 
 
 class TestSlicedPopularity:
@@ -127,19 +177,18 @@ class TestFitZipf:
 
 class TestClassifyContents:
     def stats_for(self, volume, lifespan):
-        trace = make_trace(["z"])
-        st = content_stats(trace)["z"]._replace(volume=volume, lifespan=lifespan)
-        return {"z": st}
+        stats = content_stats(make_trace(["z"]))
+        return stats._replace(volume=np.array([volume]), lifespan=np.array([lifespan]))
 
     def test_low_volume_is_class_zero(self):
-        assert classify_contents(self.stats_for(5, 20.0))["z"] == 0
+        assert classify_contents(self.stats_for(5, 20.0))[0] == 0
 
     def test_short_lifespan_class_one(self):
-        assert classify_contents(self.stats_for(50, 1.5))["z"] == 1
+        assert classify_contents(self.stats_for(50, 1.5))[0] == 1
 
     def test_upper_inclusive_boundary(self):
-        assert classify_contents(self.stats_for(10, 13.0))["z"] == 4
-        assert classify_contents(self.stats_for(10, 13.0001))["z"] == 5
+        assert classify_contents(self.stats_for(10, 13.0))[0] == 4
+        assert classify_contents(self.stats_for(10, 13.0001))[0] == 5
 
     def test_partition_and_time_shift_invariance(self):
         rng = np.random.default_rng(12)
@@ -150,8 +199,9 @@ class TestClassifyContents:
         )
         a = classify_contents(content_stats(trace), volume_threshold=3)
         b = classify_contents(content_stats(shifted), volume_threshold=3)
-        assert a == b
-        assert set(a.values()) <= set(range(6))
+        assert shifted.ids == trace.ids
+        assert a.tolist() == b.tolist()
+        assert set(a.tolist()) <= set(range(6))
 
     def test_bounds_must_increase(self):
         with pytest.raises(ValueError):
@@ -172,13 +222,24 @@ class TestClassSummary:
 
     def test_arrival_rate(self):
         trace = make_trace(["a", "b"], times=[1.0, 2.0], horizon=10.0)
-        summaries = class_summary(trace, {"a": 0, "b": 0})
+        summaries = class_summary(trace, np.array([0, 0]))
         assert summaries[0].arrival_rate == pytest.approx(0.2)
 
     def test_missing_content_rejected(self):
         trace = make_trace(["a", "b"])
-        with pytest.raises(ValueError):
-            class_summary(trace, {"a": 0})
+        with pytest.raises(ValueError, match="one class per content"):
+            class_summary(trace, np.array([0]))
+
+    def test_class_out_of_range_rejected(self):
+        trace = make_trace(["a", "b"])
+        with pytest.raises(ValueError, match="class id 6 out of range for 4 bounds"):
+            class_summary(trace, np.array([0, 6]))
+
+    def test_zero_horizon_rejected(self):
+        # all requests at one instant give no arrival rate
+        trace = make_trace(["a", "b", "a"], times=[0.0] * 3)
+        with pytest.raises(ValueError, match="trace horizon must be positive.*got 0.0"):
+            class_summary(trace, classify_contents(content_stats(trace)))
 
     def test_pct_requests_sums_to_100(self):
         rng = np.random.default_rng(3)
@@ -196,6 +257,20 @@ class TestClassSummary:
         assert s1.pct_videos == pytest.approx(3.17, rel=0.12)
         assert s1.mean_lifespan == pytest.approx(1.14, rel=0.12)
         assert s1.mean_volume == pytest.approx(86.4, rel=0.12)
+
+    def test_mean_lifespan_is_a_left_fold(self):
+        # Python's float sum is compensated from 3.12 on; the class means
+        # (and the class_summary.csv bytes) must not depend on that
+        horizon = 90.0
+        trace = generate_snm(reference_classes(horizon=horizon, shape="uniform"), horizon, seed=42)
+        classes = classify_contents(content_stats(trace)).tolist()
+        lifespans = [effective_lifespan(own) for own in own_times(trace)]
+        compensated_differs = False
+        for s in class_summary(trace, classes):
+            xs = [x for x, k in zip(lifespans, classes) if k == s.class_id]
+            assert s.mean_lifespan == functools.reduce(operator.add, xs, 0.0) / len(xs)
+            compensated_differs |= s.mean_lifespan != math.fsum(xs) / len(xs)
+        assert compensated_differs  # so this trace tells the two sums apart
 
     def test_volume_samples_match_members(self):
         ids = ["a"] * 12 + ["b"] * 15 + ["c"]
@@ -216,7 +291,7 @@ class TestDensityMap:
     def test_single_cell(self):
         trace = make_trace(["a"] * 20, times=list(np.linspace(0.0, 3.75, 20)))
         st = self.stats_of(trace)
-        assert st["a"].lifespan == pytest.approx(3.0, abs=0.2)
+        assert row(st, "a")[1] == pytest.approx(3.0, abs=0.2)
         dm = density_map(st, 10, [0, 5, 10], [10, 50, 100])
         assert dm.counts.sum() == 1
         assert dm.counts[0, 0] == 1
@@ -225,13 +300,13 @@ class TestDensityMap:
         rng = np.random.default_rng(9)
         trace = random_trace(rng, 2000, 60)
         stats = self.stats_of(trace)
-        expected = sum(1 for s in stats.values() if s.volume >= 10)
+        expected = sum(1 for v in stats.volume.tolist() if v >= 10)
         dm = density_map(stats, 10, [0, 2, 4, 8], [10, 20, 40])  # clamps out-of-range
         assert dm.counts.sum() == expected
 
     def test_bad_edges(self):
         with pytest.raises(ValueError):
-            density_map({}, 10, [0, 5, 5], [10, 20])
+            density_map(content_stats(make_trace([])), 10, [0, 5, 5], [10, 20])
 
 
 class TestCsvWriters:

@@ -1,7 +1,9 @@
 import contextlib
+import functools
 import hashlib
 import io
 import math
+import operator
 import os
 import resource
 import subprocess
@@ -103,9 +105,9 @@ class TestAnalyze:
 
         buf = io.StringIO()
         buf.write("content_id,volume,lifespan,first_request,last_request\n")
-        for cid in sorted(stats):
-            s = stats[cid]
-            buf.write(f"{cid},{s.volume},{s.lifespan!r},{s.first_request!r},{s.last_request!r}\n")
+        for k in sorted(range(len(stats.ids)), key=stats.ids.__getitem__):
+            volume, lifespan, first, last = (column[k].item() for column in stats[1:])
+            buf.write(f"{stats.ids[k]},{volume},{lifespan!r},{first!r},{last!r}\n")
         assert (out / "content_stats.csv").read_text() == buf.getvalue()
 
         cumulative = (out / "cumulative.csv").read_text().splitlines()
@@ -120,6 +122,52 @@ class TestAnalyze:
         out = tmp_path / "out"
         assert cli.main(["analyze", str(path), "--slices", "5", "--out", str(out)]) == 2
         assert not out.exists()
+
+    @staticmethod
+    def naive_ranks_csv(trace, K, top):
+        # ranks.csv from its definition: per slice, contents by count then
+        # id; per rank, the slice frequencies (0 past a slice's distinct
+        # count) summed left to right, and their nearest-rank percentiles
+        ids, n = trace.content_ids(), len(trace)
+        freqs = [[0.0] * K for _ in range(top)]
+        for j in range(K):
+            part = ids[j * n // K:(j + 1) * n // K]
+            counts = sorted(((-part.count(c), c) for c in set(part)))
+            for r, (neg, _) in enumerate(counts[:top]):
+                freqs[r][j] = -neg / len(part)
+        lines = ["rank,mean,p5,p95"]
+        for r, f in enumerate(freqs, start=1):
+            f.sort()
+            mean = functools.reduce(operator.add, f, 0.0) / K
+            p5, p95 = f[(5 * K + 99) // 100 - 1], f[(95 * K + 99) // 100 - 1]
+            lines.append(f"{r},{mean!r},{p5!r},{p95!r}")
+        return "\n".join(lines) + "\n"
+
+    def test_top_past_distinct_count_writes_zero_rows(self, tmp_path):
+        trace = random_trace(np.random.default_rng(5), 300, 40)
+        path = tmp_path / "t.trace"
+        write_trace_file(trace, path)
+        out = tmp_path / "out"
+        top = len(trace.ids) + 25
+        assert cli.main(["analyze", str(path), "--slices", "7", "--top", str(top), "--out", str(out)]) == 0
+        text = (out / "ranks.csv").read_text()
+        assert text == self.naive_ranks_csv(trace, 7, top)
+        assert text.endswith(f"\n{top},0.0,0.0,0.0\n")
+
+    def test_large_top_needs_no_top_by_slices_matrix(self, tmp_path):
+        # top x K float64 would be 20 GB; the child may use 1 GiB
+        trace = random_trace(np.random.default_rng(6), 5000, 5000)
+        path = tmp_path / "t.trace"
+        write_trace_file(trace, path)
+        out = tmp_path / "out"
+        result = run_cli_capped(["analyze", str(path), "--slices", "5000", "--top", "500000",
+                                 "--out", str(out)])
+        assert result.returncode == 0, result.stderr[-2000:]
+        lines = (out / "ranks.csv").read_text().splitlines()
+        assert len(lines) == 500001
+        assert lines[1:3] == ["1,1.0,1.0,1.0", "2,0.0,0.0,0.0"]  # each slice holds one request
+        assert lines[len(trace.ids) + 1] == f"{len(trace.ids) + 1},0.0,0.0,0.0"
+        assert lines[-1] == "500000,0.0,0.0,0.0"
 
 
 class TestVolumeThreshold:
@@ -169,6 +217,15 @@ class TestFit:
         path = tmp_path / "empty.trace"
         path.write_text("# trace-v1 horizon=5\n")
         assert cli.main(["fit", str(path), "--out", str(tmp_path / "fit")]) == 2
+
+    def test_zero_horizon_names_the_horizon_and_writes_nothing(self, tmp_path, capsys):
+        # used to fail on "class 0: arrival_rate ... got nan"
+        path = tmp_path / "instant.trace"
+        write_trace_file(make_trace(["a", "b", "a"], times=[0.0] * 3), path)
+        out = tmp_path / "fit"
+        assert cli.main(["fit", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: trace horizon must be positive")
+        assert not out.exists()
 
     @pytest.mark.parametrize("bounds", ["nan", "2,nan,8", "2,5,inf"])
     def test_non_finite_bounds_write_nothing(self, tmp_path, capsys, bounds):
@@ -276,6 +333,17 @@ class TestGenerate:
         out = tmp_path / "irm.trace"
         assert cli.main(["generate", "--irm", irm, "--seed", "1", "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("irm,message", [
+        ("x,1,10,5", "error: --irm x,1,10,5: invalid literal for int()"),
+        ("10,1,10", "error: --irm 10,1,10: expected N,alpha,requests,horizon"),
+        ("0,1,10,5", "error: --irm 0,1,10,5: catalogue_size must be >= 1"),
+    ])
+    def test_irm_errors_name_the_option(self, tmp_path, capsys, irm, message):
+        out = tmp_path / "irm.trace"
+        assert cli.main(["generate", "--irm", irm, "--seed", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(message)
         assert not out.exists()
 
     def test_irm_requires_seed(self, tmp_path):

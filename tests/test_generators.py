@@ -326,6 +326,31 @@ class TestConfigRules:
             generate(self.one_class(**changes), 10.0, 0)
 
     @pytest.mark.parametrize("generate", [generate_snm, SnmEventStream])
+    @pytest.mark.parametrize("changes,message", [
+        # each of these passed the value rules and reached numpy's bare "lam value too large"
+        ({"arrival_rate": 1e308}, "class 1: arrival_rate * horizon must be <= 9.22"),
+        ({"arrival_rate": 1e18}, "class 1: arrival_rate * horizon must be <= 9.22"),
+        ({"volumes": 1e308}, "class 1: 2 * volumes must be <= 9.22"),
+        ({"volumes": (3.0, 5e18)}, "class 1: 2 * volumes must be <= 9.22"),
+    ])
+    def test_poisson_means_beyond_numpy_name_class_and_field(self, generate, changes, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            generate(self.one_class(**changes), 10.0, 0)
+
+    def test_poisson_limit_is_numpys(self):
+        limit = generators._POISSON_MAX
+        assert np.random.default_rng(0).poisson(limit) > 0
+        with pytest.raises(ValueError, match="lam value too large"):
+            np.random.default_rng(0).poisson(np.nextafter(limit, math.inf))
+        # the largest accepted values; building the configs draws nothing
+        SnmClassConfig(1, 1.0, 1.0, "uniform", limit / 2)
+        SnmConfig(10.0, self.one_class(arrival_rate=limit / 10))
+        with pytest.raises(ValueError, match="2 \\* volumes"):
+            SnmClassConfig(1, 1.0, 1.0, "uniform", np.nextafter(limit / 2, math.inf))
+        with pytest.raises(ValueError, match="arrival_rate \\* horizon"):
+            SnmConfig(10.0, self.one_class(arrival_rate=np.nextafter(limit / 10, math.inf)))
+
+    @pytest.mark.parametrize("generate", [generate_snm, SnmEventStream])
     def test_infinite_horizon_rejected(self, generate):
         with pytest.raises(ValueError, match="horizon must be positive and finite, got inf"):
             generate(self.one_class(), math.inf, 0)
@@ -457,6 +482,8 @@ class TestConfigFile:
         ("5", "1", "1", "const:inf", "config line 2: class 1: volumes must be positive and finite, got inf"),
         ("5", "1", "1", "const:-5", "config line 2: class 1: volumes must be positive and finite, got -5.0"),
         ("5", "1", "1", "v.volumes", r"v\.volumes line 2: expected an integer >= 0, got '-4'"),
+        ("5", "1", "1", "const:1e308", r"config line 2: class 1: 2 \* volumes must be <= 9\.22"),
+        ("10", "1e18", "1", "const:5", r"config: class 1: arrival_rate \* horizon must be <= 9\.22"),
     ])
     def test_bad_values_rejected_at_parse_with_line(self, tmp_path, horizon, rate, life, vols, message):
         # each of these reached numpy unchecked ("lam value too large",
@@ -465,7 +492,7 @@ class TestConfigFile:
         p = tmp_path / "c.conf"
         p.write_text(f"horizon_days={horizon}\n" + self.CLASS_LINE.format(rate=rate, life=life, vols=vols))
         # "config" in a message stands for the config file's path
-        with pytest.raises(ValueError, match=message.replace("config line", re.escape(str(p)) + " line")):
+        with pytest.raises(ValueError, match=message.replace("config", re.escape(str(p)))):
             parse_snm_config(p)
 
     @pytest.mark.parametrize("text,message", [
@@ -483,11 +510,12 @@ class TestConfigFile:
          "config line 1: repeated field 'volumes'"),
         ("horizon_days=5\n" + 2 * CLASS_LINE.format(rate=1, life=1, vols="const:5"),
          "config line 3: duplicate class id 1"),
+        ("horizon_days=5\nseed=1\n", "config: class list must be non-empty"),
     ])
     def test_bad_fields_name_the_file_and_line(self, tmp_path, text, message):
         p = tmp_path / "c.conf"
         p.write_text(text)
-        with pytest.raises(ValueError, match=message.replace("config line", re.escape(str(p)) + " line")):
+        with pytest.raises(ValueError, match=message.replace("config", re.escape(str(p)))):
             parse_snm_config(p)
 
     @settings(max_examples=60, deadline=None)
