@@ -298,9 +298,11 @@ def write_rank_csv(dist: RankDistribution, stream: IO[str]) -> None:
 
 def write_density_csv(dm: DensityMap, stream: IO[str]) -> None:
     stream.write("l_bin_lo,l_bin_hi,v_bin_lo,v_bin_hi,count\n")
+    # Python floats: numpy 2 writes a numpy scalar's repr as "np.float64(...)"
+    l_edges, v_edges = dm.lifespan_bins.tolist(), dm.volume_bins.tolist()
     for i in range(dm.counts.shape[0]):
         for j in range(dm.counts.shape[1]):
             stream.write(
-                f"{dm.lifespan_bins[i]!r},{dm.lifespan_bins[i + 1]!r},"
-                f"{dm.volume_bins[j]!r},{dm.volume_bins[j + 1]!r},{int(dm.counts[i, j])}\n"
+                f"{l_edges[i]!r},{l_edges[i + 1]!r},"
+                f"{v_edges[j]!r},{v_edges[j + 1]!r},{int(dm.counts[i, j])}\n"
             )

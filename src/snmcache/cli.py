@@ -71,7 +71,7 @@ def cmd_analyze(args) -> int:
     if args.lifespan_bins:
         l_bins = _float_list(args.lifespan_bins)
     else:
-        l_bins = list(np.linspace(0.0, max(trace.horizon, 1.0), 15))
+        l_bins = np.linspace(0.0, max(trace.horizon, 1.0), 15).tolist()
     if args.volume_bins:
         v_bins = _float_list(args.volume_bins)
     else:

@@ -18,19 +18,24 @@ the bound f <= 2.  :func:`shot_requests` is the one per-content
 sampler, for shots, stationary contents and thinning alike.
 
 Generation is deterministic given a seed: every content draws from an
-RNG keyed by (seed, class, serial).  The batch generator
+RNG keyed by (seed, class, serial).  The keyed streams are seeded in one
+vectorized pass, bit-identical to ``np.random.default_rng(key)``: numpy's
+SeedSequence hash runs over all the keys at once, and one reused PCG64
+is set to each key's state in turn.  The batch generator
 (:func:`generate_snm`) and the event stream (:class:`SnmEventStream`)
-walk one content list, the stream in birth order through one merge
-loop, so they produce identical traces.
+walk one content list and place request times with one array function,
+the batch over whole classes, the stream per content in birth order
+through one merge loop, so they produce identical traces.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Callable, Sequence
+from typing import IO, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -61,14 +66,103 @@ SHAPE_KINDS = ("exponential", "uniform", "stationary")
 _TAG_IRM = 0x12
 _TAG_BIRTHS = 0xB1
 _TAG_CONTENT = 0xC0
+_MASK32 = 0xFFFFFFFF
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+_MASK128 = (1 << 128) - 1
+# numpy's SeedSequence hash constants (NEP 19) and PCG64's multiplier
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 # numpy draws no Poisson count of a larger mean ("lam value too large"):
 # the configs bound every value that becomes one
 _POISSON_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
 
 
-def _rng(seed: int, *key: int) -> np.random.Generator:
-    return np.random.default_rng([seed & _MASK64, *key])
+def _pool_state(entropy: list[np.ndarray]) -> np.ndarray:
+    # numpy's SeedSequence over rows of uint32 entropy words (one column
+    # per word, uint32 arithmetic wraps as numpy's does): mix them into a
+    # pool of 4 words, then generate_state(4, np.uint64) from the pool
+    hash_a = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_a
+        value = value ^ np.uint32(hash_a)
+        hash_a = hash_a * _MULT_A & _MASK32
+        value *= np.uint32(hash_a)
+        value ^= value >> 16
+        return value
+
+    def mix(x, y):
+        out = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
+        out ^= out >> 16
+        return out
+
+    zeros = np.zeros_like(entropy[0])
+    pool = [hashmix(entropy[i] if i < len(entropy) else zeros) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    state = np.empty((entropy[0].size, 8), np.uint64)
+    hash_b = _INIT_B
+    for i in range(8):
+        value = pool[i % 4] ^ np.uint32(hash_b)
+        hash_b = hash_b * _MULT_B & _MASK32
+        value *= np.uint32(hash_b)
+        value ^= value >> 16
+        state[:, i] = value
+    return state[:, 0::2] | state[:, 1::2] << np.uint64(32)  # little-endian word pairs
+
+
+def _seed_words(seed: int, key: Sequence[int], last=None) -> np.ndarray:
+    """Rows of ``np.random.SeedSequence(k).generate_state(4, np.uint64)``
+    for the keys k = [seed mod 2**64, *key, j], one per j of ``last``, all
+    at once; one row for [seed mod 2**64, *key] when ``last`` is None.
+
+    Key words are ints >= 0, and each j is below 2**64.  As SeedSequence
+    does, each becomes its 32-bit words, least significant first, so a j
+    of 2**32 or more adds one word more than a smaller j.
+    """
+    head = []
+    for word in (seed & _MASK64, *key):
+        head.append(word & _MASK32)
+        while word > _MASK32:
+            word >>= 32
+            head.append(word & _MASK32)
+    if last is None:
+        return _pool_state([np.array([w], np.uint32) for w in head])
+    last = np.asarray(last, np.uint64)
+    lo, hi = (last & _MASK32).astype(np.uint32), (last >> 32).astype(np.uint32)
+    rows = np.empty((last.size, 4), np.uint64)
+    wide = hi > 0
+    for part, tail in ((~wide, [lo]), (wide, [lo, hi])):
+        if part.any():
+            n = np.count_nonzero(part)
+            rows[part] = _pool_state([np.full(n, w, np.uint32) for w in head] + [t[part] for t in tail])
+    return rows
+
+
+def _rngs(rows: np.ndarray) -> Iterator[np.random.Generator]:
+    """One generator, set in turn to ``np.random.default_rng(k)`` for the
+    key k of each :func:`_seed_words` row; draw from it before the next.
+
+    PCG64 seeds from a row (s0, s1, i0, i1) in two steps on 128-bit
+    integers s = s0:s1 and i = i0:i1: inc = 2i + 1, then state =
+    (inc + s) * multiplier + inc.
+    """
+    bitgen = np.random.PCG64(0)
+    rng = np.random.Generator(bitgen)
+    for row in rows:
+        s0, s1, i0, i1 = row.tolist()
+        inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
+        state = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128
+        bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                        "has_uint32": 0, "uinteger": 0}
+        yield rng
 
 
 def _require(key: str, value, positive: bool = True) -> None:
@@ -150,7 +244,8 @@ class SnmClassConfig:
     Poisson(V_m), which is how classes without a usable life-span
     estimate are handled.
 
-    Rules shared with the config file: arrival rate, life-span (>= 0 if
+    Rules shared with the config file: the class id is an integer >= 0
+    (a word of the content RNG keys); arrival rate, life-span (>= 0 if
     stationary) and a constant volume are finite and positive; volume
     samples are one or more finite values >= 0; twice the largest volume
     (a content's day/night candidate mean) is within numpy's Poisson limit.
@@ -164,6 +259,8 @@ class SnmClassConfig:
 
     def __post_init__(self):
         where = f"class {self.class_id}"
+        if self.class_id < 0:
+            raise ValueError(f"{where}: class id must be >= 0")
         if self.shape_kind not in SHAPE_KINDS:
             raise ValueError(f"{where}: unknown shape {self.shape_kind!r}")
         _require(f"{where}: arrival_rate", self.arrival_rate)
@@ -219,6 +316,35 @@ def lifespan_to_L(kind: str, lifespan: float) -> float:
     raise ValueError(f"shape kind {kind!r} has no life-span scale")
 
 
+def _place(shape: PopularityShape | None, births, masses, owner: np.ndarray | None, u: np.ndarray,
+           horizon: float, thin: np.ndarray | None) -> tuple[np.ndarray, np.ndarray | None]:
+    # The request times of contents from their uniform draws, for every
+    # generator.  Candidate i of ``u`` belongs to content owner[i], of birth
+    # births[owner[i]] and shot mass masses[owner[i]] = F(horizon - birth);
+    # owner None means one content, of scalar birth and mass.  Under
+    # day/night ``thin`` holds one thinning draw per candidate.  Returns
+    # the kept times, unsorted, and which candidates were kept (None
+    # without day/night); ``u`` is overwritten.
+    if shape is None:
+        t = np.multiply(u, horizon, out=u)  # uniform over [0, horizon]
+    else:
+        b, m = (births, masses) if owner is None else (births[owner], masses[owner])
+        t = shape.quantile(np.multiply(u, m, out=u))
+        np.minimum(t, horizon - b, out=t)  # guard fp rounding at the window edge
+        t += b
+    if thin is None:
+        return t, None
+    keep = thin < 0.5 * daynight_factor(t)
+    return t[keep], keep
+
+
+def _draws(rng: np.random.Generator, mean: float, daynight: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    # One content's draws after its volume, for every generator: a Poisson
+    # count n, n candidate uniforms, then under day/night n thinning uniforms.
+    n = rng.poisson(mean)
+    return rng.random(n), rng.random(n) if daynight else None
+
+
 def shot_requests(
     shape: PopularityShape | None, birth: float, volume: float, horizon: float,
     rng: np.random.Generator, daynight: bool,
@@ -236,19 +362,13 @@ def shot_requests(
     the expected kept volume is volume * integral(shape * f): close to,
     but not exactly, ``volume``.
     """
-    factor = 2.0 if daynight else 1.0
-    if shape is None:
-        t = rng.uniform(0.0, horizon, rng.poisson(factor * volume))
-    else:
+    mass = 1.0
+    if shape is not None:
         if horizon < birth:
             raise ValueError(f"horizon {horizon!r} precedes birth {birth!r}")
-        window = horizon - birth
-        mass = float(shape.cdf(window))
-        t = shape.quantile(rng.random(rng.poisson(factor * volume * mass)) * mass)
-        np.minimum(t, window, out=t)  # guard fp rounding at the window edge
-        t += birth
-    if daynight:
-        t = t[rng.random(t.size) < 0.5 * daynight_factor(t)]
+        mass = float(shape.cdf(horizon - birth))
+    u, thin = _draws(rng, (2.0 if daynight else 1.0) * volume * mass, daynight)
+    t, _ = _place(shape, birth, mass, None, u, horizon, thin)
     t.sort()
     return t
 
@@ -266,7 +386,7 @@ def generate_irm(config: IrmConfig, seed: int) -> Trace:
     Content ids are the popularity ranks ("r1" most popular).  Sampling
     is inverse-transform on the cumulative Zipf distribution.
     """
-    rng = _rng(seed, _TAG_IRM)
+    rng = next(_rngs(_seed_words(seed, [_TAG_IRM])))
     cum = np.cumsum(zipf_probabilities(config.catalogue_size, config.alpha))
     cum[-1] = 1.0
     ranks = np.searchsorted(cum, rng.random(config.total_requests), side="right") + 1
@@ -281,25 +401,26 @@ def _class_shape(cfg: SnmClassConfig) -> PopularityShape | None:
     return PopularityShape(cfg.shape_kind, lifespan_to_L(cfg.shape_kind, cfg.lifespan))
 
 
-def _content_times(cfg: SnmClassConfig, shape, birth: float, horizon: float, rng, daynight: bool):
-    # sorted request times of one content, for the batch generator and the event stream alike
-    v = cfg.volumes
-    volume = float(v) if isinstance(v, (int, float)) else float(v[rng.integers(0, len(v))])
-    return shot_requests(shape, birth, volume, horizon, rng, daynight)
+def _volume(volumes: float | tuple[float, ...], rng: np.random.Generator) -> float:
+    # a content's mean volume: the class's constant, or one resampled observation
+    if isinstance(volumes, (int, float)):
+        return float(volumes)
+    return float(volumes[rng.integers(0, len(volumes))])
 
 
-def _contents(classes: Sequence[SnmClassConfig], horizon: float, seed: int) -> list[tuple]:
-    # Every content of a run, for the batch generator and the event stream
-    # alike: (birth, class id, serial, class, shape), serials in birth order.
-    # A stationary content is listed at birth 0, which shot_requests ignores.
-    contents = []
-    for cfg in SnmConfig(horizon, list(classes)).classes:
-        rng = _rng(seed, _TAG_BIRTHS, cfg.class_id)
+def _births(classes: Sequence[SnmClassConfig], horizon: float, seed: int) -> list[tuple]:
+    # Every class of a run with its contents' births, for the batch generator
+    # and the event stream alike: (class, shape, births), where content
+    # serials index the sorted births.  A stationary content's birth is 0,
+    # which its placement ignores.
+    config = SnmConfig(horizon, list(classes))
+    rows = np.concatenate([_seed_words(seed, [_TAG_BIRTHS, cfg.class_id]) for cfg in config.classes])
+    out = []
+    for cfg, rng in zip(config.classes, _rngs(rows)):
         births = np.sort(rng.uniform(0.0, horizon, rng.poisson(cfg.arrival_rate * horizon)))
         shape = _class_shape(cfg)
-        contents += [(0.0 if shape is None else birth, cfg.class_id, serial, cfg, shape)
-                     for serial, birth in enumerate(births.tolist())]
-    return contents
+        out.append((cfg, shape, np.zeros_like(births) if shape is None else births))
+    return out
 
 
 def generate_snm(
@@ -313,18 +434,39 @@ def generate_snm(
     the horizon are censored.  Content ids are "c<class>_<serial>" with
     serials assigned in birth order.
     """
-    times, names = [], []
-    for birth, class_id, serial, cfg, shape in _contents(classes, horizon, seed):
-        rng = _rng(seed, _TAG_CONTENT, class_id, serial)
-        times.append(_content_times(cfg, shape, birth, horizon, rng, daynight))
-        names.append(f"c{class_id}_{serial}")
-    # Laid out in id-string order, a stable sort on time breaks ties by
-    # id string ("c1_10" before "c1_2"), as the event stream's heap does.
-    by_name = sorted(range(len(names)), key=names.__getitem__)
-    owner = np.repeat(np.array(by_name, np.int64), [times[k].size for k in by_name])
-    t = np.concatenate([np.empty(0), *(times[k] for k in by_name)])
+    factor = 2.0 if daynight else 1.0
+    times, owners, names = [], [], []
+    # Contents are laid out in id-string order ("c1_10" before "c1_2"), so
+    # a stable sort on time breaks ties by id string, as the event
+    # stream's heap does.
+    for cfg, shape, births in sorted(_births(classes, horizon, seed), key=lambda c: f"c{c[0].class_id}_"):
+        serials = np.array(sorted(range(births.size), key=str), np.int64)
+        births = births[serials]
+        masses = np.ones_like(births) if shape is None else shape.cdf(horizon - births)
+        counts = np.empty(births.size, np.int64)
+        cands, thins = array("d"), array("d")  # every content's draws, appended in place
+        rngs = _rngs(_seed_words(seed, [_TAG_CONTENT, cfg.class_id], serials))
+        for k, (rng, mass) in enumerate(zip(rngs, masses.tolist())):
+            u, thin = _draws(rng, factor * _volume(cfg.volumes, rng) * mass, daynight)
+            counts[k] = u.size
+            cands.frombytes(u.tobytes())
+            if daynight:
+                thins.frombytes(thin.tobytes())
+        owner = np.repeat(np.arange(births.size, dtype=np.int32), counts)
+        t, keep = _place(shape, births, masses, owner, np.frombuffer(cands), horizon,
+                         np.frombuffer(thins) if daynight else None)
+        # Each step below drops its inputs as soon as its output exists, so
+        # that peak memory stays near one trace's columns.
+        del cands, thins
+        times.append(t)
+        owners.append((owner if keep is None else owner[keep]) + len(names))
+        names += [f"c{cfg.class_id}_{s}" for s in serials.tolist()]
+    t, owner = np.concatenate(times), np.concatenate(owners)
+    del times, owners
     order = np.argsort(t, kind="stable")
-    return Trace(t[order], owner[order], names, horizon)
+    t, owner = t[order], owner[order]
+    del order
+    return Trace(t, owner, names, horizon)
 
 
 class SnmEventStream:
@@ -341,17 +483,22 @@ class SnmEventStream:
     def __init__(self, classes: Sequence[SnmClassConfig], horizon: float, seed: int, daynight=False):
         self.horizon = horizon
         self.peak_pending = 0
+        contents, rows = [], []
+        for cfg, shape, births in _births(classes, horizon, seed):
+            rows.append(_seed_words(seed, [_TAG_CONTENT, cfg.class_id], np.arange(births.size)))
+            contents += [(birth, cfg.class_id, serial, cfg, shape) for serial, birth in enumerate(births.tolist())]
         # (birth, class id, serial) is unique, so the sort never compares classes
-        self._events = self._merge(sorted(_contents(classes, horizon, seed)), seed, daynight)
+        order = sorted(range(len(contents)), key=contents.__getitem__)
+        self._events = self._merge([contents[k] for k in order], np.concatenate(rows)[order], daynight)
 
-    def _merge(self, contents: list[tuple], seed: int, daynight: bool):
+    def _merge(self, contents: list[tuple], rows: np.ndarray, daynight: bool):
         heap: list[RequestEvent] = []
-        for birth, class_id, serial, cfg, shape in contents:
+        for (birth, class_id, serial, cfg, shape), rng in zip(contents, _rngs(rows)):
             while heap and heap[0].timestamp < birth:
                 yield heapq.heappop(heap)
             cid = f"c{class_id}_{serial}"
-            rng = _rng(seed, _TAG_CONTENT, class_id, serial)
-            for t in _content_times(cfg, shape, birth, self.horizon, rng, daynight).tolist():
+            volume = _volume(cfg.volumes, rng)
+            for t in shot_requests(shape, birth, volume, self.horizon, rng, daynight).tolist():
                 heapq.heappush(heap, RequestEvent(t, cid))
             self.peak_pending = max(self.peak_pending, len(heap))
         while heap:

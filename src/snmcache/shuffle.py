@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .analysis import slice_bounds
+from .generators import _rngs, _seed_words
 from .trace import Trace
 
 __all__ = ["slice_shuffle"]
@@ -30,7 +31,7 @@ def slice_shuffle(trace: Trace, K: int, seed: int) -> Trace:
     permutation from an RNG keyed by (seed, slice index).
     """
     source = np.empty(len(trace), np.int64)  # output position -> input position
-    for idx, (lo, hi) in enumerate(slice_bounds(len(trace), K)):
-        rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, _SHUFFLE_TAG, idx])
+    bounds = slice_bounds(len(trace), K)
+    for (lo, hi), rng in zip(bounds, _rngs(_seed_words(seed, [_SHUFFLE_TAG], np.arange(len(bounds))))):
         source[lo:hi] = lo + rng.permutation(hi - lo)
     return Trace(trace.times, trace.codes[source], trace.ids, trace.horizon)

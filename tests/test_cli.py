@@ -319,6 +319,17 @@ class TestGenerate:
         assert capsys.readouterr().err.startswith(f"error: {cfg} line 5: duplicate class id 1")
         assert not out.exists()
 
+    def test_negative_class_id_names_the_line_and_writes_nothing(self, tmp_path, capsys):
+        # it failed inside numpy's seeding with "expected non-negative integer"
+        cfg = tmp_path / "snm.conf"
+        cfg.write_text(self.snm_config_text().replace("class=5", "class=-3"))
+        out = tmp_path / "x.trace"
+        assert cli.main(["generate", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {cfg} line 5: class -3: class id must be >= 0")
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == [cfg]
+
     def test_irm_generation(self, tmp_path):
         out = tmp_path / "irm.trace"
         rc = cli.main(["generate", "--irm", "2,0.0,20000,5", "--seed", "4", "--out", str(out)])
@@ -535,6 +546,7 @@ class TestGoldenOutputs:
     # SHA-256 of each output of an SNM pipeline, recorded with the
     # event-list trace: generate (plain and day/night) -> analyze -> fit
     # -> generate from the fitted config -> evaluate --eviction-stats.
+    # density.csv was re-recorded when its bin edges became Python floats.
     SNM_CONFIG = (
         "horizon_days=20.0\nseed=13\ndaynight={daynight}\n"
         "class=0, arrival_rate=30, lifespan_days=0, shape=stationary, volumes=const:3\n"
@@ -547,7 +559,7 @@ class TestGoldenOutputs:
         "daynight.trace": "6327bb4cae701a358db5c4f71e028967efc837749c1813b89b147a609cd4be7d",
         "analyze/content_stats.csv": "4ea05f5a4661d652ae780ca324569d0126b6ef136869fef5ae10cd79504e7cdf",
         "analyze/ranks.csv": "53c2bfce54f1e45f886236daf1913146ce51a95d76ffec5dfc0ae30f2028a5b6",
-        "analyze/density.csv": "2aec4107cd80adc5185ff84a5ecd6d9f33f7a16841b53a5d6932457ea8f775ff",
+        "analyze/density.csv": "27b3ace191472760b0abcfd3c42df413c118ddbe606d2267b109567f98b713af",
         "fit/snm.conf": "020166f4073db92eaddea87981ae28d964a52f67ca987c753512b750da046979",
         "fit/0.volumes": "60dca2cd769fd8304491541bd1aa47da72691b9cda20f8c3e7255dff25274fc0",
         "fit/1.volumes": "30c4cf89ec95f6e57fef52c7e3533496f605cd4fbc7e0914c98d8d60d65208d7",
@@ -564,7 +576,10 @@ class TestGoldenOutputs:
         "eval/required_sizes.csv": "de380d84d47fccc8a99f1a44fe3d6379d7d8ca9c25b2ea31f17d672c9a5948b4",
     }
 
-    def test_snm_generate_analyze_fit_evaluate_hashes(self, tmp_path):
+    @pytest.fixture(scope="class")
+    def snm_outputs(self, tmp_path_factory):
+        # every output file of the SNM pipeline, by path, as bytes
+        tmp_path = tmp_path_factory.mktemp("snm-pipeline")
         (tmp_path / "vols.txt").write_text("10\n50\n200\n")
         for name, daynight in (("plain", "off"), ("daynight", "on")):
             (tmp_path / f"{name}.conf").write_text(self.SNM_CONFIG.format(daynight=daynight))
@@ -578,9 +593,17 @@ class TestGoldenOutputs:
         assert cli.main(["evaluate", plain, daynight, "--eviction-stats",
                          "--out", str(tmp_path / "eval")]) == 0
         inputs = {"vols.txt", "plain.conf", "daynight.conf"}
-        hashes = {str(p.relative_to(tmp_path)): hashlib.sha256(p.read_bytes()).hexdigest()
-                  for p in tmp_path.rglob("*") if p.is_file()}
-        assert {name: h for name, h in hashes.items() if name not in inputs} == self.SNM_FILES
+        return {str(p.relative_to(tmp_path)): p.read_bytes()
+                for p in tmp_path.rglob("*") if p.is_file() and p.name not in inputs}
+
+    def test_snm_generate_analyze_fit_evaluate_hashes(self, snm_outputs):
+        hashes = {name: hashlib.sha256(data).hexdigest() for name, data in snm_outputs.items()}
+        assert hashes == self.SNM_FILES
+
+    def test_snm_outputs_hold_no_numpy_reprs(self, snm_outputs):
+        # numpy 2 writes a numpy scalar's repr as "np.float64(...)", numpy 1 as
+        # a bare number, so such a value would make the bytes depend on numpy
+        assert [name for name, data in snm_outputs.items() if b"np." in data] == []
 
 
 class TestFuzzContract:

@@ -27,7 +27,7 @@ from snmcache.generators import (
     write_snm_config,
     zipf_probabilities,
 )
-from snmcache.trace import validate, write_trace
+from snmcache.trace import RequestEvent, validate, write_trace
 
 from helpers import reference_classes
 
@@ -214,6 +214,9 @@ class TestGenerateSnm:
             SnmClassConfig(1, 1.0, 1.0, "weird", 10.0)
         with pytest.raises(ValueError):
             SnmClassConfig(1, 1.0, 1.0, "uniform", ())
+        with pytest.raises(ValueError, match="class -3: class id must be >= 0"):
+            SnmClassConfig(-3, 1.0, 1.0, "uniform", 10.0)
+        SnmClassConfig(0, 1.0, 1.0, "uniform", 10.0)
 
     def test_deterministic_byte_identical(self):
         classes = reference_classes(n_videos=300.0)
@@ -234,6 +237,74 @@ class TestGenerateSnm:
         trace = generate_snm(classes, 20.0, seed=3)
         ts = trace.timestamps()
         assert min(ts) < 1.0 and max(ts) > 19.0
+
+
+class TestKeyedSeeding:
+    # The keyed streams are seeded in one vectorized pass that restates
+    # numpy's SeedSequence and PCG64 seeding; a change to either in numpy
+    # fails these at once.
+    MASK64 = 2**64 - 1
+    SEEDS = [0, 1, 7, 2**32 + 5, 2**64 - 1, -12345]  # the last is masked to 64 bits
+    # serial 0, small serials, and serials of 2**32 and more, which take a second key word
+    SERIALS = np.array([*range(80), 2**32 - 1, 2**32, 2**32 + 7, 2**40 + 3, 2**63 + 9], np.uint64)
+
+    def check(self, seed, prefix, last):
+        rows = generators._seed_words(seed, prefix, last)
+        assert rows.shape == (len(last), 4)
+        for j, row, rng in zip(last.tolist(), rows, generators._rngs(rows)):
+            key = [seed & self.MASK64, *prefix, j]
+            assert row.tolist() == np.random.SeedSequence(key).generate_state(4, np.uint64).tolist(), key
+            assert rng.bit_generator.state == np.random.PCG64(np.random.SeedSequence(key)).state, key
+            # the first draws, through both 32- and 64-bit outputs
+            ref = np.random.default_rng(key)
+            assert rng.integers(0, 7, 3).tolist() == ref.integers(0, 7, 3).tolist(), key
+            assert rng.random(2).tolist() == ref.random(2).tolist(), key
+        return len(last)
+
+    def test_content_and_slice_keys_match_numpy(self):
+        checked = 0
+        for seed in self.SEEDS:
+            for class_id in (0, 3, 2**32 + 3):  # class ids of one and two words
+                checked += self.check(seed, [generators._TAG_CONTENT, class_id], self.SERIALS)
+            checked += self.check(seed, [0x51], np.arange(60))  # slice_shuffle's 2-word-prefix keys
+        assert checked >= 1500
+
+    def test_whole_keys_match_numpy(self):
+        for seed in self.SEEDS:
+            for key in ([generators._TAG_IRM], [generators._TAG_BIRTHS, 0], [generators._TAG_BIRTHS, 2**32 + 3]):
+                row = generators._seed_words(seed, key)
+                ref = np.random.SeedSequence([seed & self.MASK64, *key])
+                assert row.tolist() == [ref.generate_state(4, np.uint64).tolist()]
+                rng = next(generators._rngs(row))
+                assert rng.random(3).tolist() == np.random.default_rng([seed & self.MASK64, *key]).random(3).tolist()
+
+    def test_empty_serials(self):
+        assert generators._seed_words(1, [generators._TAG_CONTENT, 1], np.arange(0)).shape == (0, 4)
+
+    @pytest.mark.parametrize("daynight", [False, True])
+    def test_contents_draw_from_their_keyed_default_rng(self, daynight):
+        # the generator's draws are those of one np.random.default_rng per
+        # (seed, tag, class, serial) key, sampled content by content
+        classes = [SnmClassConfig(2**32 + 3, 3.0, 1.5, "exponential", (4.0, 9.0, 30.0)),
+                   SnmClassConfig(0, 5.0, 2.0, "uniform", 12.0),
+                   SnmClassConfig(7, 4.0, 0.0, "stationary", 6.0)]
+        seed, horizon = -3, 6.0
+        key = seed & self.MASK64
+        times, ids = [], []
+        for cfg in classes:
+            rng = np.random.default_rng([key, generators._TAG_BIRTHS, cfg.class_id])
+            births = np.sort(rng.uniform(0.0, horizon, rng.poisson(cfg.arrival_rate * horizon)))
+            shape = generators._class_shape(cfg)
+            for serial, birth in enumerate(births.tolist()):
+                rng = np.random.default_rng([key, generators._TAG_CONTENT, cfg.class_id, serial])
+                volume = generators._volume(cfg.volumes, rng)
+                t = shot_requests(shape, 0.0 if shape is None else birth, volume, horizon, rng, daynight)
+                times += t.tolist()
+                ids += [f"c{cfg.class_id}_{serial}"] * t.size
+        trace = generate_snm(classes, horizon, seed, daynight)
+        expected = sorted(zip(times, ids))
+        assert len(trace) == len(expected) > 0
+        assert trace.events == [RequestEvent(t, cid) for t, cid in expected]
 
 
 class TestEventStream:
@@ -260,9 +331,13 @@ class TestEventStream:
                 generate(self.small_classes(), horizon, 0)
 
     def test_equal_timestamps_order_by_id_string(self, monkeypatch):
-        # every content requests twice at the horizon, so all requests
-        # tie on time and only the id string orders them
-        monkeypatch.setattr(generators, "_content_times", lambda *args: np.full(2, 5.0))
+        # every request is placed at the horizon, in the batch and the
+        # stream alike, so all requests tie on time and only the id
+        # string orders them
+        def at_horizon(shape, births, masses, owner, u, horizon, thin):
+            return np.full(u.size, 5.0), None
+
+        monkeypatch.setattr(generators, "_place", at_horizon)
         classes = [SnmClassConfig(1, 4.0, 1.0, "uniform", 10.0),
                    SnmClassConfig(5, 2.0, 1.0, "stationary", 10.0)]
         batch = generate_snm(classes, 5.0, seed=3)
@@ -502,6 +577,8 @@ class TestConfigFile:
         (CLASS_LINE.replace("uniform", "square").format(rate=1, life=1, vols="const:5"),
          "config line 1: class 1: unknown shape 'square'"),
         (CLASS_LINE.format(rate=0, life=1, vols="const:5"), "config line 1: class 1: arrival_rate must be positive"),
+        (CLASS_LINE.replace("class=1", "class=-3").format(rate=1, life=1, vols="const:5"),
+         "config line 1: class -3: class id must be >= 0"),
         # these passed the parser: the last value won, or the generator
         # failed later with no file or line in the message
         ("horizon_days=0\n", "config line 1: horizon_days must be positive and finite, got 0.0"),
