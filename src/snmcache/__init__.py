@@ -9,6 +9,7 @@ from .analysis import (
     classify_contents,
     content_stats,
     density_map,
+    fit_snm,
     fit_zipf,
     sliced_popularity,
 )

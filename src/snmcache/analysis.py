@@ -3,8 +3,10 @@
 Covers the measurement side of the toolkit: request volumes and
 effective life-spans per content, rank/frequency distributions over
 trace slices, power-law tail fitting, the volume/life-span density map,
-and the 6-class content partition used to parameterize the synthetic
-generator.
+and the 6-class content partition.  :func:`content_stats` measures a
+trace once into a per-content table; classification, class summaries,
+the density map and :func:`fit_snm`, which turns the table into the
+shot-noise generator's config, all read that table.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from typing import IO, NamedTuple, Sequence
 
 import numpy as np
 
+from .generators import SnmClassConfig, SnmConfig
 from .trace import Trace
 
 __all__ = [
@@ -32,6 +35,7 @@ __all__ = [
     "fit_zipf",
     "classify_contents",
     "class_summary",
+    "fit_snm",
     "density_map",
     "write_class_summary_csv",
     "write_rank_csv",
@@ -206,33 +210,33 @@ def classify_contents(
 
 
 def class_summary(
-    trace: Trace,
+    stats: ContentStats,
     classes: np.ndarray,
-    lifespan_bounds: Sequence[float] = DEFAULT_LIFESPAN_BOUNDS,
+    lifespan_bounds: Sequence[float],
+    horizon: float,
 ) -> list[ClassSummary]:
-    """Aggregate request/content shares and means per class.
+    """Aggregate request/content shares and means per class of a content table.
 
     ``classes`` is a class column of :func:`classify_contents`, one class
-    per content of the trace.  The per-class arrival rate is the content
+    per row of ``stats``.  The per-class arrival rate is the content
     count divided by the trace horizon, which must be positive, and
     ``volume_samples`` collects the class's empirical volume multiset
     for later resampling.
     """
     classes = np.asarray(classes)
-    if classes.shape != (len(trace.ids),):
-        raise ValueError(f"need one class per content: {len(trace.ids)} contents, got shape {classes.shape}")
+    if classes.shape != (len(stats.ids),):
+        raise ValueError(f"need one class per content: {len(stats.ids)} contents, got shape {classes.shape}")
     n_classes = len(lifespan_bounds) + 2
     bad = (classes < 0) | (classes >= n_classes)
     if bad.any():
         k = classes[bad.argmax()]
         raise ValueError(f"class id {k} out of range for {len(lifespan_bounds)} bounds")
-    if not trace.horizon > 0:
-        raise ValueError(f"trace horizon must be positive to give arrival rates, got {trace.horizon!r}")
+    if not horizon > 0:
+        raise ValueError(f"trace horizon must be positive to give arrival rates, got {horizon!r}")
 
-    stats = content_stats(trace)
     edges = (0.0, *lifespan_bounds, math.inf)
-    total_requests = len(trace)
-    total_videos = len(trace.ids)
+    total_requests = int(stats.volume.sum())
+    total_videos = len(stats.ids)
     out = []
     for k in range(n_classes):
         members = classes == k
@@ -249,11 +253,36 @@ def class_summary(
                 pct_videos=100.0 * n_videos / total_videos if total_videos else 0.0,
                 mean_lifespan=lifespans[-1].item() / n_videos if n_videos else math.nan,
                 mean_volume=n_requests / n_videos if n_videos else math.nan,
-                arrival_rate=n_videos / trace.horizon,
+                arrival_rate=n_videos / horizon,
                 volume_samples=sorted(volumes),
             )
         )
     return out
+
+
+def fit_snm(stats: ContentStats, horizon: float, volume_threshold: int, lifespan_bounds: Sequence[float],
+            shape: str, seed: int | None = None) -> tuple[list[ClassSummary], SnmConfig]:
+    """Class summaries of a content table and the shot-noise config fitted to them: class 0
+    and the last class are stationary, the others get ``shape``; empty classes are left out."""
+    classes = classify_contents(stats, volume_threshold, lifespan_bounds)
+    summaries = class_summary(stats, classes, lifespan_bounds, horizon)
+    class_cfgs = []
+    for s in summaries:
+        if not s.volume_samples:
+            continue
+        stationary = s.class_id in (0, len(lifespan_bounds) + 1)
+        class_cfgs.append(
+            SnmClassConfig(
+                class_id=s.class_id,
+                arrival_rate=s.arrival_rate,
+                # life-span can degenerate to 0 in bursty toy traces; keep
+                # the shot profile well-defined with a tiny floor
+                lifespan=s.mean_lifespan if stationary else max(s.mean_lifespan, 1e-9),
+                shape_kind="stationary" if stationary else shape,
+                volumes=tuple(float(v) for v in s.volume_samples),
+            )
+        )
+    return summaries, SnmConfig(horizon=horizon, classes=class_cfgs, seed=seed, daynight=False)
 
 
 def density_map(

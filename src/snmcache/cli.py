@@ -111,31 +111,8 @@ def cmd_analyze(args) -> int:
 def cmd_fit(args) -> int:
     _check_volume_threshold(args.volume_threshold)
     trace = _read_trace_file(args.trace)
-    bounds = _float_list(args.bounds)
-    stats = analysis.content_stats(trace)
-    classes = analysis.classify_contents(stats, args.volume_threshold, bounds)
-    summaries = analysis.class_summary(trace, classes, bounds)
-
-    last_class = len(bounds) + 1
-    class_cfgs = []
-    for s in summaries:
-        if not s.volume_samples:
-            continue
-        stationary = s.class_id == 0 or s.class_id == last_class
-        class_cfgs.append(
-            generators.SnmClassConfig(
-                class_id=s.class_id,
-                arrival_rate=s.arrival_rate,
-                # life-span can degenerate to 0 in bursty toy traces; keep
-                # the shot profile well-defined with a tiny floor
-                lifespan=s.mean_lifespan if stationary else max(s.mean_lifespan, 1e-9),
-                shape_kind="stationary" if stationary else args.shape,
-                volumes=tuple(float(v) for v in s.volume_samples),
-            )
-        )
-    config = generators.SnmConfig(
-        horizon=trace.horizon, classes=class_cfgs, seed=args.seed, daynight=False
-    )
+    summaries, config = analysis.fit_snm(analysis.content_stats(trace), trace.horizon, args.volume_threshold,
+                                         _float_list(args.bounds), args.shape, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     # one atomic write, the config last: a failed fit leaves none of these files
@@ -191,22 +168,21 @@ def _default_capacities(n_distinct: int) -> list[int]:
 
 
 def cmd_evaluate(args) -> int:
-    traces = []
-    seen_labels: dict[str, int] = {}
+    traces: dict[str, Trace] = {}  # by label, the first of <stem>, <stem>_2, <stem>_3, ... not taken
     for path in args.traces:
-        trace = _read_trace_file(path)
-        label = Path(path).stem
-        seen_labels[label] = seen_labels.get(label, 0) + 1
-        if seen_labels[label] > 1:
-            label = f"{label}_{seen_labels[label]}"
-        traces.append((label, trace))
+        label = stem = Path(path).stem
+        n = 1
+        while label in traces:
+            n += 1
+            label = f"{stem}_{n}"
+        traces[label] = _read_trace_file(path)
     targets = _float_list(args.targets)
 
     # compute every output, and so check every argument, before writing any
     out = Path(args.out)
     writers = {}
     rows = []
-    for label, trace in traces:
+    for label, trace in traces.items():
         distances = cachesim.reuse_distances(trace)
         caps = _int_list(args.capacities) if args.capacities else _default_capacities(len(trace.ids))
         curve = cachesim.hit_curve(distances, caps)
@@ -289,7 +265,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:  # MemoryError: an input too large to hold
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -229,8 +229,8 @@ class IrmConfig:
             raise ValueError(f"catalogue_size must be >= 1, got {self.catalogue_size}")
         if not self.alpha >= 0:
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
-        if self.total_requests < 1:
-            raise ValueError(f"total_requests must be >= 1, got {self.total_requests}")
+        if not 1 <= self.total_requests <= 2**31 - 1:  # reuse_distances' limit
+            raise ValueError(f"total_requests must be in [1, 2**31 - 1], got {self.total_requests}")
         _require("horizon", self.horizon)
 
 
@@ -475,8 +475,11 @@ class SnmEventStream:
     One merge loop walks the content list of :func:`generate_snm` in
     birth order (stationary contents, listed at birth 0, first): it
     yields the pending events earlier than each birth, then pushes that
-    content's requests onto a heap, so contents are materialized lazily
-    and each event costs a log of the pending count.  The stream yields
+    content's requests onto a heap; each event costs a log of the
+    pending count.  A shot content is drawn at its birth, but every
+    stationary content's requests are pending from the first event on,
+    and they dominate ``peak_pending`` when stationary requests are most
+    of the trace, as with the reference classes.  The stream yields
     exactly the events of :func:`generate_snm` for the same arguments.
     """
 

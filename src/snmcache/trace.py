@@ -78,8 +78,9 @@ class Trace:
     """Immutable request trace held as columns.
 
     ``Trace(times, codes, names, horizon)`` takes a timestamp column and
-    a column of indices into ``names``; the names are renumbered by first
-    appearance and those that no request uses are left out.
+    an equally long column of indices into ``names`` (else ValueError);
+    the names are renumbered by first appearance and those that no
+    request uses are left out.
     :meth:`from_columns` takes the content ids themselves and
     :meth:`from_events` collects a stream of events.  ``times`` must be
     non-decreasing and lie in ``[0, horizon]``, a finite horizon >= 0;
@@ -90,12 +91,16 @@ class Trace:
     __slots__ = ("times", "codes", "ids", "horizon")
 
     def __init__(self, times, codes: np.ndarray, names: Sequence[str], horizon: float):
+        self.times = np.array(times, np.float64)
+        if self.times.shape != codes.shape:
+            raise ValueError(f"column lengths differ: {self.times.size} times, {codes.size} codes")
+        if codes.size and not (0 <= codes.min() and codes.max() < len(names)):
+            raise ValueError(f"codes must index the {len(names)} names, got {codes.min()} to {codes.max()}")
         first = np.full(len(names), codes.size)
         np.minimum.at(first, codes, np.arange(codes.size))
         order = np.argsort(first)[: np.count_nonzero(first < codes.size)]
         remap = np.empty(len(names), np.int32)
         remap[order] = np.arange(order.size, dtype=np.int32)
-        self.times = np.array(times, np.float64)
         self.codes = remap[codes]
         self.times.flags.writeable = self.codes.flags.writeable = False
         self.ids = tuple(names[i] for i in order.tolist())

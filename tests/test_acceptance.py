@@ -17,6 +17,7 @@ from scipy import stats as scipy_stats
 
 from snmcache import cli
 from snmcache.analysis import (
+    DEFAULT_LIFESPAN_BOUNDS,
     class_summary,
     classify_contents,
     content_stats,
@@ -193,8 +194,9 @@ def test_criterion_08_fit_generate_closure(tmp_path):
     with open(tmp_path / "b.trace", encoding="utf-8") as f:
         trace_b = read_trace(f)
 
-    summary_a = class_summary(trace_a, classify_contents(content_stats(trace_a)))
-    summary_b = class_summary(trace_b, classify_contents(content_stats(trace_b)))
+    stats_a, stats_b = content_stats(trace_a), content_stats(trace_b)
+    summary_a = class_summary(stats_a, classify_contents(stats_a), DEFAULT_LIFESPAN_BOUNDS, trace_a.horizon)
+    summary_b = class_summary(stats_b, classify_contents(stats_b), DEFAULT_LIFESPAN_BOUNDS, trace_b.horizon)
     worst = 0.0
     for sa, sb in zip(summary_a, summary_b):
         if sa.pct_videos < 1.0:

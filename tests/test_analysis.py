@@ -10,12 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from snmcache.analysis import (
+    DEFAULT_LIFESPAN_BOUNDS,
     ContentStats,
     class_summary,
     classify_contents,
     content_stats,
     density_map,
     effective_lifespan,
+    fit_snm,
     fit_zipf,
     slice_bounds,
     sliced_popularity,
@@ -23,8 +25,8 @@ from snmcache.analysis import (
     write_density_csv,
     write_rank_csv,
 )
-from snmcache.generators import generate_snm
-from snmcache.trace import RequestEvent, Trace
+from snmcache.generators import generate_snm, parse_snm_config, snm_config_files
+from snmcache.trace import RequestEvent, Trace, write_atomic
 
 from helpers import make_trace, random_trace, reference_classes
 
@@ -216,35 +218,39 @@ class TestClassifyContents:
 class TestClassSummary:
     def test_all_class_zero(self):
         trace = make_trace(["a", "b", "c"])
-        summaries = class_summary(trace, classify_contents(content_stats(trace)))
+        stats = content_stats(trace)
+        summaries = class_summary(stats, classify_contents(stats), DEFAULT_LIFESPAN_BOUNDS, trace.horizon)
         assert summaries[0].pct_requests == 100.0
         assert all(s.pct_requests == 0.0 for s in summaries[1:])
 
     def test_arrival_rate(self):
         trace = make_trace(["a", "b"], times=[1.0, 2.0], horizon=10.0)
-        summaries = class_summary(trace, np.array([0, 0]))
+        summaries = class_summary(content_stats(trace), np.array([0, 0]), DEFAULT_LIFESPAN_BOUNDS, trace.horizon)
         assert summaries[0].arrival_rate == pytest.approx(0.2)
 
     def test_missing_content_rejected(self):
         trace = make_trace(["a", "b"])
         with pytest.raises(ValueError, match="one class per content"):
-            class_summary(trace, np.array([0]))
+            class_summary(content_stats(trace), np.array([0]), DEFAULT_LIFESPAN_BOUNDS, trace.horizon)
 
     def test_class_out_of_range_rejected(self):
         trace = make_trace(["a", "b"])
         with pytest.raises(ValueError, match="class id 6 out of range for 4 bounds"):
-            class_summary(trace, np.array([0, 6]))
+            class_summary(content_stats(trace), np.array([0, 6]), DEFAULT_LIFESPAN_BOUNDS, trace.horizon)
 
     def test_zero_horizon_rejected(self):
         # all requests at one instant give no arrival rate
         trace = make_trace(["a", "b", "a"], times=[0.0] * 3)
         with pytest.raises(ValueError, match="trace horizon must be positive.*got 0.0"):
-            class_summary(trace, classify_contents(content_stats(trace)))
+            stats = content_stats(trace)
+            class_summary(stats, classify_contents(stats), DEFAULT_LIFESPAN_BOUNDS, trace.horizon)
 
     def test_pct_requests_sums_to_100(self):
         rng = np.random.default_rng(3)
         trace = random_trace(rng, 700, 40)
-        summaries = class_summary(trace, classify_contents(content_stats(trace), volume_threshold=5))
+        stats = content_stats(trace)
+        classes = classify_contents(stats, volume_threshold=5)
+        summaries = class_summary(stats, classes, DEFAULT_LIFESPAN_BOUNDS, trace.horizon)
         assert sum(s.pct_requests for s in summaries) == pytest.approx(100.0, abs=0.01)
         assert sum(s.pct_videos for s in summaries) == pytest.approx(100.0, abs=0.01)
 
@@ -252,7 +258,8 @@ class TestClassSummary:
         # 90-day horizon keeps right-censoring of long-lived shots small
         horizon = 90.0
         trace = generate_snm(reference_classes(horizon=horizon, shape="uniform"), horizon, seed=42)
-        s1 = class_summary(trace, classify_contents(content_stats(trace)))[1]
+        stats = content_stats(trace)
+        s1 = class_summary(stats, classify_contents(stats), DEFAULT_LIFESPAN_BOUNDS, trace.horizon)[1]
         assert s1.pct_requests == pytest.approx(9.15, rel=0.12)
         assert s1.pct_videos == pytest.approx(3.17, rel=0.12)
         assert s1.mean_lifespan == pytest.approx(1.14, rel=0.12)
@@ -263,10 +270,11 @@ class TestClassSummary:
         # (and the class_summary.csv bytes) must not depend on that
         horizon = 90.0
         trace = generate_snm(reference_classes(horizon=horizon, shape="uniform"), horizon, seed=42)
-        classes = classify_contents(content_stats(trace)).tolist()
+        stats = content_stats(trace)
+        classes = classify_contents(stats).tolist()
         lifespans = [effective_lifespan(own) for own in own_times(trace)]
         compensated_differs = False
-        for s in class_summary(trace, classes):
+        for s in class_summary(stats, classes, DEFAULT_LIFESPAN_BOUNDS, trace.horizon):
             xs = [x for x, k in zip(lifespans, classes) if k == s.class_id]
             assert s.mean_lifespan == functools.reduce(operator.add, xs, 0.0) / len(xs)
             compensated_differs |= s.mean_lifespan != math.fsum(xs) / len(xs)
@@ -275,10 +283,49 @@ class TestClassSummary:
     def test_volume_samples_match_members(self):
         ids = ["a"] * 12 + ["b"] * 15 + ["c"]
         trace = make_trace(ids, times=[0.5] * len(ids))
-        summaries = class_summary(trace, classify_contents(content_stats(trace)))
+        stats = content_stats(trace)
+        summaries = class_summary(stats, classify_contents(stats), DEFAULT_LIFESPAN_BOUNDS, trace.horizon)
         assert summaries[1].volume_samples == [12, 15]  # zero lifespan -> class 1
         assert summaries[0].volume_samples == [1]
 
+
+
+class TestFitSnm:
+    # "a" has 12 requests at one instant (class 1, life-span 0), "b" one request (class 0)
+    BURST = (["a"] * 12 + ["b"], [0.5] * 13)
+
+    def fit(self, trace, shape="uniform", seed=None):
+        return fit_snm(content_stats(trace), trace.horizon, 10, DEFAULT_LIFESPAN_BOUNDS, shape, seed)
+
+    def test_first_and_last_class_are_stationary(self):
+        trace = generate_snm(reference_classes(n_videos=400.0), 30.0, seed=3)
+        _, config = self.fit(trace)
+        kinds = {c.class_id: c.shape_kind for c in config.classes}
+        assert kinds == {0: "stationary", 1: "uniform", 2: "uniform", 3: "uniform", 4: "uniform", 5: "stationary"}
+
+    def test_empty_classes_are_dropped(self):
+        summaries, config = self.fit(make_trace(*self.BURST, horizon=2.0))
+        assert len(summaries) == len(DEFAULT_LIFESPAN_BOUNDS) + 2
+        assert [c.class_id for c in config.classes] == [0, 1]
+        assert [c.volumes for c in config.classes] == [(1.0,), (12.0,)]
+
+    def test_zero_lifespan_shot_class_gets_the_floor(self):
+        summaries, config = self.fit(make_trace(*self.BURST, horizon=2.0))
+        assert summaries[1].mean_lifespan == 0.0
+        assert config.classes[1].lifespan == 1e-9
+        assert config.classes[0].lifespan == 0.0  # a stationary class keeps its measured life-span
+
+    @pytest.mark.parametrize("seed", [None, 0, 17])
+    def test_seed_goes_into_the_config(self, seed):
+        _, config = self.fit(make_trace(*self.BURST, horizon=2.0), seed=seed)
+        assert config.seed == seed
+
+    @pytest.mark.parametrize("shape", ["exponential", "uniform"])
+    def test_config_round_trips_through_its_files(self, tmp_path, shape):
+        trace = generate_snm(reference_classes(n_videos=400.0), 30.0, seed=3)
+        _, config = self.fit(trace, shape, seed=5)
+        write_atomic(snm_config_files(config, tmp_path / "snm.conf"))
+        assert parse_snm_config(tmp_path / "snm.conf") == config
 
 class TestDensityMap:
     def stats_of(self, trace):
@@ -312,7 +359,8 @@ class TestDensityMap:
 class TestCsvWriters:
     def test_headers(self):
         trace = make_trace(["a"] * 12 + ["b"])
-        summaries = class_summary(trace, classify_contents(content_stats(trace)))
+        stats = content_stats(trace)
+        summaries = class_summary(stats, classify_contents(stats), DEFAULT_LIFESPAN_BOUNDS, trace.horizon)
         buf = io.StringIO()
         write_class_summary_csv(summaries, buf)
         assert buf.getvalue().startswith(

@@ -18,10 +18,9 @@ from scipy import stats as scipy_stats
 
 from snmcache import cli
 from snmcache.analysis import (
-    class_summary,
-    classify_contents,
     content_stats,
     density_map,
+    fit_snm,
     sliced_popularity,
     write_density_csv,
     write_rank_csv,
@@ -206,12 +205,8 @@ class TestFit:
                        "--bounds", "1,3,7,14"])
         assert rc == 0
         config = parse_snm_config(tmp_path / "fit" / "snm.conf")
-        stats = content_stats(trace)
-        expected = class_summary(trace, classify_contents(stats, 10, [1, 3, 7, 14]), [1, 3, 7, 14])
-        by_id = {c.class_id: c for c in config.classes}
-        for s in expected:
-            if s.volume_samples:
-                assert by_id[s.class_id].arrival_rate == pytest.approx(s.arrival_rate)
+        _, expected = fit_snm(content_stats(trace), trace.horizon, 10, [1, 3, 7, 14], "exponential")
+        assert config == expected
 
     def test_empty_trace_exits_2(self, tmp_path):
         path = tmp_path / "empty.trace"
@@ -357,6 +352,22 @@ class TestGenerate:
         assert capsys.readouterr().err.startswith(message)
         assert not out.exists()
 
+    def test_irm_catalogue_too_large_for_memory_is_an_input_error(self, tmp_path):
+        # 10**15 probabilities (8 PB) are refused at once, and under the cap anyway
+        out = tmp_path / "irm.trace"
+        result = run_cli_capped(["generate", "--irm", "1000000000000000,0.8,10,5", "--seed", "1",
+                                 "--out", str(out)])
+        assert result.returncode == 2, result.stderr[-2000:]
+        assert result.stderr.startswith("error:") and "Traceback" not in result.stderr
+        assert not out.exists()
+
+    def test_irm_requests_beyond_reuse_limit_name_the_field(self, tmp_path, capsys):
+        out = tmp_path / "irm.trace"
+        assert cli.main(["generate", "--irm", "10,0.8,100000000000000000000,5", "--seed", "1",
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: --irm 10,0.8,100000000000000000000,5: total_requests")
+        assert not out.exists()
+
     def test_irm_requires_seed(self, tmp_path):
         assert cli.main(["generate", "--irm", "2,0.0,100,5", "--out", str(tmp_path / "x.trace")]) == 2
 
@@ -454,6 +465,27 @@ class TestEvaluate:
         assert rc == 0
         rows = (out / "required_sizes.csv").read_text().splitlines()[1:]
         assert [r.split(",")[2] for r in rows[:2]] == [r.split(",")[2] for r in rows[2:]]
+
+    def test_colliding_stems_get_distinct_labels(self, tmp_path):
+        # x/a and y/a share a stem, and the second one's label "a_2" is z/a_2's stem
+        traces = {}
+        for n, (folder, name) in enumerate([("x", "a"), ("y", "a"), ("z", "a_2")]):
+            (tmp_path / folder).mkdir()
+            traces[tmp_path / folder / f"{name}.trace"] = random_trace(np.random.default_rng(n), 200, 10 + 5 * n)
+        for path, trace in traces.items():
+            write_trace_file(trace, path)
+        out = tmp_path / "out"
+        rc = cli.main(["evaluate", *map(str, traces), "--capacities", "1,5",
+                       "--targets", "0.3", "--out", str(out)])
+        assert rc == 0
+        labels = ["a", "a_2", "a_2_2"]
+        assert sorted(p.name for p in out.glob("curve_*.csv")) == [f"curve_{l}.csv" for l in labels]
+        for label, path in zip(labels, traces):
+            alone = tmp_path / f"alone_{label}"
+            assert cli.main(["evaluate", str(path), "--capacities", "1,5", "--out", str(alone)]) == 0
+            assert (out / f"curve_{label}.csv").read_text() == next(alone.glob("curve_*.csv")).read_text()
+        rows = (out / "required_sizes.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[0] for r in rows] == labels
 
     def test_unattainable_targets_still_exit_0(self, tmp_path):
         path = tmp_path / "u.trace"
@@ -628,6 +660,7 @@ class TestFuzzContract:
     def inputs(self, tmp_path_factory):
         folder = tmp_path_factory.mktemp("fuzz-inputs")
         write_trace_file(random_trace(np.random.default_rng(5), 40, 6, horizon=4.0), folder / "tiny.trace")
+        (folder / "tiny_2.trace").write_bytes((folder / "tiny.trace").read_bytes())  # the stem of tiny's 2nd label
         write_trace_file(make_trace(["a", "a", "b"], times=[0.0, 0.0, 0.0]), folder / "flat.trace")
         (folder / "empty.trace").write_text("# trace-v1 horizon=3.0\n")
         (folder / "unsorted.trace").write_text("# trace-v1\n1.0,a\n0.5,b\n")
@@ -647,7 +680,7 @@ class TestFuzzContract:
                 f"--{flag.replace('_', '-')}" + ("" if value is None else f"={value}")
                 for flag, value in chosen.items()])
 
-        paths = st.sampled_from(traces[:2] if clean else traces)
+        paths = st.sampled_from(traces[:3] if clean else traces)
         trace = paths.map(lambda path: [path])
         analyze = st.tuples(st.just(["analyze"]), trace, flags(
             slices=size, top=size, volume_threshold=size, lifespan_bins=reals, volume_bins=reals,
@@ -659,18 +692,21 @@ class TestFuzzContract:
         seed = size.map(lambda seed: ["--seed=" + seed])
         generate = st.tuples(st.just(["generate"]), st.just([config]) | irm, seed if clean else flags(seed=size))
         shuffle = st.tuples(st.just(["shuffle"]), trace, size.map(lambda k: [k]), seed)
-        evaluate = st.tuples(st.just(["evaluate"]), st.lists(paths, min_size=1, max_size=2), flags(
+        evaluate = st.tuples(st.just(["evaluate"]), st.lists(paths, min_size=1, max_size=3), flags(
             targets=reals, capacities=st.lists(size, max_size=4).map(",".join), eviction_stats=st.none()))
         return st.one_of(analyze, fit, generate, shuffle, evaluate).map(lambda parts: sum(parts, []))
 
     @staticmethod
-    def read_back(command, out):
+    def read_back(argv, out):
         # every output parses: traces and configs by their readers, CSVs as rectangular tables
+        command = argv[0]
         if command in ("generate", "shuffle"):
             read_trace_file(out)
             return
         if command == "fit":
             parse_snm_config(out / "snm.conf")
+        if command == "evaluate":  # one curve per input trace, none lost to a label collision
+            assert len(list(out.glob("curve_*.csv"))) == sum(not a.startswith("--") for a in argv[1:]), argv
         csvs = sorted(out.glob("*.csv"))
         assert csvs
         for path in csvs:
@@ -689,7 +725,7 @@ class TestFuzzContract:
         config.write_text("horizon_days={0}\nseed=7\nclass=1, arrival_rate={1}, lifespan_days={2}, "
                           "shape={4}, volumes=const:{3}\n".format(*spec))
         traces = [str(inputs / name) for name in
-                  ("tiny.trace", "flat.trace", "empty.trace", "unsorted.trace", "absent.trace")]
+                  ("tiny.trace", "tiny_2.trace", "flat.trace", "empty.trace", "unsorted.trace", "absent.trace")]
         argv = data.draw(self.argv(clean, traces, str(config)))
         out = work / ("out.trace" if argv[0] in ("generate", "shuffle") else "out")
         before = sorted(work.rglob("*"))
@@ -703,4 +739,4 @@ class TestFuzzContract:
             assert message.startswith("error:"), (argv, message)
             assert sorted(work.rglob("*")) == before, argv
         else:
-            self.read_back(argv[0], out)
+            self.read_back(argv, out)

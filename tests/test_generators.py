@@ -9,7 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
-from snmcache.analysis import class_summary, classify_contents, content_stats, effective_lifespan
+from snmcache.analysis import (
+    DEFAULT_LIFESPAN_BOUNDS,
+    class_summary,
+    classify_contents,
+    content_stats,
+    effective_lifespan,
+)
 from snmcache.cachesim import simulate_lru
 from snmcache import generators
 from snmcache.generators import (
@@ -151,6 +157,12 @@ class TestGenerateIrm:
         assert simulate_lru(trace, 1).hit_prob == pytest.approx(499 / 500)
         assert simulate_lru(trace, 7).hit_prob == pytest.approx(499 / 500)
 
+    def test_requests_capped_at_reuse_distance_limit(self):
+        # only the configs are built: no request is drawn
+        assert IrmConfig(catalogue_size=10, alpha=0.8, total_requests=2**31 - 1, horizon=5.0)
+        with pytest.raises(ValueError, match=r"total_requests must be in \[1, 2\*\*31 - 1\], got 2147483648"):
+            IrmConfig(catalogue_size=10, alpha=0.8, total_requests=2**31, horizon=5.0)
+
     def test_probabilities_normalized(self):
         p = zipf_probabilities(1000, 0.8)
         assert p.sum() == pytest.approx(1.0, abs=1e-12)
@@ -183,7 +195,8 @@ class TestGenerateSnm:
         # single class at the reference class-2 operating point
         classes = [SnmClassConfig(2, 10.9, 3.36, "uniform", 40.0)]
         trace = generate_snm(classes, 30.0, seed=7)
-        summaries = class_summary(trace, classify_contents(content_stats(trace)))
+        stats = content_stats(trace)
+        summaries = class_summary(stats, classify_contents(stats), DEFAULT_LIFESPAN_BOUNDS, trace.horizon)
         row = summaries[2]
         assert row.mean_lifespan == pytest.approx(3.36, rel=0.10)
         assert row.mean_volume == pytest.approx(40.0, rel=0.10)

@@ -188,6 +188,18 @@ class TestRoundTrip:
         assert roundtrip(trace) == trace
 
 
+
+class TestConstructor:
+    def test_column_lengths_must_match(self):
+        with pytest.raises(ValueError, match="column lengths differ: 3 times, 2 codes"):
+            Trace(np.array([0.0, 1.0, 2.0]), np.array([0, 0], np.int32), ["a"], 3.0)
+
+    @pytest.mark.parametrize("codes", [[-1, -1], [0, 2], [1, -2]])
+    def test_codes_must_index_the_names(self, codes):
+        # a negative code used to wrap around to the last name
+        with pytest.raises(ValueError, match="codes must index the 2 names"):
+            Trace(np.array([0.0, 1.0]), np.array(codes, np.int32), ["a", "b"], 3.0)
+
 class TestValidate:
     def test_valid_trace(self):
         assert validate(make_trace(["a", "b", "a"])) == []
