@@ -6,14 +6,15 @@ trace slices, power-law tail fitting, the volume/life-span density map,
 and the 6-class content partition.  :func:`content_stats` measures a
 trace once into a per-content table; classification, class summaries,
 the density map and :func:`fit_snm`, which turns the table into the
-shot-noise generator's config, all read that table.
+shot-noise generator's config, all read that table.  The module only
+computes: the CLI writes its results to files.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import IO, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,9 +38,6 @@ __all__ = [
     "class_summary",
     "fit_snm",
     "density_map",
-    "write_class_summary_csv",
-    "write_rank_csv",
-    "write_density_csv",
 ]
 
 # Defaults for the content partition: contents below the volume
@@ -308,30 +306,3 @@ def density_map(
     counts, _, _ = np.histogram2d(ls, vs, bins=[l_edges, v_edges])
     return DensityMap(lifespan_bins=l_edges, volume_bins=v_edges, counts=counts.astype(int))
 
-
-def write_class_summary_csv(summaries: Sequence[ClassSummary], stream: IO[str]) -> None:
-    stream.write("class,lmin_days,lmax_days,pct_reqs,pct_videos,mean_lifespan,mean_volume,arrival_rate\n")
-    for s in summaries:
-        lmin, lmax = s.lifespan_bounds
-        stream.write(
-            f"{s.class_id},{lmin!r},{lmax!r},{s.pct_requests!r},{s.pct_videos!r},"
-            f"{s.mean_lifespan!r},{s.mean_volume!r},{s.arrival_rate!r}\n"
-        )
-
-
-def write_rank_csv(dist: RankDistribution, stream: IO[str]) -> None:
-    stream.write("rank,mean,p5,p95\n")
-    for row in dist.rows:
-        stream.write(f"{row.rank},{row.mean!r},{row.p5!r},{row.p95!r}\n")
-
-
-def write_density_csv(dm: DensityMap, stream: IO[str]) -> None:
-    stream.write("l_bin_lo,l_bin_hi,v_bin_lo,v_bin_hi,count\n")
-    # Python floats: numpy 2 writes a numpy scalar's repr as "np.float64(...)"
-    l_edges, v_edges = dm.lifespan_bins.tolist(), dm.volume_bins.tolist()
-    for i in range(dm.counts.shape[0]):
-        for j in range(dm.counts.shape[1]):
-            stream.write(
-                f"{l_edges[i]!r},{l_edges[i + 1]!r},"
-                f"{v_edges[j]!r},{v_edges[j + 1]!r},{int(dm.counts[i, j])}\n"
-            )

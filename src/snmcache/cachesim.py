@@ -12,6 +12,7 @@ rank differences over aligned power-of-two blocks: one in-place numpy
 sort of packed int64 keys per bit level, O(n log^2 n) with no Python
 loop per request.  :func:`simulate_lru`, a direct per-request LRU cache,
 is the reference simulator the distance results are tested against.
+The module only computes: the CLI writes its results to files.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -32,8 +33,6 @@ __all__ = [
     "lru_results",
     "hit_curve",
     "size_for_hit_prob",
-    "write_hit_curve_csv",
-    "write_required_sizes_csv",
 ]
 
 
@@ -201,17 +200,3 @@ def size_for_hit_prob(distances: Iterable[float], target: float) -> int | None:
         return None
     return int(finite[k - 1])
 
-
-def write_hit_curve_csv(curve: Sequence[tuple[int, float]], stream: IO[str]) -> None:
-    stream.write("capacity,hit_prob\n")
-    for capacity, prob in curve:
-        stream.write(f"{capacity},{prob!r}\n")
-
-
-def write_required_sizes_csv(
-    rows: Sequence[tuple[str, float, int | None]], stream: IO[str]
-) -> None:
-    stream.write("trace_label,target,required_size\n")
-    for label, target, size in rows:
-        cell = "unattainable" if size is None else str(size)
-        stream.write(f"{label},{target!r},{cell}\n")

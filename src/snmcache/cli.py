@@ -11,8 +11,11 @@ emit CSV artifacts for external plotting:
 
 All commands exit 0 on success and 2 on usage or input errors.  Each
 command writes its output files in one atomic step (write-then-rename,
-see :func:`snmcache.trace.write_atomic`).  Randomized commands
-need an explicit seed, either on the command line or in the config.
+see :func:`snmcache.trace.write_atomic`).  This module alone writes
+CSV: :func:`_csv` writes every file's header and rows, each number as
+the ``repr`` of its Python value (:func:`snmcache.trace.format_cell`).
+Randomized commands need an explicit seed, either on the command line
+or in the config.
 """
 
 from __future__ import annotations
@@ -20,11 +23,12 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import IO, Callable, Iterable, Sequence
 
 import numpy as np
 
 from . import analysis, cachesim, generators, shuffle as shuffle_mod
-from .trace import Trace, read_trace, write_atomic, write_trace
+from .trace import Trace, format_cell, read_trace, write_atomic, write_trace
 
 __all__ = ["main"]
 
@@ -35,6 +39,15 @@ def _read_trace_file(path: str) -> Trace:
     if not len(trace):
         raise ValueError(f"trace {path} has no requests")
     return trace
+
+
+def _csv(header: str, rows: Iterable[Sequence]) -> Callable[[IO[str]], None]:
+    # a write_atomic writer: the header line, then one line of cells per row
+    def write(f):
+        f.write(header + "\n")
+        f.writelines(",".join(map(format_cell, row)) + "\n" for row in rows)
+
+    return write
 
 
 def _float_list(text: str) -> list[float]:
@@ -77,32 +90,26 @@ def cmd_analyze(args) -> int:
     else:
         v_bins = _default_volume_bins(args.volume_threshold, int(stats.volume.max()))
     dm = analysis.density_map(stats, args.volume_threshold, l_bins, v_bins)
-
-    def write_stats(f):
-        f.write("content_id,volume,lifespan,first_request,last_request\n")
-        # ids are unique, so the rows sort by id alone
-        for row in sorted(zip(stats.ids, *(c.tolist() for c in stats[1:]))):
-            f.write("%s,%d,%r,%r,%r\n" % row)
+    grid = [(*dm.lifespan_bins[i:i + 2], *dm.volume_bins[j:j + 2], dm.counts[i, j])
+             for i, j in np.ndindex(dm.counts.shape)]
 
     out = Path(args.out)
     files = {
-        out / "content_stats.csv": write_stats,
-        out / "ranks.csv": lambda f: analysis.write_rank_csv(dist, f),
-        out / "density.csv": lambda f: analysis.write_density_csv(dm, f),
+        # ids are unique, so the rows sort by id alone
+        out / "content_stats.csv": _csv("content_id,volume,lifespan,first_request,last_request",
+                                        sorted(zip(stats.ids, *(c.tolist() for c in stats[1:])))),
+        out / "ranks.csv": _csv("rank,mean,p5,p95", dist.rows),
+        out / "density.csv": _csv("l_bin_lo,l_bin_hi,v_bin_lo,v_bin_hi,count", grid),
     }
     if args.contents:
         code = {cid: k for k, cid in enumerate(trace.ids)}
         wanted = [code[cid] for cid in args.contents.split(",") if cid in code]
         rows = np.isin(trace.codes, wanted)
-
-        def write_cumulative(f):
-            f.write("content_id,timestamp,cum_requests\n")
-            counts = dict.fromkeys(wanted, 0)
-            for ts, k in zip(trace.times[rows].tolist(), trace.codes[rows].tolist()):
-                counts[k] += 1
-                f.write(f"{trace.ids[k]},{ts!r},{counts[k]}\n")
-
-        files[out / "cumulative.csv"] = write_cumulative
+        counts, series = dict.fromkeys(wanted, 0), []
+        for ts, k in zip(trace.times[rows].tolist(), trace.codes[rows].tolist()):
+            counts[k] += 1
+            series.append((trace.ids[k], ts, counts[k]))
+        files[out / "cumulative.csv"] = _csv("content_id,timestamp,cum_requests", series)
     out.mkdir(parents=True, exist_ok=True)
     write_atomic(files)
     return 0
@@ -117,7 +124,10 @@ def cmd_fit(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     # one atomic write, the config last: a failed fit leaves none of these files
     write_atomic({
-        out / "class_summary.csv": lambda f: analysis.write_class_summary_csv(summaries, f),
+        out / "class_summary.csv": _csv(
+            "class,lmin_days,lmax_days,pct_reqs,pct_videos,mean_lifespan,mean_volume,arrival_rate",
+            [(s.class_id, *s.lifespan_bounds, s.pct_requests, s.pct_videos, s.mean_lifespan, s.mean_volume,
+              s.arrival_rate) for s in summaries]),
         **generators.snm_config_files(config, out / "snm.conf"),
     })
     return 0
@@ -185,19 +195,15 @@ def cmd_evaluate(args) -> int:
     for label, trace in traces.items():
         distances = cachesim.reuse_distances(trace)
         caps = _int_list(args.capacities) if args.capacities else _default_capacities(len(trace.ids))
-        curve = cachesim.hit_curve(distances, caps)
-        writers[out / f"curve_{label}.csv"] = lambda f, c=curve: cachesim.write_hit_curve_csv(c, f)
-        rows.extend((label, t, cachesim.size_for_hit_prob(distances, t)) for t in targets)
+        writers[out / f"curve_{label}.csv"] = _csv("capacity,hit_prob", cachesim.hit_curve(distances, caps))
+        sizes = [cachesim.size_for_hit_prob(distances, t) for t in targets]
+        rows += [(label, t, "unattainable" if size is None else size) for t, size in zip(targets, sizes)]
         if args.eviction_stats:
-            results = cachesim.lru_results(trace, distances, caps)
-
-            def write_evictions(f, res=results):
-                f.write("capacity,hit_prob,evictions,mean_eviction_time\n")
-                for r in res:
-                    f.write(f"{r.capacity},{r.hit_prob!r},{r.evictions},{r.mean_eviction_time!r}\n")
-
-            writers[out / f"evictions_{label}.csv"] = write_evictions
-    writers[out / "required_sizes.csv"] = lambda f: cachesim.write_required_sizes_csv(rows, f)
+            writers[out / f"evictions_{label}.csv"] = _csv(
+                "capacity,hit_prob,evictions,mean_eviction_time",
+                [(r.capacity, r.hit_prob, r.evictions, r.mean_eviction_time)
+                 for r in cachesim.lru_results(trace, distances, caps)])
+    writers[out / "required_sizes.csv"] = _csv("trace_label,target,required_size", rows)
     out.mkdir(parents=True, exist_ok=True)
     write_atomic(writers)
     return 0

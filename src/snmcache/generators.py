@@ -39,7 +39,7 @@ from typing import IO, Callable, Iterator, Sequence
 
 import numpy as np
 
-from .trace import RequestEvent, Trace, write_atomic
+from .trace import RequestEvent, Trace, format_cell, write_atomic
 
 __all__ = [
     "PopularityShape",
@@ -238,11 +238,11 @@ class IrmConfig:
 class SnmClassConfig:
     """Generation parameters for one content class.
 
-    ``volumes`` is either a constant mean request count or a sequence of
-    observed volumes to resample from.  Stationary classes ignore the
-    life-span and place requests uniformly over the horizon with count
-    Poisson(V_m), which is how classes without a usable life-span
-    estimate are handled.
+    ``volumes`` is either a constant mean request count (any 0-d real,
+    held as a Python float) or a sequence of observed volumes to resample
+    from.  Stationary classes ignore the life-span and place requests
+    uniformly over the horizon with count Poisson(V_m), which is how
+    classes without a usable life-span estimate are handled.
 
     Rules shared with the config file: the class id is an integer >= 0
     (a word of the content RNG keys); arrival rate, life-span (>= 0 if
@@ -265,7 +265,8 @@ class SnmClassConfig:
             raise ValueError(f"{where}: unknown shape {self.shape_kind!r}")
         _require(f"{where}: arrival_rate", self.arrival_rate)
         _require(f"{where}: lifespan_days", self.lifespan, positive=self.shape_kind != "stationary")
-        if isinstance(self.volumes, (int, float)):
+        if np.ndim(self.volumes) == 0:
+            object.__setattr__(self, "volumes", float(self.volumes))
             _require(f"{where}: volumes", self.volumes)
         elif len(self.volumes) == 0:
             raise ValueError(f"{where}: empty volume sample list")
@@ -403,8 +404,8 @@ def _class_shape(cfg: SnmClassConfig) -> PopularityShape | None:
 
 def _volume(volumes: float | tuple[float, ...], rng: np.random.Generator) -> float:
     # a content's mean volume: the class's constant, or one resampled observation
-    if isinstance(volumes, (int, float)):
-        return float(volumes)
+    if isinstance(volumes, float):
+        return volumes
     return float(volumes[rng.integers(0, len(volumes))])
 
 
@@ -622,14 +623,14 @@ def snm_config_files(config: SnmConfig, path: str | Path) -> dict[Path, Callable
     :func:`write_atomic`: empirical volume samples go to sidecar files
     "<class>.volumes" next to the config, which comes last."""
     path = Path(path)
-    lines = [f"horizon_days={config.horizon!r}"]
+    lines = [f"horizon_days={format_cell(config.horizon)}"]
     if config.seed is not None:
         lines.append(f"seed={config.seed}")
     lines.append(f"daynight={'on' if config.daynight else 'off'}")
     texts: dict[Path, str] = {}
     for cfg in config.classes:
-        if isinstance(cfg.volumes, (int, float)):
-            vol_spec = f"const:{float(cfg.volumes)!r}"
+        if isinstance(cfg.volumes, float):
+            vol_spec = f"const:{cfg.volumes!r}"
         else:
             bad = next((v for v in cfg.volumes if not float(v).is_integer()), None)
             if bad is not None:
@@ -637,8 +638,8 @@ def snm_config_files(config: SnmConfig, path: str | Path) -> dict[Path, Callable
             vol_spec = f"{cfg.class_id}.volumes"
             texts[path.parent / vol_spec] = "".join(f"{int(v)}\n" for v in cfg.volumes)
         lines.append(
-            f"class={cfg.class_id}, arrival_rate={cfg.arrival_rate!r}, "
-            f"lifespan_days={cfg.lifespan!r}, shape={cfg.shape_kind}, volumes={vol_spec}"
+            f"class={cfg.class_id}, arrival_rate={format_cell(cfg.arrival_rate)}, "
+            f"lifespan_days={format_cell(cfg.lifespan)}, shape={cfg.shape_kind}, volumes={vol_spec}"
         )
     texts[path] = "\n".join(lines) + "\n"
     return {p: lambda f, text=text: f.write(text) for p, text in texts.items()}

@@ -13,7 +13,8 @@ line-oriented text:
     ...
 
 Timestamps are written with ``repr`` so a read/write cycle is lossless.
-:func:`write_atomic` is the package's one way to write output files.
+:func:`write_atomic` is the package's one way to write output files,
+and :func:`format_cell` writes each value of a CSV or config file.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ __all__ = [
     "write_trace",
     "validate",
     "write_atomic",
+    "format_cell",
 ]
 
 HEADER_MAGIC = "# trace-v1"
@@ -288,3 +290,11 @@ def write_atomic(files: Mapping[Path, Callable[[IO[str]], object]]) -> None:
         for path in (*tmps.values(), *placed):
             path.unlink(missing_ok=True)
         raise
+
+
+def format_cell(value) -> str:
+    """A string as it is, a number as the ``repr`` of its Python value, which reads back
+    exactly: a numpy scalar's ``.item()``, as numpy 2 would write ``np.float64(...)``."""
+    if isinstance(value, str):
+        return value
+    return repr(value.item() if isinstance(value, np.generic) else value)

@@ -1,5 +1,4 @@
 import functools
-import io
 import math
 import operator
 from bisect import bisect_left
@@ -21,9 +20,6 @@ from snmcache.analysis import (
     fit_zipf,
     slice_bounds,
     sliced_popularity,
-    write_class_summary_csv,
-    write_density_csv,
-    write_rank_csv,
 )
 from snmcache.generators import generate_snm, parse_snm_config, snm_config_files
 from snmcache.trace import RequestEvent, Trace, write_atomic
@@ -354,23 +350,3 @@ class TestDensityMap:
     def test_bad_edges(self):
         with pytest.raises(ValueError):
             density_map(content_stats(make_trace([])), 10, [0, 5, 5], [10, 20])
-
-
-class TestCsvWriters:
-    def test_headers(self):
-        trace = make_trace(["a"] * 12 + ["b"])
-        stats = content_stats(trace)
-        summaries = class_summary(stats, classify_contents(stats), DEFAULT_LIFESPAN_BOUNDS, trace.horizon)
-        buf = io.StringIO()
-        write_class_summary_csv(summaries, buf)
-        assert buf.getvalue().startswith(
-            "class,lmin_days,lmax_days,pct_reqs,pct_videos,mean_lifespan,mean_volume,arrival_rate\n"
-        )
-        buf = io.StringIO()
-        write_rank_csv(sliced_popularity(trace, 1, 2), buf)
-        assert buf.getvalue().splitlines()[0] == "rank,mean,p5,p95"
-        buf = io.StringIO()
-        write_density_csv(density_map(content_stats(trace), 10, [0, 1], [10, 20]), buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "l_bin_lo,l_bin_hi,v_bin_lo,v_bin_hi,count"
-        assert len(lines) == 2

@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -13,7 +12,6 @@ from snmcache.cachesim import (
     reuse_distances,
     simulate_lru,
     size_for_hit_prob,
-    write_required_sizes_csv,
 )
 from snmcache.generators import generate_snm
 from snmcache.shuffle import slice_shuffle
@@ -251,11 +249,3 @@ class TestCompareRequiredSizes:
     def test_empty_trace_error(self):
         with pytest.raises(ValueError):
             required_sizes(Trace.from_events([], 1.0), [0.1])
-
-    def test_csv_unattainable_cell(self):
-        buf = io.StringIO()
-        write_required_sizes_csv([("t", 0.9, None), ("t", 0.1, 3)], buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "trace_label,target,required_size"
-        assert lines[1].endswith("unattainable")
-        assert lines[2].endswith("3")

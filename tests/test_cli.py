@@ -22,8 +22,6 @@ from snmcache.analysis import (
     density_map,
     fit_snm,
     sliced_popularity,
-    write_density_csv,
-    write_rank_csv,
 )
 from snmcache.generators import generate_snm, parse_snm_config
 from snmcache.trace import read_trace, write_atomic, write_trace
@@ -94,12 +92,20 @@ class TestAnalyze:
         assert rc == 0
 
         buf = io.StringIO()
-        write_rank_csv(sliced_popularity(trace, 4, 10), buf)
+        buf.write("rank,mean,p5,p95\n")
+        for r in sliced_popularity(trace, 4, 10).rows:
+            buf.write(f"{r.rank},{r.mean!r},{r.p5!r},{r.p95!r}\n")
         assert (out / "ranks.csv").read_text() == buf.getvalue()
 
         stats = content_stats(trace)
+        l_edges, v_edges = [0.0, 5.0, 10.0, 20.0, 30.0], [10.0, 40.0, 160.0]
+        counts = density_map(stats, 10, l_edges, v_edges).counts
         buf = io.StringIO()
-        write_density_csv(density_map(stats, 10, [0, 5, 10, 20, 30], [10, 40, 160]), buf)
+        buf.write("l_bin_lo,l_bin_hi,v_bin_lo,v_bin_hi,count\n")
+        for i in range(len(l_edges) - 1):
+            for j in range(len(v_edges) - 1):
+                row = (l_edges[i], l_edges[i + 1], v_edges[j], v_edges[j + 1], counts[i, j].item())
+                buf.write(",".join(map(repr, row)) + "\n")
         assert (out / "density.csv").read_text() == buf.getvalue()
 
         buf = io.StringIO()
@@ -489,11 +495,13 @@ class TestEvaluate:
 
     def test_unattainable_targets_still_exit_0(self, tmp_path):
         path = tmp_path / "u.trace"
-        write_trace_file(make_trace(list(range(20))), path)
+        # 21 requests, one of them a hit at capacity 20: 0.5 is out of reach, 0.04 is not
+        write_trace_file(make_trace(list(range(20)) + [0]), path)
         out = tmp_path / "out"
-        rc = cli.main(["evaluate", str(path), "--targets", "0.5", "--out", str(out)])
+        rc = cli.main(["evaluate", str(path), "--targets", "0.5,0.04", "--out", str(out)])
         assert rc == 0
-        assert "unattainable" in (out / "required_sizes.csv").read_text()
+        lines = (out / "required_sizes.csv").read_text().splitlines()
+        assert lines == ["trace_label,target,required_size", "u,0.5,unattainable", "u,0.04,20"]
 
     def test_eviction_stats_flag(self, tmp_path):
         path = tmp_path / "t.trace"
@@ -519,6 +527,32 @@ class TestEvaluate:
         path = tmp_path / "e.trace"
         path.write_text("# trace-v1 horizon=4\n")
         assert cli.main(["evaluate", str(path), "--out", str(tmp_path / "out")]) == 2
+
+
+class TestCsvWriters:
+    def test_headers(self, tmp_path):
+        # the header line of every CSV file the CLI writes
+        path = tmp_path / "t.trace"
+        write_trace_file(make_trace(["a"] * 12 + ["b"]), path)
+        assert cli.main(["analyze", str(path), "--slices", "1", "--top", "2", "--contents", "a",
+                         "--lifespan-bins", "0,1", "--volume-bins", "10,20", "--out", str(tmp_path)]) == 0
+        assert cli.main(["fit", str(path), "--out", str(tmp_path)]) == 0
+        assert cli.main(["evaluate", str(path), "--eviction-stats", "--out", str(tmp_path)]) == 0
+        headers = {
+            "content_stats.csv": "content_id,volume,lifespan,first_request,last_request",
+            "ranks.csv": "rank,mean,p5,p95",
+            "density.csv": "l_bin_lo,l_bin_hi,v_bin_lo,v_bin_hi,count",
+            "cumulative.csv": "content_id,timestamp,cum_requests",
+            "class_summary.csv":
+                "class,lmin_days,lmax_days,pct_reqs,pct_videos,mean_lifespan,mean_volume,arrival_rate",
+            "curve_t.csv": "capacity,hit_prob",
+            "evictions_t.csv": "capacity,hit_prob,evictions,mean_eviction_time",
+            "required_sizes.csv": "trace_label,target,required_size",
+        }
+        assert sorted(p.name for p in tmp_path.glob("*.csv")) == sorted(headers)
+        for name, header in headers.items():
+            assert (tmp_path / name).read_text().splitlines()[0] == header
+        assert len((tmp_path / "density.csv").read_text().splitlines()) == 2
 
 
 class TestWriteAtomic:
@@ -578,7 +612,8 @@ class TestGoldenOutputs:
     # SHA-256 of each output of an SNM pipeline, recorded with the
     # event-list trace: generate (plain and day/night) -> analyze -> fit
     # -> generate from the fitted config -> evaluate --eviction-stats.
-    # density.csv was re-recorded when its bin edges became Python floats.
+    # density.csv was re-recorded when its bin edges became Python floats;
+    # cumulative.csv was added later, by --contents, with no other hash changed.
     SNM_CONFIG = (
         "horizon_days=20.0\nseed=13\ndaynight={daynight}\n"
         "class=0, arrival_rate=30, lifespan_days=0, shape=stationary, volumes=const:3\n"
@@ -592,6 +627,7 @@ class TestGoldenOutputs:
         "analyze/content_stats.csv": "4ea05f5a4661d652ae780ca324569d0126b6ef136869fef5ae10cd79504e7cdf",
         "analyze/ranks.csv": "53c2bfce54f1e45f886236daf1913146ce51a95d76ffec5dfc0ae30f2028a5b6",
         "analyze/density.csv": "27b3ace191472760b0abcfd3c42df413c118ddbe606d2267b109567f98b713af",
+        "analyze/cumulative.csv": "2f8f9e8562de429a0026db2820ebfa73de56adf69da0fe4539b8ddede491fb02",
         "fit/snm.conf": "020166f4073db92eaddea87981ae28d964a52f67ca987c753512b750da046979",
         "fit/0.volumes": "60dca2cd769fd8304491541bd1aa47da72691b9cda20f8c3e7255dff25274fc0",
         "fit/1.volumes": "30c4cf89ec95f6e57fef52c7e3533496f605cd4fbc7e0914c98d8d60d65208d7",
@@ -618,7 +654,8 @@ class TestGoldenOutputs:
             assert cli.main(["generate", str(tmp_path / f"{name}.conf"),
                              "--out", str(tmp_path / f"{name}.trace")]) == 0
         plain, daynight = str(tmp_path / "plain.trace"), str(tmp_path / "daynight.trace")
-        assert cli.main(["analyze", plain, "--slices", "10", "--out", str(tmp_path / "analyze")]) == 0
+        assert cli.main(["analyze", plain, "--slices", "10", "--contents", "c2_0,c5_1",
+                         "--out", str(tmp_path / "analyze")]) == 0
         assert cli.main(["fit", plain, "--seed", "4", "--out", str(tmp_path / "fit")]) == 0
         assert cli.main(["generate", str(tmp_path / "fit" / "snm.conf"),
                          "--out", str(tmp_path / "refit.trace")]) == 0

@@ -425,6 +425,16 @@ class TestConfigRules:
         with pytest.raises(ValueError, match=re.escape(message)):
             generate(self.one_class(**changes), 10.0, 0)
 
+    @pytest.mark.parametrize("volume", [np.int64(4), np.float32(4.0), np.array(4.0)])
+    def test_numpy_constant_volume_is_the_python_float(self, tmp_path, volume):
+        classes = self.one_class(volumes=volume)
+        assert type(classes[0].volumes) is float and classes == self.one_class(volumes=4.0)
+        assert generate_snm(classes, 10.0, 3) == generate_snm(self.one_class(volumes=4.0), 10.0, 3)
+        with pytest.raises(ValueError, match="class 1: volumes must be positive and finite, got 0.0"):
+            self.one_class(volumes=volume * 0)
+        write_snm_config(SnmConfig(10.0, classes), tmp_path / "snm.conf")
+        assert "volumes=const:4.0" in (tmp_path / "snm.conf").read_text()
+
     def test_poisson_limit_is_numpys(self):
         limit = generators._POISSON_MAX
         assert np.random.default_rng(0).poisson(limit) > 0
@@ -505,6 +515,15 @@ class TestConfigFile:
         assert parsed.seed == 99
         assert parsed.daynight is True
         assert parsed.classes == config.classes
+
+    def test_numpy_scalar_fields_round_trip(self, tmp_path):
+        # numpy 2 writes a numpy scalar's repr as "np.float64(...)", which the parser rejects
+        config = SnmConfig(np.float64(30.0), [SnmClassConfig(1, np.float64(2.5), np.float64(1.5), "uniform", 4.0)])
+        write_snm_config(config, tmp_path / "snm.conf")
+        assert parse_snm_config(tmp_path / "snm.conf") == config
+        # a Python number is written as its repr, as before
+        write_snm_config(SnmConfig(30, [SnmClassConfig(1, 2.5, 1.5, "uniform", 4.0)]), tmp_path / "snm.conf")
+        assert (tmp_path / "snm.conf").read_text().startswith("horizon_days=30\n")
 
     def test_volumes_sidecar_format(self, tmp_path):
         config = SnmConfig(
