@@ -3,8 +3,6 @@
 from .analysis import (
     ClassSummary,
     ContentStats,
-    DensityMap,
-    RankDistribution,
     class_summary,
     classify_contents,
     content_stats,

@@ -7,7 +7,8 @@ and the 6-class content partition.  :func:`content_stats` measures a
 trace once into a per-content table; classification, class summaries,
 the density map and :func:`fit_snm`, which turns the table into the
 shot-noise generator's config, all read that table.  The module only
-computes: the CLI writes its results to files.
+computes, and returns plain values (rank rows, a count matrix) that the
+CLI writes to files.
 """
 
 from __future__ import annotations
@@ -24,9 +25,7 @@ from .trace import Trace
 __all__ = [
     "ContentStats",
     "RankRow",
-    "RankDistribution",
     "ClassSummary",
-    "DensityMap",
     "DEFAULT_VOLUME_THRESHOLD",
     "DEFAULT_LIFESPAN_BOUNDS",
     "slice_bounds",
@@ -65,14 +64,6 @@ class RankRow(NamedTuple):
 
 
 @dataclass
-class RankDistribution:
-    """Per-rank relative request frequency across K trace slices."""
-
-    K: int
-    rows: list[RankRow]
-
-
-@dataclass
 class ClassSummary:
     """Aggregate statistics of one content class."""
 
@@ -84,15 +75,6 @@ class ClassSummary:
     mean_volume: float  # NaN when the class is empty
     arrival_rate: float  # contents per day
     volume_samples: list[int] = field(default_factory=list)
-
-
-@dataclass
-class DensityMap:
-    """2-D histogram of contents over (life-span, volume) bins."""
-
-    lifespan_bins: np.ndarray
-    volume_bins: np.ndarray
-    counts: np.ndarray  # shape (len(lifespan_bins)-1, len(volume_bins)-1)
 
 
 def slice_bounds(total: int, K: int) -> list[tuple[int, int]]:
@@ -131,8 +113,8 @@ def content_stats(trace: Trace) -> ContentStats:
     return ContentStats(trace.ids, volume, times[hi] - times[lo], times[start], times[start + volume - 1])
 
 
-def sliced_popularity(trace: Trace, K: int, top_ranks: int) -> RankDistribution:
-    """Rank/frequency distribution averaged over K equal-count slices.
+def sliced_popularity(trace: Trace, K: int, top_ranks: int) -> list[RankRow]:
+    """Rank/frequency rows, ranks 1 to ``top_ranks``, averaged over K equal-count slices.
 
     The request sequence is cut into K consecutive runs of (as close as
     possible) equal size.  Within each slice contents are ranked by
@@ -162,8 +144,7 @@ def sliced_popularity(trace: Trace, K: int, top_ranks: int) -> RankDistribution:
     # nearest-rank percentile: the value at 1-based index ceil(pct/100 * K)
     p5, p95 = (freqs[:, (pct * K + 99) // 100 - 1] for pct in (5, 95))
     rows = list(map(RankRow, range(1, ranked + 1), mean.tolist(), p5.tolist(), p95.tolist()))
-    rows += [RankRow(r, 0.0, 0.0, 0.0) for r in range(ranked + 1, top_ranks + 1)]
-    return RankDistribution(K=K, rows=rows)
+    return rows + [RankRow(r, 0.0, 0.0, 0.0) for r in range(ranked + 1, top_ranks + 1)]
 
 
 def fit_zipf(rank_freqs: Sequence[tuple[int, float]], rank_range: tuple[int, int]) -> float:
@@ -288,8 +269,9 @@ def density_map(
     volume_threshold: int,
     lifespan_bins: Sequence[float],
     volume_bins: Sequence[float],
-) -> DensityMap:
-    """2-D content histogram over (life-span, volume) bins.
+) -> np.ndarray:
+    """2-D content histogram over (life-span, volume) bins: the int counts,
+    one row per life-span bin and one column per volume bin.
 
     Only contents with volume >= threshold are counted; values outside
     the bin range are clamped into the edge bins so the grid total
@@ -304,5 +286,5 @@ def density_map(
     ls = np.clip(stats.lifespan[qualifying], l_edges[0], l_edges[-1])
     vs = np.clip(stats.volume[qualifying], v_edges[0], v_edges[-1])
     counts, _, _ = np.histogram2d(ls, vs, bins=[l_edges, v_edges])
-    return DensityMap(lifespan_bins=l_edges, volume_bins=v_edges, counts=counts.astype(int))
+    return counts.astype(int)
 

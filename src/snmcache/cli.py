@@ -13,7 +13,8 @@ All commands exit 0 on success and 2 on usage or input errors.  Each
 command writes its output files in one atomic step (write-then-rename,
 see :func:`snmcache.trace.write_atomic`).  This module alone writes
 CSV: :func:`_csv` writes every file's header and rows, each number as
-the ``repr`` of its Python value (:func:`snmcache.trace.format_cell`).
+the ``repr`` of its Python value (:func:`snmcache.trace.format_cell`),
+and quotes a cell that holds a comma or a quote as RFC 4180 says.
 Randomized commands need an explicit seed, either on the command line
 or in the config.
 """
@@ -21,6 +22,7 @@ or in the config.
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
 from pathlib import Path
 from typing import IO, Callable, Iterable, Sequence
@@ -45,7 +47,7 @@ def _csv(header: str, rows: Iterable[Sequence]) -> Callable[[IO[str]], None]:
     # a write_atomic writer: the header line, then one line of cells per row
     def write(f):
         f.write(header + "\n")
-        f.writelines(",".join(map(format_cell, row)) + "\n" for row in rows)
+        csv.writer(f, lineterminator="\n").writerows(map(format_cell, row) for row in rows)
 
     return write
 
@@ -80,7 +82,7 @@ def cmd_analyze(args) -> int:
     trace = _read_trace_file(args.trace)
     # compute every output, and so check every argument, before writing any
     stats = analysis.content_stats(trace)
-    dist = analysis.sliced_popularity(trace, args.slices, args.top)
+    ranks = analysis.sliced_popularity(trace, args.slices, args.top)
     if args.lifespan_bins:
         l_bins = _float_list(args.lifespan_bins)
     else:
@@ -89,16 +91,15 @@ def cmd_analyze(args) -> int:
         v_bins = _float_list(args.volume_bins)
     else:
         v_bins = _default_volume_bins(args.volume_threshold, int(stats.volume.max()))
-    dm = analysis.density_map(stats, args.volume_threshold, l_bins, v_bins)
-    grid = [(*dm.lifespan_bins[i:i + 2], *dm.volume_bins[j:j + 2], dm.counts[i, j])
-             for i, j in np.ndindex(dm.counts.shape)]
+    density = analysis.density_map(stats, args.volume_threshold, l_bins, v_bins)
+    grid = [(*l_bins[i:i + 2], *v_bins[j:j + 2], density[i, j]) for i, j in np.ndindex(density.shape)]
 
     out = Path(args.out)
     files = {
         # ids are unique, so the rows sort by id alone
         out / "content_stats.csv": _csv("content_id,volume,lifespan,first_request,last_request",
                                         sorted(zip(stats.ids, *(c.tolist() for c in stats[1:])))),
-        out / "ranks.csv": _csv("rank,mean,p5,p95", dist.rows),
+        out / "ranks.csv": _csv("rank,mean,p5,p95", ranks),
         out / "density.csv": _csv("l_bin_lo,l_bin_hi,v_bin_lo,v_bin_hi,count", grid),
     }
     if args.contents:

@@ -17,11 +17,11 @@ f(t) = 1 + sin(2*pi*t) (t in days), realized by exact thinning against
 the bound f <= 2.  :func:`shot_requests` is the one per-content
 sampler, for shots, stationary contents and thinning alike.
 
-Generation is deterministic given a seed: every content draws from an
-RNG keyed by (seed, class, serial).  The keyed streams are seeded in one
-vectorized pass, bit-identical to ``np.random.default_rng(key)``: numpy's
-SeedSequence hash runs over all the keys at once, and one reused PCG64
-is set to each key's state in turn.  The batch generator
+Generation is deterministic given a seed: every draw comes from
+``np.random.default_rng(key)`` for a key (seed, tag, ...).  A class's
+content keys (seed, tag, class, serial) are hashed in one vectorized
+pass of numpy's SeedSequence, and numpy seeds each key's PCG64 from its
+precomputed state.  The batch generator
 (:func:`generate_snm`) and the event stream (:class:`SnmEventStream`)
 walk one content list and place request times with one array function,
 the batch over whole classes, the stream per content in birth order
@@ -68,12 +68,10 @@ _TAG_BIRTHS = 0xB1
 _TAG_CONTENT = 0xC0
 _MASK32 = 0xFFFFFFFF
 _MASK64 = 0xFFFFFFFFFFFFFFFF
-_MASK128 = (1 << 128) - 1
-# numpy's SeedSequence hash constants (NEP 19) and PCG64's multiplier
+# numpy's SeedSequence hash constants (NEP 19)
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 # numpy draws no Poisson count of a larger mean ("lam value too large"):
 # the configs bound every value that becomes one
 _POISSON_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
@@ -118,10 +116,10 @@ def _pool_state(entropy: list[np.ndarray]) -> np.ndarray:
     return state[:, 0::2] | state[:, 1::2] << np.uint64(32)  # little-endian word pairs
 
 
-def _seed_words(seed: int, key: Sequence[int], last=None) -> np.ndarray:
+def _seed_words(seed: int, key: Sequence[int], last) -> np.ndarray:
     """Rows of ``np.random.SeedSequence(k).generate_state(4, np.uint64)``
     for the keys k = [seed mod 2**64, *key, j], one per j of ``last``, all
-    at once; one row for [seed mod 2**64, *key] when ``last`` is None.
+    at once.
 
     Key words are ints >= 0, and each j is below 2**64.  As SeedSequence
     does, each becomes its 32-bit words, least significant first, so a j
@@ -133,8 +131,6 @@ def _seed_words(seed: int, key: Sequence[int], last=None) -> np.ndarray:
         while word > _MASK32:
             word >>= 32
             head.append(word & _MASK32)
-    if last is None:
-        return _pool_state([np.array([w], np.uint32) for w in head])
     last = np.asarray(last, np.uint64)
     lo, hi = (last & _MASK32).astype(np.uint32), (last >> 32).astype(np.uint32)
     rows = np.empty((last.size, 4), np.uint64)
@@ -146,23 +142,23 @@ def _seed_words(seed: int, key: Sequence[int], last=None) -> np.ndarray:
     return rows
 
 
-def _rngs(rows: np.ndarray) -> Iterator[np.random.Generator]:
-    """One generator, set in turn to ``np.random.default_rng(k)`` for the
-    key k of each :func:`_seed_words` row; draw from it before the next.
+class _State:
+    # numpy's ISeedSequence interface over one _seed_words row: PCG64 asks
+    # for generate_state(4, np.uint64), which the row already is
+    __slots__ = ("row",)
 
-    PCG64 seeds from a row (s0, s1, i0, i1) in two steps on 128-bit
-    integers s = s0:s1 and i = i0:i1: inc = 2i + 1, then state =
-    (inc + s) * multiplier + inc.
-    """
-    bitgen = np.random.PCG64(0)
-    rng = np.random.Generator(bitgen)
-    for row in rows:
-        s0, s1, i0, i1 = row.tolist()
-        inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
-        state = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128
-        bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                        "has_uint32": 0, "uinteger": 0}
-        yield rng
+    def __init__(self, row: np.ndarray):
+        self.row = row
+
+    def generate_state(self, n_words, dtype):
+        return self.row
+
+
+def _rngs(rows: np.ndarray) -> Iterator[np.random.Generator]:
+    """``np.random.default_rng(k)`` for the key k of each :func:`_seed_words` row."""
+    # registered here, not at import, so that importing the package does not load numpy.random
+    np.random.bit_generator.ISeedSequence.register(_State)
+    return map(np.random.default_rng, map(_State, rows))
 
 
 def _require(key: str, value, positive: bool = True) -> None:
@@ -387,7 +383,7 @@ def generate_irm(config: IrmConfig, seed: int) -> Trace:
     Content ids are the popularity ranks ("r1" most popular).  Sampling
     is inverse-transform on the cumulative Zipf distribution.
     """
-    rng = next(_rngs(_seed_words(seed, [_TAG_IRM])))
+    rng = np.random.default_rng([seed & _MASK64, _TAG_IRM])
     cum = np.cumsum(zipf_probabilities(config.catalogue_size, config.alpha))
     cum[-1] = 1.0
     ranks = np.searchsorted(cum, rng.random(config.total_requests), side="right") + 1
@@ -414,10 +410,9 @@ def _births(classes: Sequence[SnmClassConfig], horizon: float, seed: int) -> lis
     # and the event stream alike: (class, shape, births), where content
     # serials index the sorted births.  A stationary content's birth is 0,
     # which its placement ignores.
-    config = SnmConfig(horizon, list(classes))
-    rows = np.concatenate([_seed_words(seed, [_TAG_BIRTHS, cfg.class_id]) for cfg in config.classes])
     out = []
-    for cfg, rng in zip(config.classes, _rngs(rows)):
+    for cfg in SnmConfig(horizon, list(classes)).classes:
+        rng = np.random.default_rng([seed & _MASK64, _TAG_BIRTHS, cfg.class_id])
         births = np.sort(rng.uniform(0.0, horizon, rng.poisson(cfg.arrival_rate * horizon)))
         shape = _class_shape(cfg)
         out.append((cfg, shape, np.zeros_like(births) if shape is None else births))

@@ -53,10 +53,8 @@ class TraceFormatError(ValueError):
     ``line`` is the 1-based line number of the first offending line.
     """
 
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+    def __init__(self, message: str, line: int):
+        super().__init__(f"line {line}: {message}")
         self.line = line
 
 
@@ -80,7 +78,8 @@ class Trace:
     """Immutable request trace held as columns.
 
     ``Trace(times, codes, names, horizon)`` takes a timestamp column and
-    an equally long column of indices into ``names`` (else ValueError);
+    an equally long column of integer indices into ``names`` (else
+    ValueError);
     the names are renumbered by first appearance and those that no
     request uses are left out.
     :meth:`from_columns` takes the content ids themselves and
@@ -92,8 +91,13 @@ class Trace:
 
     __slots__ = ("times", "codes", "ids", "horizon")
 
-    def __init__(self, times, codes: np.ndarray, names: Sequence[str], horizon: float):
+    def __init__(self, times, codes, names: Sequence[str], horizon: float):
         self.times = np.array(times, np.float64)
+        codes = np.asarray(codes)
+        if codes.dtype.kind not in "iu":
+            if codes.size:
+                raise ValueError(f"codes must be integers, got {codes.dtype}")
+            codes = codes.astype(np.int32)  # an empty column of any dtype
         if self.times.shape != codes.shape:
             raise ValueError(f"column lengths differ: {self.times.size} times, {codes.size} codes")
         if codes.size and not (0 <= codes.min() and codes.max() < len(names)):
@@ -119,8 +123,6 @@ class Trace:
     @classmethod
     def from_columns(cls, times: Sequence[float], ids: Sequence[str], horizon: float) -> "Trace":
         """Build a trace from parallel timestamp and content-id columns."""
-        if len(times) != len(ids):
-            raise ValueError(f"column lengths differ: {len(times)} times, {len(ids)} ids")
         index: dict[str, int] = {}
         return cls(times, _encode(ids, index), tuple(index), horizon)
 
@@ -209,22 +211,23 @@ def read_trace(stream: IO[str]) -> Trace:
 
     The horizon defaults to the last timestamp unless the header carries
     an explicit ``horizon=`` field.  Raises :class:`TraceFormatError`
-    (with the offending line number) on a declared horizon that is not
-    finite and >= 0, malformed rows, unsorted timestamps, or timestamps
-    beyond the declared horizon.
+    (with the offending line number) on a repeated ``horizon=`` field, a
+    declared horizon that is not finite and >= 0, malformed rows,
+    unsorted timestamps, or timestamps beyond the declared horizon.
     """
     header = stream.readline()
     if not header.startswith(HEADER_MAGIC):
         raise TraceFormatError(f"expected header starting with {HEADER_MAGIC!r}", line=1)
     horizon: float | None = None
     for token in header[len(HEADER_MAGIC):].split():
-        if token.startswith("horizon="):
-            try:
-                horizon = float(token[len("horizon="):])
-            except ValueError:
-                raise TraceFormatError(f"unparsable horizon {token!r}", line=1) from None
-        else:
+        if not token.startswith("horizon="):
             raise TraceFormatError(f"unrecognized header field {token!r}", line=1)
+        if horizon is not None:
+            raise TraceFormatError("repeated header field 'horizon'", line=1)
+        try:
+            horizon = float(token[len("horizon="):])
+        except ValueError:
+            raise TraceFormatError(f"unparsable horizon {token!r}", line=1) from None
 
     body = stream.read()
     times, codes, ids, error = _parse_rows(body if body.endswith("\n") or not body else body + "\n")

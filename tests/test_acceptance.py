@@ -109,8 +109,8 @@ def test_criterion_04_zipf_round_trip():
     t0 = time.perf_counter()
     cfg = IrmConfig(catalogue_size=1000, alpha=0.8, total_requests=1_000_000, horizon=30.0)
     trace = generate_irm(cfg, seed=4)
-    dist = sliced_popularity(trace, 1, 300)
-    alpha = fit_zipf([(r.rank, r.mean) for r in dist.rows], (10, 300))
+    rows = sliced_popularity(trace, 1, 300)
+    alpha = fit_zipf([(r.rank, r.mean) for r in rows], (10, 300))
     _check(4, "Zipf round trip", abs(alpha - 0.8) <= 0.05, time.perf_counter() - t0, 10.0,
            f"fitted alpha = {alpha:.4f}")
 

@@ -109,15 +109,15 @@ class TestSlicedPopularity:
         return make_trace(["a"] * 6 + ["b"] * 3 + ["c"])
 
     def test_single_slice_is_global_frequencies(self):
-        dist = sliced_popularity(self.toy(), K=1, top_ranks=3)
-        assert [(r.rank, r.mean) for r in dist.rows] == [(1, 0.6), (2, 0.3), (3, 0.1)]
-        assert all(r.p5 == r.mean == r.p95 for r in dist.rows)
+        rows = sliced_popularity(self.toy(), K=1, top_ranks=3)
+        assert [(r.rank, r.mean) for r in rows] == [(1, 0.6), (2, 0.3), (3, 0.1)]
+        assert all(r.p5 == r.mean == r.p95 for r in rows)
 
     def test_degenerate_one_request_slices(self):
         trace = self.toy()
-        dist = sliced_popularity(trace, K=len(trace.events), top_ranks=2)
-        assert dist.rows[0].mean == 1.0
-        assert dist.rows[1].mean == 0.0
+        rows = sliced_popularity(trace, K=len(trace.events), top_ranks=2)
+        assert rows[0].mean == 1.0
+        assert rows[1].mean == 0.0
 
     def test_k_validation(self):
         trace = self.toy()
@@ -128,8 +128,8 @@ class TestSlicedPopularity:
     def test_mean_non_increasing_in_rank(self):
         rng = np.random.default_rng(8)
         trace = random_trace(rng, 600, 30)
-        dist = sliced_popularity(trace, K=7, top_ranks=25)
-        means = [r.mean for r in dist.rows]
+        rows = sliced_popularity(trace, K=7, top_ranks=25)
+        means = [r.mean for r in rows]
         assert all(a >= b for a, b in zip(means, means[1:]))
 
     def test_slice_bounds_near_equal(self):
@@ -145,8 +145,8 @@ class TestSlicedPopularity:
         trace = generate_snm(reference_classes(), 30.0, seed=0)
         alphas = []
         for K in (1, 4, 10, 30):
-            dist = sliced_popularity(trace, K, top_ranks=105)
-            alphas.append(fit_zipf([(r.rank, r.mean) for r in dist.rows], (10, 100)))
+            rows = sliced_popularity(trace, K, top_ranks=105)
+            alphas.append(fit_zipf([(r.rank, r.mean) for r in rows], (10, 100)))
         assert all(b > a for a, b in zip(alphas, alphas[1:]))
         assert alphas[-1] > alphas[0] + 0.3
 
@@ -328,24 +328,24 @@ class TestDensityMap:
         return content_stats(trace)
 
     def test_empty_when_nothing_qualifies(self):
-        dm = density_map(self.stats_of(make_trace(["a", "b"])), 10, [0, 5, 10], [10, 50, 100])
-        assert dm.counts.sum() == 0
+        counts = density_map(self.stats_of(make_trace(["a", "b"])), 10, [0, 5, 10], [10, 50, 100])
+        assert counts.sum() == 0
 
     def test_single_cell(self):
         trace = make_trace(["a"] * 20, times=list(np.linspace(0.0, 3.75, 20)))
         st = self.stats_of(trace)
         assert row(st, "a")[1] == pytest.approx(3.0, abs=0.2)
-        dm = density_map(st, 10, [0, 5, 10], [10, 50, 100])
-        assert dm.counts.sum() == 1
-        assert dm.counts[0, 0] == 1
+        counts = density_map(st, 10, [0, 5, 10], [10, 50, 100])
+        assert counts.sum() == 1
+        assert counts[0, 0] == 1
 
     def test_total_equals_qualifying_contents(self):
         rng = np.random.default_rng(9)
         trace = random_trace(rng, 2000, 60)
         stats = self.stats_of(trace)
         expected = sum(1 for v in stats.volume.tolist() if v >= 10)
-        dm = density_map(stats, 10, [0, 2, 4, 8], [10, 20, 40])  # clamps out-of-range
-        assert dm.counts.sum() == expected
+        counts = density_map(stats, 10, [0, 2, 4, 8], [10, 20, 40])  # clamps out-of-range
+        assert counts.sum() == expected
 
     def test_bad_edges(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import functools
 import hashlib
 import io
@@ -93,13 +94,13 @@ class TestAnalyze:
 
         buf = io.StringIO()
         buf.write("rank,mean,p5,p95\n")
-        for r in sliced_popularity(trace, 4, 10).rows:
+        for r in sliced_popularity(trace, 4, 10):
             buf.write(f"{r.rank},{r.mean!r},{r.p5!r},{r.p95!r}\n")
         assert (out / "ranks.csv").read_text() == buf.getvalue()
 
         stats = content_stats(trace)
         l_edges, v_edges = [0.0, 5.0, 10.0, 20.0, 30.0], [10.0, 40.0, 160.0]
-        counts = density_map(stats, 10, l_edges, v_edges).counts
+        counts = density_map(stats, 10, l_edges, v_edges)
         buf = io.StringIO()
         buf.write("l_bin_lo,l_bin_hi,v_bin_lo,v_bin_hi,count\n")
         for i in range(len(l_edges) - 1):
@@ -553,6 +554,17 @@ class TestCsvWriters:
         for name, header in headers.items():
             assert (tmp_path / name).read_text().splitlines()[0] == header
         assert len((tmp_path / "density.csv").read_text().splitlines()) == 2
+
+    def test_cells_with_a_comma_or_a_quote_read_back(self, tmp_path):
+        # a trace label may hold a comma and a content id a quote: both are quoted as RFC 4180 says
+        path = tmp_path / "x,y.trace"
+        write_trace_file(make_trace(['"q', '"q', "b"]), path)
+        assert cli.main(["analyze", str(path), "--out", str(tmp_path)]) == 0
+        assert cli.main(["evaluate", str(path), "--targets", "0.3", "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "content_stats.csv", newline="") as f:
+            assert list(csv.reader(f))[1:] == [['"q', "2", "1.0", "0.0", "1.0"], ["b", "1", "0.0", "2.0", "2.0"]]
+        with open(tmp_path / "required_sizes.csv", newline="") as f:
+            assert list(csv.reader(f))[1:] == [["x,y", "0.3", "1"]]
 
 
 class TestWriteAtomic:

@@ -1,7 +1,12 @@
-"""Each module's ``__all__`` names only what the module defines, so a star import works."""
+"""Each module's ``__all__`` names only what the module defines, so a star import works, and
+importing the package leaves ``numpy.random`` to the first draw."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -21,3 +26,12 @@ def test_all_names_exist_and_star_import_works(name):
     namespace = {}
     exec(f"from snmcache.{name} import *", namespace)
     assert set(module.__all__) <= namespace.keys()
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # numpy.random is loaded at the first draw: loading it at import slows the start of every command
+    src = str(Path(snmcache.__file__).resolve().parents[1])
+    code = "import sys, snmcache, snmcache.cli; print('numpy.random' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout == "False\n"

@@ -17,7 +17,7 @@ from snmcache.analysis import (
     effective_lifespan,
 )
 from snmcache.cachesim import simulate_lru
-from snmcache import generators
+from snmcache import generators, shuffle
 from snmcache.generators import (
     IrmConfig,
     PopularityShape,
@@ -253,9 +253,9 @@ class TestGenerateSnm:
 
 
 class TestKeyedSeeding:
-    # The keyed streams are seeded in one vectorized pass that restates
-    # numpy's SeedSequence and PCG64 seeding; a change to either in numpy
-    # fails these at once.
+    # The content and slice keys are hashed in one vectorized pass that
+    # restates numpy's SeedSequence hash, the package's one restatement of
+    # numpy; a change to it in numpy fails these at once.
     MASK64 = 2**64 - 1
     SEEDS = [0, 1, 7, 2**32 + 5, 2**64 - 1, -12345]  # the last is masked to 64 bits
     # serial 0, small serials, and serials of 2**32 and more, which take a second key word
@@ -282,14 +282,25 @@ class TestKeyedSeeding:
             checked += self.check(seed, [0x51], np.arange(60))  # slice_shuffle's 2-word-prefix keys
         assert checked >= 1500
 
-    def test_whole_keys_match_numpy(self):
-        for seed in self.SEEDS:
-            for key in ([generators._TAG_IRM], [generators._TAG_BIRTHS, 0], [generators._TAG_BIRTHS, 2**32 + 3]):
-                row = generators._seed_words(seed, key)
-                ref = np.random.SeedSequence([seed & self.MASK64, *key])
-                assert row.tolist() == [ref.generate_state(4, np.uint64).tolist()]
-                rng = next(generators._rngs(row))
-                assert rng.random(3).tolist() == np.random.default_rng([seed & self.MASK64, *key]).random(3).tolist()
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(-2**70, 2**70), st.lists(st.integers(0, 2**70), max_size=3),
+           st.lists(st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1)), max_size=6))
+    def test_seed_words_are_seed_sequence_states(self, seed, prefix, last):
+        rows = generators._seed_words(seed, prefix, np.array(last, np.uint64))
+        assert rows.tolist() == [np.random.SeedSequence([seed & self.MASK64, *prefix, j])
+                                 .generate_state(4, np.uint64).tolist() for j in last]
+
+    def test_rngs_are_distinct_generators(self):
+        # all drawn from only after every generator exists
+        rngs = list(generators._rngs(generators._seed_words(7, [generators._TAG_CONTENT, 3], np.arange(5))))
+        assert len({id(rng) for rng in rngs}) == 5
+        for j, rng in enumerate(rngs):
+            ref = np.random.default_rng([7, generators._TAG_CONTENT, 3, j])
+            assert rng.random(3).tolist() == ref.random(3).tolist()
+
+    def test_stream_tags_are_distinct(self):
+        tags = [generators._TAG_IRM, generators._TAG_BIRTHS, generators._TAG_CONTENT, shuffle._SHUFFLE_TAG]
+        assert len(set(tags)) == len(tags)
 
     def test_empty_serials(self):
         assert generators._seed_words(1, [generators._TAG_CONTENT, 1], np.arange(0)).shape == (0, 4)

@@ -74,6 +74,11 @@ class TestReadTrace:
         with pytest.raises(TraceFormatError):
             read_trace(io.StringIO("# trace-v1\n0.5,\n"))
 
+    def test_repeated_horizon_field(self):
+        with pytest.raises(TraceFormatError, match="repeated header field 'horizon'") as exc:
+            read_trace(io.StringIO("# trace-v1 horizon=5 horizon=1\n0.5,a\n"))
+        assert exc.value.line == 1
+
     def test_timestamp_beyond_declared_horizon(self):
         with pytest.raises(TraceFormatError) as exc:
             read_trace(io.StringIO("# trace-v1 horizon=1\n2.0,a\n"))
@@ -193,6 +198,14 @@ class TestConstructor:
     def test_column_lengths_must_match(self):
         with pytest.raises(ValueError, match="column lengths differ: 3 times, 2 codes"):
             Trace(np.array([0.0, 1.0, 2.0]), np.array([0, 0], np.int32), ["a"], 3.0)
+
+    def test_codes_may_be_any_integer_sequence(self):
+        assert Trace([0.0, 1.0], [1, 0], ["a", "b"], 3.0) == Trace.from_columns([0.0, 1.0], ["b", "a"], 3.0)
+        assert len(Trace([], np.array([], np.float64), [], 0.0)) == 0  # an empty column of any dtype
+
+    def test_codes_must_be_integers(self):
+        with pytest.raises(ValueError, match="codes must be integers, got float64"):
+            Trace(np.array([0.0, 1.0]), np.array([0.0, 1.0]), ["a", "b"], 3.0)
 
     @pytest.mark.parametrize("codes", [[-1, -1], [0, 2], [1, -2]])
     def test_codes_must_index_the_names(self, codes):
