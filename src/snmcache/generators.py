@@ -14,26 +14,26 @@ Two traffic models are provided:
 
 An optional day/night modulation multiplies every content's rate by
 f(t) = 1 + sin(2*pi*t) (t in days), realized by exact thinning against
-the bound f <= 2.  :func:`shot_requests` is the one per-content
-sampler, for shots, stationary contents and thinning alike.
+the bound f <= 2.  :func:`shot_requests` samples one content.
 
 Generation is deterministic given a seed: every draw comes from
 ``np.random.default_rng(key)`` for a key (seed, tag, ...).  A class's
 content keys (seed, tag, class, serial) are hashed in one vectorized
 pass of numpy's SeedSequence, and numpy seeds each key's PCG64 from its
-precomputed state.  The batch generator
-(:func:`generate_snm`) and the event stream (:class:`SnmEventStream`)
-walk one content list and place request times with one array function,
-the batch over whole classes, the stream per content in birth order
-through one merge loop, so they produce identical traces.
+precomputed state.  One function draws any set of contents and places
+their request times per class in numpy: :func:`generate_snm` calls it
+once and sorts, :class:`SnmEventStream` on windows of contents in birth
+order, merging each into its pending requests.  So both produce
+identical traces.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from array import array
+from collections import namedtuple
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import IO, Callable, Iterator, Sequence
 
@@ -42,21 +42,9 @@ import numpy as np
 from .trace import RequestEvent, Trace, format_cell, write_atomic
 
 __all__ = [
-    "PopularityShape",
-    "IrmConfig",
-    "SnmClassConfig",
-    "SnmConfig",
-    "SnmEventStream",
-    "SHAPE_KINDS",
-    "daynight_factor",
-    "lifespan_to_L",
-    "shot_requests",
-    "generate_irm",
-    "generate_snm",
-    "zipf_probabilities",
-    "parse_snm_config",
-    "snm_config_files",
-    "write_snm_config",
+    "PopularityShape", "IrmConfig", "SnmClassConfig", "SnmConfig", "SnmEventStream", "SHAPE_KINDS",
+    "daynight_factor", "lifespan_to_L", "shot_requests", "generate_irm", "generate_snm",
+    "zipf_probabilities", "parse_snm_config", "snm_config_files", "write_snm_config",
 ]
 
 SHAPE_KINDS = ("exponential", "uniform", "stationary")
@@ -75,6 +63,7 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 # numpy draws no Poisson count of a larger mean ("lam value too large"):
 # the configs bound every value that becomes one
 _POISSON_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
+_WINDOW = 4096  # contents the event stream draws and merges at a time
 
 
 def _pool_state(entropy: list[np.ndarray]) -> np.ndarray:
@@ -119,11 +108,8 @@ def _pool_state(entropy: list[np.ndarray]) -> np.ndarray:
 def _seed_words(seed: int, key: Sequence[int], last) -> np.ndarray:
     """Rows of ``np.random.SeedSequence(k).generate_state(4, np.uint64)``
     for the keys k = [seed mod 2**64, *key, j], one per j of ``last``, all
-    at once.
-
-    Key words are ints >= 0, and each j is below 2**64.  As SeedSequence
-    does, each becomes its 32-bit words, least significant first, so a j
-    of 2**32 or more adds one word more than a smaller j.
+    at once.  Key words are ints >= 0 and each j is below 2**64; as in
+    SeedSequence, each becomes its 32-bit words, least significant first.
     """
     head = []
     for word in (seed & _MASK64, *key):
@@ -142,14 +128,9 @@ def _seed_words(seed: int, key: Sequence[int], last) -> np.ndarray:
     return rows
 
 
-class _State:
+class _State(namedtuple("_State", "row")):
     # numpy's ISeedSequence interface over one _seed_words row: PCG64 asks
     # for generate_state(4, np.uint64), which the row already is
-    __slots__ = ("row",)
-
-    def __init__(self, row: np.ndarray):
-        self.row = row
-
     def generate_state(self, n_words, dtype):
         return self.row
 
@@ -168,6 +149,12 @@ def _require(key: str, value, positive: bool = True) -> None:
     if bad.any():
         rule = "positive" if positive else ">= 0"
         raise ValueError(f"{key} must be {rule} and finite, got {values[bad].flat[0]}")
+
+
+def _require_int(key: str, value) -> None:
+    # the configs' one integer rule: a Python or numpy integer, not a bool
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
 
 
 def _require_poisson(key: str, mean: float) -> None:
@@ -196,8 +183,7 @@ class PopularityShape:
     def density(self, t):
         t = np.asarray(t, dtype=float)
         if self.kind == "exponential":
-            vals = np.exp(-np.maximum(t, 0.0) / self.L) / self.L
-            return np.where(t < 0, 0.0, vals)
+            return np.where(t < 0, 0.0, np.exp(-np.maximum(t, 0.0) / self.L) / self.L)
         return np.where((t < 0) | (t > 2 * self.L), 0.0, 1.0 / (2 * self.L))
 
     def cdf(self, t):
@@ -221,6 +207,7 @@ class IrmConfig:
     horizon: float  # days
 
     def __post_init__(self):
+        _require_int("catalogue_size", self.catalogue_size)
         if self.catalogue_size < 1:
             raise ValueError(f"catalogue_size must be >= 1, got {self.catalogue_size}")
         if not self.alpha >= 0:
@@ -240,11 +227,11 @@ class SnmClassConfig:
     uniformly over the horizon with count Poisson(V_m), which is how
     classes without a usable life-span estimate are handled.
 
-    Rules shared with the config file: the class id is an integer >= 0
-    (a word of the content RNG keys); arrival rate, life-span (>= 0 if
-    stationary) and a constant volume are finite and positive; volume
-    samples are one or more finite values >= 0; twice the largest volume
-    (a content's day/night candidate mean) is within numpy's Poisson limit.
+    Rules shared with the config file: the class id is an integer >= 0,
+    not a bool (a word of the content RNG keys); arrival rate, life-span
+    (>= 0 if stationary) and a constant volume are finite and positive;
+    volume samples are one or more finite values >= 0; twice the largest
+    volume (a day/night candidate mean) is within numpy's Poisson limit.
     """
 
     class_id: int
@@ -254,6 +241,7 @@ class SnmClassConfig:
     volumes: float | tuple[float, ...]
 
     def __post_init__(self):
+        _require_int("class id", self.class_id)
         where = f"class {self.class_id}"
         if self.class_id < 0:
             raise ValueError(f"{where}: class id must be >= 0")
@@ -313,20 +301,18 @@ def lifespan_to_L(kind: str, lifespan: float) -> float:
     raise ValueError(f"shape kind {kind!r} has no life-span scale")
 
 
-def _place(shape: PopularityShape | None, births, masses, owner: np.ndarray | None, u: np.ndarray,
+def _place(shape: PopularityShape | None, births, masses, owner: np.ndarray, u: np.ndarray,
            horizon: float, thin: np.ndarray | None) -> tuple[np.ndarray, np.ndarray | None]:
-    # The request times of contents from their uniform draws, for every
-    # generator.  Candidate i of ``u`` belongs to content owner[i], of birth
-    # births[owner[i]] and shot mass masses[owner[i]] = F(horizon - birth);
-    # owner None means one content, of scalar birth and mass.  Under
-    # day/night ``thin`` holds one thinning draw per candidate.  Returns
-    # the kept times, unsorted, and which candidates were kept (None
-    # without day/night); ``u`` is overwritten.
+    # The request times of contents from their uniform draws ``u``, which
+    # are overwritten: candidate i is of content owner[i], of birth
+    # births[owner[i]] and shot mass masses[owner[i]] = F(horizon - birth),
+    # and under day/night ``thin`` holds its thinning draw.  Returns the
+    # kept times, unsorted, and which were kept (None without day/night).
     if shape is None:
         t = np.multiply(u, horizon, out=u)  # uniform over [0, horizon]
     else:
-        b, m = (births, masses) if owner is None else (births[owner], masses[owner])
-        t = shape.quantile(np.multiply(u, m, out=u))
+        b = births[owner]
+        t = shape.quantile(np.multiply(u, masses[owner], out=u))
         np.minimum(t, horizon - b, out=t)  # guard fp rounding at the window edge
         t += b
     if thin is None:
@@ -351,13 +337,12 @@ def shot_requests(
     Order-statistics construction of the inhomogeneous Poisson process
     with rate ``volume * shape(t - birth)``: the count is
     Poisson(volume * F(horizon - birth)) and the times are i.i.d. draws
-    from the shape truncated to [birth, horizon].  With ``shape`` None
-    the count is Poisson(volume) and the times are uniform over
-    [0, horizon] (a stationary content).  Under day/night modulation the
-    candidates are drawn at the dominating rate ``2 * volume * shape``
-    and each, at absolute time t, is kept with probability f(t)/2, so
-    the expected kept volume is volume * integral(shape * f): close to,
-    but not exactly, ``volume``.
+    from the shape truncated to [birth, horizon]; with ``shape`` None,
+    Poisson(volume) times uniform over [0, horizon] (a stationary
+    content).  Under day/night modulation the candidates are drawn at
+    the rate ``2 * volume * shape`` and each, at time t, is kept with
+    probability f(t)/2, so the expected kept volume is
+    volume * integral(shape * f): close to, but not exactly, ``volume``.
     """
     mass = 1.0
     if shape is not None:
@@ -365,7 +350,7 @@ def shot_requests(
             raise ValueError(f"horizon {horizon!r} precedes birth {birth!r}")
         mass = float(shape.cdf(horizon - birth))
     u, thin = _draws(rng, (2.0 if daynight else 1.0) * volume * mass, daynight)
-    t, _ = _place(shape, birth, mass, None, u, horizon, thin)
+    t, _ = _place(shape, np.array([birth]), np.array([mass]), np.zeros(u.size, np.intp), u, horizon, thin)
     t.sort()
     return t
 
@@ -388,7 +373,8 @@ def generate_irm(config: IrmConfig, seed: int) -> Trace:
     cum[-1] = 1.0
     ranks = np.searchsorted(cum, rng.random(config.total_requests), side="right") + 1
     times = np.sort(rng.uniform(0.0, config.horizon, config.total_requests))
-    used, codes = np.unique(ranks, return_inverse=True)
+    present = np.bincount(ranks) > 0
+    used, codes = np.flatnonzero(present), (np.cumsum(present) - 1)[ranks]
     return Trace(times, codes, [f"r{n}" for n in used.tolist()], config.horizon)
 
 
@@ -405,23 +391,63 @@ def _volume(volumes: float | tuple[float, ...], rng: np.random.Generator) -> flo
     return float(volumes[rng.integers(0, len(volumes))])
 
 
-def _births(classes: Sequence[SnmClassConfig], horizon: float, seed: int) -> list[tuple]:
-    # Every class of a run with its contents' births, for the batch generator
-    # and the event stream alike: (class, shape, births), where content
-    # serials index the sorted births.  A stationary content's birth is 0,
-    # which its placement ignores.
-    out = []
-    for cfg in SnmConfig(horizon, list(classes)).classes:
-        rng = np.random.default_rng([seed & _MASK64, _TAG_BIRTHS, cfg.class_id])
+# Every content of a run, in id-string order ("c1_10" before "c1_2"): its
+# class (an index into the (config, shape) pairs of ``classes``), its
+# serial (an index into its class's sorted births), birth and id.
+_Run = namedtuple("_Run", "horizon seed daynight classes klass serial birth names")
+
+
+def _births(classes: Sequence[SnmClassConfig], horizon: float, seed: int, daynight: bool) -> _Run:
+    # The contents of a run, for every SNM generator.  A stationary
+    # content's birth is 0, which its placement ignores.
+    _require_int("seed", seed)
+    pairs, klass, serial, birth, names = [], [], [], [], []
+    # class id prefixes ("c12_", "c1_") order as the ids that start with them
+    for cfg in sorted(SnmConfig(horizon, list(classes)).classes, key=lambda cfg: f"c{cfg.class_id}_"):
+        rng = np.random.default_rng([int(seed) & _MASK64, _TAG_BIRTHS, cfg.class_id])
         births = np.sort(rng.uniform(0.0, horizon, rng.poisson(cfg.arrival_rate * horizon)))
         shape = _class_shape(cfg)
-        out.append((cfg, shape, np.zeros_like(births) if shape is None else births))
-    return out
+        serials = np.array(sorted(range(births.size), key=str), np.int64)
+        klass.append(np.full(births.size, len(pairs)))
+        pairs.append((cfg, shape))
+        serial.append(serials)
+        birth.append(np.zeros_like(births) if shape is None else births[serials])
+        names += [f"c{cfg.class_id}_{s}" for s in serials.tolist()]
+    return _Run(horizon, int(seed), daynight, pairs, *map(np.concatenate, (klass, serial, birth)), names)
 
 
-def generate_snm(
-    classes: Sequence[SnmClassConfig], horizon: float, seed: int, daynight: bool = False
-) -> Trace:
+def _window(run: _Run, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # The request times of contents idx, unsorted, and their owners as
+    # positions in idx.  The contents are drawn and placed per class, in
+    # the order of run.classes and then of idx, each one's requests together.
+    factor = 2.0 if run.daynight else 1.0
+    times, owners = [], []
+    for c, (cfg, shape) in enumerate(run.classes):
+        pos = np.flatnonzero(run.klass[idx] == c).astype(np.int32)
+        births = run.birth[idx[pos]]
+        masses = np.ones_like(births) if shape is None else shape.cdf(run.horizon - births)
+        counts = np.empty(pos.size, np.int64)
+        cands, thins = array("d"), array("d")  # every content's draws, appended in place
+        rngs = _rngs(_seed_words(run.seed, [_TAG_CONTENT, cfg.class_id], run.serial[idx[pos]]))
+        for k, (rng, mass) in enumerate(zip(rngs, masses.tolist())):
+            u, thin = _draws(rng, factor * _volume(cfg.volumes, rng) * mass, run.daynight)
+            counts[k] = u.size
+            cands.frombytes(u.tobytes())
+            if run.daynight:
+                thins.frombytes(thin.tobytes())
+        owner = np.repeat(np.arange(pos.size, dtype=np.int32), counts)
+        t, keep = _place(shape, births, masses, owner, np.frombuffer(cands), run.horizon,
+                         np.frombuffer(thins) if run.daynight else None)
+        # Each step drops its inputs as soon as its output exists, so that
+        # peak memory stays near one trace's columns.
+        del cands, thins
+        times.append(t)
+        owners.append(pos[owner if keep is None else owner[keep]])
+    return np.concatenate(times), np.concatenate(owners)
+
+
+def generate_snm(classes: Sequence[SnmClassConfig], horizon: float, seed: int,
+                 daynight: bool = False) -> Trace:
     """Generate a full shot-noise trace.
 
     Per class: content births form a homogeneous Poisson process on
@@ -430,78 +456,57 @@ def generate_snm(
     the horizon are censored.  Content ids are "c<class>_<serial>" with
     serials assigned in birth order.
     """
-    factor = 2.0 if daynight else 1.0
-    times, owners, names = [], [], []
-    # Contents are laid out in id-string order ("c1_10" before "c1_2"), so
-    # a stable sort on time breaks ties by id string, as the event
-    # stream's heap does.
-    for cfg, shape, births in sorted(_births(classes, horizon, seed), key=lambda c: f"c{c[0].class_id}_"):
-        serials = np.array(sorted(range(births.size), key=str), np.int64)
-        births = births[serials]
-        masses = np.ones_like(births) if shape is None else shape.cdf(horizon - births)
-        counts = np.empty(births.size, np.int64)
-        cands, thins = array("d"), array("d")  # every content's draws, appended in place
-        rngs = _rngs(_seed_words(seed, [_TAG_CONTENT, cfg.class_id], serials))
-        for k, (rng, mass) in enumerate(zip(rngs, masses.tolist())):
-            u, thin = _draws(rng, factor * _volume(cfg.volumes, rng) * mass, daynight)
-            counts[k] = u.size
-            cands.frombytes(u.tobytes())
-            if daynight:
-                thins.frombytes(thin.tobytes())
-        owner = np.repeat(np.arange(births.size, dtype=np.int32), counts)
-        t, keep = _place(shape, births, masses, owner, np.frombuffer(cands), horizon,
-                         np.frombuffer(thins) if daynight else None)
-        # Each step below drops its inputs as soon as its output exists, so
-        # that peak memory stays near one trace's columns.
-        del cands, thins
-        times.append(t)
-        owners.append((owner if keep is None else owner[keep]) + len(names))
-        names += [f"c{cfg.class_id}_{s}" for s in serials.tolist()]
-    t, owner = np.concatenate(times), np.concatenate(owners)
-    del times, owners
+    run = _births(classes, horizon, seed, daynight)
+    # the contents are drawn in id-string order, so a stable sort on time
+    # breaks ties by id string, as the event stream's merge does
+    t, owner = _window(run, np.arange(run.birth.size))
     order = np.argsort(t, kind="stable")
     t, owner = t[order], owner[order]
     del order
-    return Trace(t, owner, names, horizon)
+    return Trace(t, owner, run.names, horizon)
 
 
 class SnmEventStream:
     """Streaming shot-noise generator: events in global timestamp order.
 
-    One merge loop walks the content list of :func:`generate_snm` in
-    birth order (stationary contents, listed at birth 0, first): it
-    yields the pending events earlier than each birth, then pushes that
-    content's requests onto a heap; each event costs a log of the
-    pending count.  A shot content is drawn at its birth, but every
-    stationary content's requests are pending from the first event on,
-    and they dominate ``peak_pending`` when stationary requests are most
-    of the trace, as with the reference classes.  The stream yields
-    exactly the events of :func:`generate_snm` for the same arguments.
+    It draws the contents of :func:`generate_snm` as it does, in birth
+    order (stationary ones, at birth 0, first) and ``_WINDOW`` at a time,
+    merges each window's events into the pending ones in linear time and
+    yields those earlier than the next window's first birth: exactly the
+    events of :func:`generate_snm`.  ``peak_pending`` is the most a heap
+    fed each content's requests at its birth would hold, updated as the
+    stream passes each birth (0 before the first event): after content k,
+    the events drawn through k minus those earlier than its birth.  All
+    stationary requests are pending from the first event on.
     """
 
     def __init__(self, classes: Sequence[SnmClassConfig], horizon: float, seed: int, daynight=False):
         self.horizon = horizon
         self.peak_pending = 0
-        contents, rows = [], []
-        for cfg, shape, births in _births(classes, horizon, seed):
-            rows.append(_seed_words(seed, [_TAG_CONTENT, cfg.class_id], np.arange(births.size)))
-            contents += [(birth, cfg.class_id, serial, cfg, shape) for serial, birth in enumerate(births.tolist())]
-        # (birth, class id, serial) is unique, so the sort never compares classes
-        order = sorted(range(len(contents)), key=contents.__getitem__)
-        self._events = self._merge([contents[k] for k in order], np.concatenate(rows)[order], daynight)
+        self._events = self._merge(_births(classes, horizon, seed, daynight))
 
-    def _merge(self, contents: list[tuple], rows: np.ndarray, daynight: bool):
-        heap: list[RequestEvent] = []
-        for (birth, class_id, serial, cfg, shape), rng in zip(contents, _rngs(rows)):
-            while heap and heap[0].timestamp < birth:
-                yield heapq.heappop(heap)
-            cid = f"c{class_id}_{serial}"
-            volume = _volume(cfg.volumes, rng)
-            for t in shot_requests(shape, birth, volume, self.horizon, rng, daynight).tolist():
-                heapq.heappush(heap, RequestEvent(t, cid))
-            self.peak_pending = max(self.peak_pending, len(heap))
-        while heap:
-            yield heapq.heappop(heap)
+    def _merge(self, run: _Run) -> Iterator[RequestEvent]:
+        # A pending event is the key time + 1j * id rank (its owner's index
+        # in the run), which numpy orders as the pair (time, rank).
+        order = np.argsort(run.birth, kind="stable")
+        births = np.append(run.birth[order], np.inf)
+        pending, peak = np.empty(0, complex), 0
+        for lo in range(0, order.size, _WINDOW):
+            idx = order[lo:lo + _WINDOW]
+            t, owner = _window(run, idx)
+            held = pending.size + np.cumsum(np.bincount(owner, minlength=idx.size))
+            new = np.sort(t + 1j * idx[owner])
+            pending = np.insert(pending, np.searchsorted(pending, new), new)
+            # the pending events earlier than each birth, the next window's first included
+            marks = np.searchsorted(pending, births[lo:lo + idx.size + 1])
+            peaks = np.maximum.accumulate(np.append(peak, held - marks[:-1])).tolist()
+            keys, marks = pending[:marks[-1]], [0, *marks.tolist()]
+            ids = map(run.names.__getitem__, keys.imag.astype(np.intp).tolist())
+            events = list(map(tuple.__new__, repeat(RequestEvent), zip(keys.real.tolist(), ids)))
+            for peak, a, b in zip(peaks, marks, marks[1:]):
+                self.peak_pending = peak
+                yield from events[a:b]
+            pending = pending[keys.size:]
 
     def __iter__(self):
         return self
@@ -517,9 +522,9 @@ class SnmEventStream:
 # and one line per class:
 #     class=<id>, arrival_rate=<real>, lifespan_days=<real>,
 #     shape=<exponential|uniform|stationary>, volumes=<path|const:<real>>
-# Volume sample paths are resolved relative to the config file.  A field
-# may appear once (top-level fields once per file) and class ids are unique.
-# The values follow the rules of SnmConfig and SnmClassConfig.
+# Volume sample paths are resolved relative to the config file.  A field may
+# appear once (top-level fields once per file), class ids are unique, and the
+# values follow the rules of SnmConfig and SnmClassConfig.
 
 
 def _add_field(fields: dict[str, str], item: str) -> tuple[str, str]:
@@ -544,16 +549,12 @@ def _number(kind: type, key: str, text: str):
 
 
 def _load_volume_file(path: Path) -> tuple[float, ...]:
-    values = []
     with open(path, encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if not line.isdecimal():
-                raise ValueError(f"{path} line {lineno}: expected an integer >= 0, got {line!r}")
-            values.append(float(line))
-    return tuple(values)
+        lines = [line.strip() for line in f]
+    for lineno, line in enumerate(lines, start=1):
+        if line and not line.isdecimal():
+            raise ValueError(f"{path} line {lineno}: expected an integer >= 0, got {line!r}")
+    return tuple(float(line) for line in lines if line)
 
 
 def parse_snm_config(path: str | Path) -> SnmConfig:
@@ -632,10 +633,8 @@ def snm_config_files(config: SnmConfig, path: str | Path) -> dict[Path, Callable
                 raise ValueError(f"class {cfg.class_id}: volume sample {bad!r} is not an integer")
             vol_spec = f"{cfg.class_id}.volumes"
             texts[path.parent / vol_spec] = "".join(f"{int(v)}\n" for v in cfg.volumes)
-        lines.append(
-            f"class={cfg.class_id}, arrival_rate={format_cell(cfg.arrival_rate)}, "
-            f"lifespan_days={format_cell(cfg.lifespan)}, shape={cfg.shape_kind}, volumes={vol_spec}"
-        )
+        lines.append(f"class={cfg.class_id}, arrival_rate={format_cell(cfg.arrival_rate)}, "
+                     f"lifespan_days={format_cell(cfg.lifespan)}, shape={cfg.shape_kind}, volumes={vol_spec}")
     texts[path] = "\n".join(lines) + "\n"
     return {p: lambda f, text=text: f.write(text) for p, text in texts.items()}
 

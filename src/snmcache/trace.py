@@ -77,11 +77,10 @@ def _encode(ids: Sequence[str], index: dict[str, int]) -> np.ndarray:
 class Trace:
     """Immutable request trace held as columns.
 
-    ``Trace(times, codes, names, horizon)`` takes a timestamp column and
-    an equally long column of integer indices into ``names`` (else
-    ValueError);
-    the names are renumbered by first appearance and those that no
-    request uses are left out.
+    ``Trace(times, codes, names, horizon)`` takes a 1-D timestamp column
+    and an equally long 1-D column of integer indices into ``names``
+    (else ValueError); the names are renumbered by first appearance and
+    those that no request uses are left out.
     :meth:`from_columns` takes the content ids themselves and
     :meth:`from_events` collects a stream of events.  ``times`` must be
     non-decreasing and lie in ``[0, horizon]``, a finite horizon >= 0;
@@ -94,6 +93,9 @@ class Trace:
     def __init__(self, times, codes, names: Sequence[str], horizon: float):
         self.times = np.array(times, np.float64)
         codes = np.asarray(codes)
+        for name, column in (("times", self.times), ("codes", codes)):
+            if column.ndim != 1:
+                raise ValueError(f"{name} must be a 1-D column, got {column.ndim}-D")
         if codes.dtype.kind not in "iu":
             if codes.size:
                 raise ValueError(f"codes must be integers, got {codes.dtype}")

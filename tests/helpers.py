@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import heapq
 import math
 
 import numpy as np
 
-from snmcache.generators import SnmClassConfig
+from snmcache import generators
+from snmcache.generators import SnmClassConfig, shot_requests
 from snmcache.trace import RequestEvent, Trace
 
 # Reference per-class parameters (share of contents, mean life-span in
@@ -65,3 +67,30 @@ def naive_reuse_distances(ids) -> list[float]:
             out.append(math.inf)
         last[x] = i
     return out
+
+
+def heap_stream(classes, horizon: float, seed: int, daynight: bool = False):
+    """Heap-merge oracle of ``SnmEventStream``: yields each event with the
+    pending peak after it.  The contents come in (birth, class, serial)
+    order, each drawn alone from its own ``default_rng`` key; pending
+    events earlier than a birth are popped before that content's
+    requests are pushed."""
+    key = seed & 0xFFFFFFFFFFFFFFFF
+    contents = []
+    for cfg in classes:
+        rng = np.random.default_rng([key, generators._TAG_BIRTHS, cfg.class_id])
+        births = np.sort(rng.uniform(0.0, horizon, rng.poisson(cfg.arrival_rate * horizon)))
+        shape = generators._class_shape(cfg)
+        contents += [(0.0 if shape is None else birth, cfg.class_id, serial, cfg, shape)
+                     for serial, birth in enumerate(births.tolist())]
+    heap, peak = [], 0
+    for birth, class_id, serial, cfg, shape in sorted(contents, key=lambda c: c[:3]):
+        while heap and heap[0].timestamp < birth:
+            yield heapq.heappop(heap), peak
+        rng = np.random.default_rng([key, generators._TAG_CONTENT, class_id, serial])
+        volume = generators._volume(cfg.volumes, rng)
+        for t in shot_requests(shape, birth, volume, horizon, rng, daynight).tolist():
+            heapq.heappush(heap, RequestEvent(t, f"c{class_id}_{serial}"))
+        peak = max(peak, len(heap))
+    while heap:
+        yield heapq.heappop(heap), peak

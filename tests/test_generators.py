@@ -35,7 +35,7 @@ from snmcache.generators import (
 )
 from snmcache.trace import RequestEvent, validate, write_trace
 
-from helpers import reference_classes
+from helpers import heap_stream, reference_classes
 
 
 class TestLifespanToL:
@@ -162,6 +162,25 @@ class TestGenerateIrm:
         assert IrmConfig(catalogue_size=10, alpha=0.8, total_requests=2**31 - 1, horizon=5.0)
         with pytest.raises(ValueError, match=r"total_requests must be in \[1, 2\*\*31 - 1\], got 2147483648"):
             IrmConfig(catalogue_size=10, alpha=0.8, total_requests=2**31, horizon=5.0)
+
+    def test_ids_are_the_drawn_ranks(self):
+        # the used ranks and their codes come from a bincount presence mask
+        cfg = IrmConfig(catalogue_size=1000, alpha=0.3, total_requests=800, horizon=2.0)
+        rng = np.random.default_rng([9, generators._TAG_IRM])
+        cum = np.cumsum(zipf_probabilities(1000, 0.3))
+        cum[-1] = 1.0
+        ranks = np.searchsorted(cum, rng.random(800), side="right") + 1
+        trace = generate_irm(cfg, seed=9)
+        assert trace.content_ids() == [f"r{r}" for r in ranks.tolist()]
+        assert len(trace.ids) == np.unique(ranks).size < 800
+
+    @pytest.mark.parametrize("size", [10.5, True, "10", None])
+    def test_catalogue_size_must_be_an_integer(self, size):
+        # 10.5 used to give a catalogue of 11
+        with pytest.raises(ValueError, match=re.escape(f"catalogue_size must be an integer, got {size!r}")):
+            IrmConfig(size, 1.0, 1000, 1.0)
+        cfg = IrmConfig(np.int64(10), 1.0, 1000, 1.0)
+        assert generate_irm(cfg, 2) == generate_irm(IrmConfig(10, 1.0, 1000, 1.0), 2)
 
     def test_probabilities_normalized(self):
         p = zipf_probabilities(1000, 0.8)
@@ -371,6 +390,35 @@ class TestEventStream:
         assert ids.index("c1_10") < ids.index("c1_2")
         assert list(SnmEventStream(classes, 5.0, seed=3)) == batch.events
 
+    @pytest.mark.parametrize("window", [1, 2, 3, generators._WINDOW])
+    @pytest.mark.parametrize("daynight", [False, True])
+    def test_windows_match_heap_oracle(self, monkeypatch, window, daynight):
+        # after every next(), the event and peak_pending are those of a heap
+        # fed each content's requests at its birth
+        monkeypatch.setattr(generators, "_WINDOW", window)
+        classes = self.small_classes() + [SnmClassConfig(3, 3.0, 0.6, "exponential", (2.0, 90.0))]
+        for seed in (0, 7, 11):
+            expected = list(heap_stream(classes, 8.0, seed, daynight))
+            stream = SnmEventStream(classes, 8.0, seed, daynight)
+            assert stream.peak_pending == 0
+            assert [(event, stream.peak_pending) for event in stream] == expected
+            assert stream.peak_pending == expected[-1][1]
+
+    @pytest.mark.parametrize("window", [1, 2, 3, generators._WINDOW])
+    def test_tied_windows_match_heap_oracle(self, monkeypatch, window):
+        # every request at the horizon, so only the id orders the merge
+        def at_horizon(shape, births, masses, owner, u, horizon, thin):
+            return np.full(u.size, 5.0), None
+
+        monkeypatch.setattr(generators, "_place", at_horizon)
+        monkeypatch.setattr(generators, "_WINDOW", window)
+        classes = [SnmClassConfig(1, 4.0, 1.0, "uniform", 10.0),
+                   SnmClassConfig(5, 2.0, 1.0, "stationary", 10.0),
+                   SnmClassConfig(12, 3.0, 1.0, "exponential", 6.0)]
+        expected = list(heap_stream(classes, 5.0, 3))
+        stream = SnmEventStream(classes, 5.0, 3)
+        assert [(event, stream.peak_pending) for event in stream] == expected
+
     def test_pending_size_bound(self):
         # expected pending load is arrival_rate * E[volume * lifespan]
         classes = [SnmClassConfig(1, 10.0, 3.4, "uniform", 40.0)]
@@ -435,6 +483,28 @@ class TestConfigRules:
     def test_poisson_means_beyond_numpy_name_class_and_field(self, generate, changes, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             generate(self.one_class(**changes), 10.0, 0)
+
+    @pytest.mark.parametrize("class_id", [1.5, True, "1", np.float64(1.0)])
+    def test_class_id_must_be_an_integer(self, class_id):
+        # 1.5 and True used to construct, True generating the ids cTrue_0, ...
+        with pytest.raises(ValueError, match=re.escape(f"class id must be an integer, got {class_id!r}")):
+            self.one_class(class_id=class_id)
+
+    def test_numpy_integer_class_id_is_accepted(self):
+        assert generate_snm(self.one_class(class_id=np.int64(1)), 10.0, 3) == generate_snm(self.one_class(), 10.0, 3)
+
+    @pytest.mark.parametrize("generate", [generate_snm, SnmEventStream])
+    @pytest.mark.parametrize("seed", [1.5, True, "3", None])
+    def test_seed_must_be_an_integer(self, generate, seed):
+        # 1.5 used to raise a TypeError from the seed's 64-bit mask
+        with pytest.raises(ValueError, match=re.escape(f"seed must be an integer, got {seed!r}")):
+            generate(self.one_class(), 10.0, seed)
+
+    def test_numpy_integer_seed_is_the_python_int(self):
+        # a numpy seed used to overflow in the seed's 64-bit mask
+        expected = generate_snm(self.one_class(), 10.0, 3)
+        assert generate_snm(self.one_class(), 10.0, np.int64(3)) == expected
+        assert list(SnmEventStream(self.one_class(), 10.0, np.uint64(3))) == expected.events
 
     @pytest.mark.parametrize("volume", [np.int64(4), np.float32(4.0), np.array(4.0)])
     def test_numpy_constant_volume_is_the_python_float(self, tmp_path, volume):

@@ -1,5 +1,6 @@
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -206,6 +207,17 @@ class TestConstructor:
     def test_codes_must_be_integers(self):
         with pytest.raises(ValueError, match="codes must be integers, got float64"):
             Trace(np.array([0.0, 1.0]), np.array([0.0, 1.0]), ["a", "b"], 3.0)
+
+    @pytest.mark.parametrize("times,codes,names,message", [
+        # a 0-d pair used to reach np.minimum.at's "not broadcastable"
+        (0.5, 0, ["a"], "times must be a 1-D column, got 0-D"),
+        # a 2-D pair used to construct, and write_trace then wrote "[0.5, 0.6],['a', 'b']"
+        ([[0.5, 0.6]], [[0, 1]], ["a", "b"], "times must be a 1-D column, got 2-D"),
+        ([0.5, 0.6], [[0, 1]], ["a", "b"], "codes must be a 1-D column, got 2-D"),
+    ])
+    def test_columns_must_be_1d(self, times, codes, names, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Trace(times, codes, names, 1.0)
 
     @pytest.mark.parametrize("codes", [[-1, -1], [0, 2], [1, -2]])
     def test_codes_must_index_the_names(self, codes):
