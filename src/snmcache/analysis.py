@@ -20,7 +20,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .generators import SnmClassConfig, SnmConfig
-from .trace import Trace
+from .trace import Trace, _by_content
 
 __all__ = [
     "ContentStats",
@@ -105,7 +105,7 @@ def effective_lifespan(times: Sequence[float]) -> float:
 
 def content_stats(trace: Trace) -> ContentStats:
     """Measure volume, effective life-span and first/last request per content."""
-    times = trace.times[np.argsort(trace.codes, kind="stable")]
+    times = trace.times[_by_content(trace.codes)[0]]
     volume = np.bincount(trace.codes, minlength=len(trace.ids))
     start = np.cumsum(volume) - volume
     lo = start + (volume + 9) // 10 - 1  # as in effective_lifespan

@@ -9,9 +9,12 @@ probability at every capacity at once, and the eviction statistics too
 Almasi, Cascaval & Padua 2002) counts, for each request, the earlier
 requests whose previous reference is older than its own, as a sum of
 rank differences over aligned power-of-two blocks: one in-place numpy
-sort of packed int64 keys per bit level, O(n log^2 n) with no Python
-loop per request.  :func:`simulate_lru`, a direct per-request LRU cache,
-is the reference simulator the distance results are tested against.
+sort of packed keys per bit level, O(n log^2 n) with no Python loop per
+request.  The levels up to 2^16 sort 32-bit keys within rows of 2^16
+requests, the previous references come from one sort of packed
+(content, position) keys, and the scratch memory is about 40 bytes a
+request.  :func:`simulate_lru`, a direct per-request LRU cache, is the
+reference simulator the distance results are tested against.
 The module only computes: the CLI writes its results to files.
 """
 
@@ -24,7 +27,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .trace import Trace
+from .trace import Trace, _by_content
 
 __all__ = [
     "LruResult",
@@ -34,6 +37,8 @@ __all__ = [
     "hit_curve",
     "size_for_hit_prob",
 ]
+
+_ROW_BITS = 16  # the low levels' rows of 2^16 requests, the widest whose keys fit in a uint32
 
 
 @dataclass(frozen=True)
@@ -95,28 +100,53 @@ def _stack_distances(prev: np.ndarray) -> np.ndarray:
     # is #{k < i : prev[k] < p} - p.  [0, i) is the left siblings of i's
     # aligned 2^b blocks, b a set bit of i; with rank_c(i) the requests in
     # i's 2^c block with prev below p, such a sibling holds rank_{b+1}(i)
-    # - rank_b(i).  Level c sorts the keys (block start << s) | ((prev + 1)
-    # << c) | (k & mask) in place; a block fills its own positions, so the
-    # low c bits of key and position give request and rank.  Keys take 2s
-    # bits and ranks are int32, hence n < 2^31.  O(n log^2 n): s sorts.
+    # - rank_b(i).  Level c sorts keys in place; a block fills its own
+    # positions, so the low c bits of key and position give request and
+    # rank.  Levels c <= e sort the uint32 keys (block << e | r) << c |
+    # (offset & mask) of each row of 2^e requests, r the rank in the row
+    # (one sort of ((prev + 1) << e) | offset; the padding ranks last).
+    # Levels c > e sort (block start << s) | ((prev + 1) << c) | (k & mask)
+    # over the trace: 2s bits; ranks are int32, hence n < 2^31.  O(n log^2 n).
     n = prev.shape[0]
     if n >= 1 << 31:
         raise ValueError(f"at most 2**31 - 1 requests, got {n}")
-    s, k, p1 = n.bit_length(), np.arange(n, dtype=np.int64), prev + 1
-    key, head, tail = np.empty(n, np.int64), np.empty(n, np.int64), np.empty(n, np.int64)
-    low, high, below = np.zeros(n, np.int32), np.empty(n, np.int32), np.zeros(n, np.int32)
-    for c in range(1, s + 1):
+    s, e = n.bit_length(), min(_ROW_BITS, max(n - 1, 0).bit_length())
+    w, size = 1 << e, -(-n >> e) << e  # row width, padded length
+    off, starts = np.arange(w, dtype=np.uint32), np.arange(0, size, w, dtype=np.uint32)[:, None]
+    key, r = np.full(size, n << e, np.int64), np.empty(size, np.int32)  # padding ranks last: real prev + 1 < n
+    np.left_shift(prev + 1, e, out=key[:n])
+    rows = key.reshape(-1, w)
+    rows |= off
+    rows.sort(axis=1)
+    r[np.add(rows & (w - 1), starts, out=rows)] = off
+    keys = key.view(np.uint32)[:size].reshape(-1, w)  # the row sort is done with the buffer
+    low, high, below = np.zeros(size, np.int32), np.empty(size, np.int32), np.zeros(size, np.int32)
+    for c in range(1, e + 1):
+        mask, h = (1 << c) - 1, 1 << (c - 1)
+        np.left_shift(r.view(np.uint32).reshape(-1, w), c, out=keys)
+        keys |= (off >> c << c << e) | (off & mask)
+        keys.sort(axis=1)
+        keys &= mask
+        keys |= off >> c << c
+        high[np.add(keys, starts, out=keys)] = off & mask
+        # below += high - low where bit c - 1 of i is set: the second halves of the (whole) 2^c blocks
+        below.reshape(-1, 2, h)[:, 1] += high.reshape(-1, 2, h)[:, 1] - low.reshape(-1, 2, h)[:, 1]
+        low, high = high, low
+    key, low, high, below = key[:n], r[:n], low[:n], below[:n]  # low holds rank_e, which is r
+    k, tail = np.arange(n, dtype=np.int64), np.empty(n, np.int64)
+    for c in range(e + 1, s + 1):
         mask, h, m = (1 << c) - 1, 1 << (c - 1), n >> c << c  # m: the end of the whole 2^c blocks
-        np.left_shift(p1, c, out=key)
+        np.left_shift(prev, c, out=key)
+        key += 1 << c
         key |= np.bitwise_and(k, mask, out=tail)
-        key |= np.left_shift(np.bitwise_and(k, ~mask, out=head), s, out=tail)
+        key |= np.left_shift(np.bitwise_and(k, ~mask, out=tail), s, out=tail)
         key.sort()
         key &= mask
-        high[np.bitwise_or(key, head, out=key)] = np.bitwise_and(k, mask, out=tail)
-        # below += high - low where bit c - 1 of i is set: whole blocks' second halves, and from m + h on
+        key |= np.bitwise_and(k, ~mask, out=tail)
+        high[key] = np.bitwise_and(k, mask, out=tail)
         right, hi, lo = (a[:m].reshape(-1, 2, h)[:, 1] for a in (below, high, low))
         right += hi - lo
-        below[m + h:] += high[m + h:] - low[m + h:]
+        below[m + h:] += high[m + h:] - low[m + h:]  # and the last, partial block from m + h on
         low, high = high, low
     out = np.subtract(below, prev, out=key.view(np.float64))  # the keys are done with
     out[prev < 0] = np.inf
@@ -125,9 +155,9 @@ def _stack_distances(prev: np.ndarray) -> np.ndarray:
 
 def _previous(codes: np.ndarray) -> np.ndarray:
     # index of the previous request for the same content, -1 if none
-    order = np.argsort(codes, kind="stable")
+    order, grouped = _by_content(codes)
     prev = np.full(codes.size, -1, dtype=np.int64)
-    same = codes[order[1:]] == codes[order[:-1]]
+    same = grouped[1:] == grouped[:-1]
     prev[order[1:][same]] = order[:-1][same]
     return prev
 
@@ -146,6 +176,8 @@ def lru_results(trace: Trace, distances: np.ndarray, capacities: Sequence[int]) 
 
     Request i's content is evicted at capacity C iff keep[i] > C (its next request's distance, or
     1 + the contents last requested after it); LRU evicts those i in order, at misses C+1, C+2, ..."""
+    if len(distances) != len(trace):
+        raise ValueError(f"distances must be one per request: {len(distances)} for {len(trace)} requests")
     prev = _previous(trace.codes)
     keep = np.full(len(trace), np.nan)
     keep[prev[prev >= 0]] = distances[prev >= 0]

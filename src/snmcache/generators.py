@@ -143,8 +143,11 @@ def _rngs(rows: np.ndarray) -> Iterator[np.random.Generator]:
 
 
 def _require(key: str, value, positive: bool = True) -> None:
-    # the configs' one value rule, over a number or (in one pass) a sequence
-    values = np.asarray(value, dtype=float)
+    # the configs' one value rule, over a number or (in one pass) a sequence, not strings
+    values = np.asarray(value)
+    if values.dtype.kind in "SU":
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    values = values.astype(float)
     bad = ~np.isfinite(values) | ((values <= 0) if positive else (values < 0))
     if bad.any():
         rule = "positive" if positive else ">= 0"
@@ -210,8 +213,8 @@ class IrmConfig:
         _require_int("catalogue_size", self.catalogue_size)
         if self.catalogue_size < 1:
             raise ValueError(f"catalogue_size must be >= 1, got {self.catalogue_size}")
-        if not self.alpha >= 0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
+        _require("alpha", self.alpha, positive=False)
+        _require_int("total_requests", self.total_requests)
         if not 1 <= self.total_requests <= 2**31 - 1:  # reuse_distances' limit
             raise ValueError(f"total_requests must be in [1, 2**31 - 1], got {self.total_requests}")
         _require("horizon", self.horizon)
@@ -368,7 +371,8 @@ def generate_irm(config: IrmConfig, seed: int) -> Trace:
     Content ids are the popularity ranks ("r1" most popular).  Sampling
     is inverse-transform on the cumulative Zipf distribution.
     """
-    rng = np.random.default_rng([seed & _MASK64, _TAG_IRM])
+    _require_int("seed", seed)
+    rng = np.random.default_rng([int(seed) & _MASK64, _TAG_IRM])
     cum = np.cumsum(zipf_probabilities(config.catalogue_size, config.alpha))
     cum[-1] = 1.0
     ranks = np.searchsorted(cum, rng.random(config.total_requests), side="right") + 1

@@ -74,6 +74,17 @@ def _encode(ids: Sequence[str], index: dict[str, int]) -> np.ndarray:
     return np.fromiter((index.setdefault(c, len(index)) for c in ids), np.int32, count=len(ids))
 
 
+def _by_content(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # the stable by-content order of a codes column, and the codes in that order, from one
+    # (SIMD) sort of the int64 keys code << 32 | position; positions take 32 bits
+    key = np.left_shift(codes, 32, dtype=np.int64)
+    key |= np.arange(codes.size)
+    key.sort()
+    order = key & 0xFFFFFFFF
+    key >>= 32
+    return order, key
+
+
 class Trace:
     """Immutable request trace held as columns.
 

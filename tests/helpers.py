@@ -69,6 +69,40 @@ def naive_reuse_distances(ids) -> list[float]:
     return out
 
 
+def fenwick_reuse_distances(codes) -> list[float]:
+    """O(n log n) oracle for reuse distances: a Fenwick tree over request
+    positions holds a 1 at each content's last request so far; a request's
+    distance is 1 + the marks between its content's previous request and it."""
+    n = len(codes)
+    tree = [0] * (n + 1)  # 1-based: tree[j] sums the marks at positions (j - lowbit(j), j]
+    last: dict = {}
+    out: list[float] = []
+    for i, x in enumerate(codes):
+        p = last.get(x)
+        if p is None:
+            out.append(math.inf)
+        else:
+            hi, lo, marks = i, p + 1, 1  # the marks at 1-based positions (lo, hi], walked down to their meeting
+            while hi != lo:
+                if hi > lo:
+                    marks += tree[hi]
+                    hi &= hi - 1
+                else:
+                    marks -= tree[lo]
+                    lo &= lo - 1
+            out.append(float(marks))
+            j = p + 1
+            while j <= n:
+                tree[j] -= 1
+                j += j & -j
+        j = i + 1
+        while j <= n:
+            tree[j] += 1
+            j += j & -j
+        last[x] = i
+    return out
+
+
 def heap_stream(classes, horizon: float, seed: int, daynight: bool = False):
     """Heap-merge oracle of ``SnmEventStream``: yields each event with the
     pending peak after it.  The contents come in (birth, class, serial)

@@ -1,4 +1,6 @@
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,11 +15,11 @@ from snmcache.cachesim import (
     simulate_lru,
     size_for_hit_prob,
 )
-from snmcache.generators import generate_snm
+from snmcache.generators import IrmConfig, generate_irm, generate_snm
 from snmcache.shuffle import slice_shuffle
 from snmcache.trace import RequestEvent, Trace
 
-from helpers import make_trace, naive_reuse_distances, random_trace, reference_classes
+from helpers import fenwick_reuse_distances, make_trace, naive_reuse_distances, random_trace, reference_classes
 
 
 class TestSimulateLru:
@@ -135,6 +137,40 @@ class TestReuseDistances:
             assert int(np.count_nonzero(d <= cap)) == simulate_lru(trace, cap).hits
 
 
+class TestRowBoundaries:
+    # the low levels run in rows of 2^16 requests, the last one padded; these
+    # lengths end a row exactly, one short of it, one past it and mid-row
+    @pytest.mark.parametrize("n", [2**16 - 1, 2**16, 2**16 + 1, 2**17 + 1, 3 * 2**16 + 5])
+    @pytest.mark.parametrize("n_ids", [3, 2000, None], ids=["3", "2000", "half"])
+    def test_fenwick_oracle_across_rows(self, n, n_ids):
+        codes = np.random.default_rng(n).integers(0, n_ids or n // 2, n)
+        trace = Trace(np.arange(n, dtype=float), codes, [f"id{k}" for k in range(codes.max() + 1)], float(n))
+        assert reuse_distances(trace).tolist() == fenwick_reuse_distances(trace.codes.tolist())
+
+    def test_fenwick_oracle_on_reference_snm_trace_and_its_shuffle(self):
+        trace = generate_snm(reference_classes(), 30.0, seed=1)
+        for t in (trace, slice_shuffle(trace, 1, seed=1)):
+            assert reuse_distances(t).tolist() == fenwick_reuse_distances(t.codes.tolist())
+
+    def test_fenwick_oracle_matches_naive_oracle(self):
+        rng = np.random.default_rng(9)
+        for _ in range(50):
+            ids = rng.integers(0, int(rng.integers(1, 40)), int(rng.integers(0, 300))).tolist()
+            assert fenwick_reuse_distances(ids) == naive_reuse_distances(ids)
+
+    def test_memory_peak_per_request(self):
+        # the kernel's scratch, _previous's and the result, on top of the trace: at most 50 bytes a request
+        trace = generate_irm(IrmConfig(1000, 0.8, 10**6, 30.0), seed=1)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            reuse_distances(trace)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 50 * len(trace)
+
+
 def lru_fields(results):
     # every field, mean_eviction_time by repr so NaN and the last bit count
     return [(r.capacity, r.requests, r.hits, r.evictions, repr(r.mean_eviction_time)) for r in results]
@@ -171,6 +207,13 @@ class TestLruResults:
         caps = [1, 2, 5, 10, 20, 50, 100, 200, 500, len(trace.ids)]
         expected = lru_fields(simulate_lru(trace, c) for c in caps)
         assert lru_fields(lru_results(trace, reuse_distances(trace), caps)) == expected
+
+    def test_distances_must_be_one_per_request(self):
+        # a shorter array used to raise IndexError
+        trace = make_trace([1, 2, 1])
+        for d in (reuse_distances(trace)[:2], np.ones(4)):
+            with pytest.raises(ValueError, match=re.escape(f"distances must be one per request: {d.size} for 3")):
+                lru_results(trace, d, [1])
 
     def test_capacity_error(self):
         trace = make_trace([1, 2])

@@ -182,6 +182,29 @@ class TestGenerateIrm:
         cfg = IrmConfig(np.int64(10), 1.0, 1000, 1.0)
         assert generate_irm(cfg, 2) == generate_irm(IrmConfig(10, 1.0, 1000, 1.0), 2)
 
+    @pytest.mark.parametrize("seed", [1.5, True, "3", None])
+    def test_seed_must_be_an_integer(self, seed):
+        # 1.5 used to raise a TypeError from the seed's 64-bit mask
+        with pytest.raises(ValueError, match=re.escape(f"seed must be an integer, got {seed!r}")):
+            generate_irm(IrmConfig(10, 1.0, 100, 1.0), seed)
+
+    def test_numpy_integer_seed_is_the_python_int(self):
+        # a numpy seed used to overflow in the seed's 64-bit mask
+        cfg = IrmConfig(10, 1.0, 100, 1.0)
+        assert generate_irm(cfg, np.int64(3)) == generate_irm(cfg, np.uint8(3)) == generate_irm(cfg, 3)
+
+    @pytest.mark.parametrize("total", [100.5, True, "100", np.float64(100.0)])
+    def test_total_requests_must_be_an_integer(self, total):
+        # 100.5 used to construct, and generate_irm then raised numpy's TypeError
+        with pytest.raises(ValueError, match=re.escape(f"total_requests must be an integer, got {total!r}")):
+            IrmConfig(10, 1.0, total, 1.0)
+
+    @pytest.mark.parametrize("alpha", ["a", "0.8", b"1", None])
+    def test_alpha_must_be_a_number(self, alpha):
+        # "a" used to raise a TypeError from the >= comparison
+        with pytest.raises(ValueError, match="^alpha must be"):
+            IrmConfig(10, alpha, 100, 1.0)
+
     def test_probabilities_normalized(self):
         p = zipf_probabilities(1000, 0.8)
         assert p.sum() == pytest.approx(1.0, abs=1e-12)

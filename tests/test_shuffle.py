@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 
 import numpy as np
@@ -35,6 +36,17 @@ class TestSliceShuffle:
             assert Counter(e.content_id for e in out.events[lo:hi]) == Counter(
                 e.content_id for e in trace.events[lo:hi]
             )
+
+    @pytest.mark.parametrize("seed", [1.5, True, "3", None])
+    def test_seed_must_be_an_integer(self, seed):
+        # 1.5 used to raise a TypeError from the seed's 64-bit mask
+        with pytest.raises(ValueError, match=re.escape(f"seed must be an integer, got {seed!r}")):
+            slice_shuffle(random_trace(np.random.default_rng(4), 50, 5), 3, seed)
+
+    def test_numpy_integer_seed_is_the_python_int(self):
+        # a numpy seed used to overflow in the seed's 64-bit mask
+        trace = random_trace(np.random.default_rng(4), 200, 10)
+        assert slice_shuffle(trace, 3, np.int64(7)) == slice_shuffle(trace, 3, np.uint16(7)) == slice_shuffle(trace, 3, 7)
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(3)
