@@ -6,15 +6,16 @@ counting the content itself).  A request is an LRU hit at capacity C iff
 its distance is <= C, so one distance pass yields the exact hit
 probability at every capacity at once, and the eviction statistics too
 (:func:`lru_results`).  The distance kernel (Mattson et al. 1970;
-Almasi, Cascaval & Padua 2002) counts, for each request, the earlier
-requests whose previous reference is older than its own, as a sum of
-rank differences over aligned power-of-two blocks: one in-place numpy
-sort of packed keys per bit level, O(n log^2 n) with no Python loop per
-request.  The levels up to 2^16 sort 32-bit keys within rows of 2^16
-requests, the previous references come from one sort of packed
-(content, position) keys, and the scratch memory is about 40 bytes a
-request.  :func:`simulate_lru`, a direct per-request LRU cache, is the
-reference simulator the distance results are tested against.
+Bennett & Kruskal 1975) counts, for each request, the earlier requests
+whose previous reference is older than its own, over aligned
+power-of-two blocks: one numpy sort of packed (previous reference,
+position) keys, then one linear pass per bit level that splits every
+block stably into its halves, O(n log n) with no Python loop per
+request.  The previous references come from one sort of packed
+(content, position) keys, and the scratch memory is about 41 bytes a
+request, the result included.  :func:`simulate_lru`, a direct
+per-request LRU cache, is the reference simulator the distance results
+are tested against.
 The module only computes: the CLI writes its results to files.
 """
 
@@ -37,8 +38,6 @@ __all__ = [
     "hit_curve",
     "size_for_hit_prob",
 ]
-
-_ROW_BITS = 16  # the low levels' rows of 2^16 requests, the widest whose keys fit in a uint32
 
 
 @dataclass(frozen=True)
@@ -97,58 +96,43 @@ def simulate_lru(trace: Trace, capacity: int) -> LruResult:
 
 def _stack_distances(prev: np.ndarray) -> np.ndarray:
     # For p = prev[i] >= 0, d_i = (i - p) - #{k < i : prev[k] > p}, which
-    # is #{k < i : prev[k] < p} - p.  [0, i) is the left siblings of i's
-    # aligned 2^b blocks, b a set bit of i; with rank_c(i) the requests in
-    # i's 2^c block with prev below p, such a sibling holds rank_{b+1}(i)
-    # - rank_b(i).  Level c sorts keys in place; a block fills its own
-    # positions, so the low c bits of key and position give request and
-    # rank.  Levels c <= e sort the uint32 keys (block << e | r) << c |
-    # (offset & mask) of each row of 2^e requests, r the rank in the row
-    # (one sort of ((prev + 1) << e) | offset; the padding ranks last).
-    # Levels c > e sort (block start << s) | ((prev + 1) << c) | (k & mask)
-    # over the trace: 2s bits; ranks are int32, hence n < 2^31.  O(n log^2 n).
+    # is below_i - p with below_i = #{k < i : prev[k] < p}.  Each k < i is
+    # in the left half of the one aligned 2^c block whose right half holds
+    # i.  One sort of ((prev + 1) << 32) | k lists the requests by prev;
+    # level c = s..1 splits each 2^c block stably by bit c - 1 of k, so
+    # every block keeps its requests in prev order and fills its own
+    # positions (the last, partial one too).  A right-half request at
+    # position j of its block, the t-th of its half, has j - t left-half
+    # requests before it: that adds to the high word.  After level 1,
+    # x[k] = below_k << 32 | k.  (prev + 1) << 32 fits an int64, hence
+    # n < 2^31.  O(n log n): one sort, s linear passes.
     n = prev.shape[0]
     if n >= 1 << 31:
         raise ValueError(f"at most 2**31 - 1 requests, got {n}")
-    s, e = n.bit_length(), min(_ROW_BITS, max(n - 1, 0).bit_length())
-    w, size = 1 << e, -(-n >> e) << e  # row width, padded length
-    off, starts = np.arange(w, dtype=np.uint32), np.arange(0, size, w, dtype=np.uint32)[:, None]
-    key, r = np.full(size, n << e, np.int64), np.empty(size, np.int32)  # padding ranks last: real prev + 1 < n
-    np.left_shift(prev + 1, e, out=key[:n])
-    rows = key.reshape(-1, w)
-    rows |= off
-    rows.sort(axis=1)
-    r[np.add(rows & (w - 1), starts, out=rows)] = off
-    keys = key.view(np.uint32)[:size].reshape(-1, w)  # the row sort is done with the buffer
-    low, high, below = np.zeros(size, np.int32), np.empty(size, np.int32), np.zeros(size, np.int32)
-    for c in range(1, e + 1):
-        mask, h = (1 << c) - 1, 1 << (c - 1)
-        np.left_shift(r.view(np.uint32).reshape(-1, w), c, out=keys)
-        keys |= (off >> c << c << e) | (off & mask)
-        keys.sort(axis=1)
-        keys &= mask
-        keys |= off >> c << c
-        high[np.add(keys, starts, out=keys)] = off & mask
-        # below += high - low where bit c - 1 of i is set: the second halves of the (whole) 2^c blocks
-        below.reshape(-1, 2, h)[:, 1] += high.reshape(-1, 2, h)[:, 1] - low.reshape(-1, 2, h)[:, 1]
-        low, high = high, low
-    key, low, high, below = key[:n], r[:n], low[:n], below[:n]  # low holds rank_e, which is r
-    k, tail = np.arange(n, dtype=np.int64), np.empty(n, np.int64)
-    for c in range(e + 1, s + 1):
-        mask, h, m = (1 << c) - 1, 1 << (c - 1), n >> c << c  # m: the end of the whole 2^c blocks
-        np.left_shift(prev, c, out=key)
-        key += 1 << c
-        key |= np.bitwise_and(k, mask, out=tail)
-        key |= np.left_shift(np.bitwise_and(k, ~mask, out=tail), s, out=tail)
-        key.sort()
-        key &= mask
-        key |= np.bitwise_and(k, ~mask, out=tail)
-        high[key] = np.bitwise_and(k, mask, out=tail)
-        right, hi, lo = (a[:m].reshape(-1, 2, h)[:, 1] for a in (below, high, low))
-        right += hi - lo
-        below[m + h:] += high[m + h:] - low[m + h:]  # and the last, partial block from m + h on
-        low, high = high, low
-    out = np.subtract(below, prev, out=key.view(np.float64))  # the keys are done with
+    x = np.left_shift(prev + 1, 32)
+    x |= np.arange(n)
+    x.sort()
+    x &= 0xFFFFFFFF
+    for c in range(max(n - 1, 0).bit_length(), 0, -1):
+        h, m = 1 << (c - 1), n >> c << c  # m: the end of the whole 2^c blocks
+        bit = np.bitwise_and(x, h).astype(bool)
+        pos = np.flatnonzero(bit)
+        right = x[pos]
+        i = np.arange(pos.size)
+        pos -= i
+        pos -= np.bitwise_and(i, -h, out=i)
+        right += np.left_shift(pos, 32, out=pos)
+        del pos, i
+        left = x[np.flatnonzero(np.logical_not(bit, out=bit))]
+        del bit
+        halves, w = x[:m].reshape(-1, 2, h), m >> 1
+        halves[:, 0] = left[:w].reshape(-1, h)
+        halves[:, 1] = right[:w].reshape(-1, h)
+        x[m : m + left.size - w] = left[w:]
+        x[m + h :] = right[w:]
+        del left, right
+    x >>= 32
+    out = np.subtract(x, prev, out=x.view(np.float64))
     out[prev < 0] = np.inf
     return out
 

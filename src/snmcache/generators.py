@@ -142,11 +142,14 @@ def _rngs(rows: np.ndarray) -> Iterator[np.random.Generator]:
     return map(np.random.default_rng, map(_State, rows))
 
 
-def _require(key: str, value, positive: bool = True) -> None:
-    # the configs' one value rule, over a number or (in one pass) a sequence, not strings
-    values = np.asarray(value)
-    if values.dtype.kind in "SU":
-        raise ValueError(f"{key} must be a number, got {value!r}")
+def _require(key: str, value, positive: bool = True, sample: bool = False) -> None:
+    # the configs' one value rule, over a number or (in one pass) a sample: a 1-D sequence, not strings
+    try:
+        values = np.asarray(value)
+    except ValueError:  # a ragged nested sequence
+        values = None
+    if values is None or values.dtype.kind in "SU" or (sample and values.ndim != 1):
+        raise ValueError(f"{key} must be {'a 1-D sequence of numbers' if sample else 'a number'}, got {value!r}")
     values = values.astype(float)
     bad = ~np.isfinite(values) | ((values <= 0) if positive else (values < 0))
     if bad.any():
@@ -233,8 +236,9 @@ class SnmClassConfig:
     Rules shared with the config file: the class id is an integer >= 0,
     not a bool (a word of the content RNG keys); arrival rate, life-span
     (>= 0 if stationary) and a constant volume are finite and positive;
-    volume samples are one or more finite values >= 0; twice the largest
-    volume (a day/night candidate mean) is within numpy's Poisson limit.
+    a volume sample is a 1-D sequence of one or more finite values >= 0;
+    twice the largest volume (a day/night candidate mean) is within
+    numpy's Poisson limit.
     """
 
     class_id: int
@@ -252,13 +256,13 @@ class SnmClassConfig:
             raise ValueError(f"{where}: unknown shape {self.shape_kind!r}")
         _require(f"{where}: arrival_rate", self.arrival_rate)
         _require(f"{where}: lifespan_days", self.lifespan, positive=self.shape_kind != "stationary")
-        if np.ndim(self.volumes) == 0:
+        if not isinstance(self.volumes, (list, tuple)) and np.ndim(self.volumes) == 0:
             object.__setattr__(self, "volumes", float(self.volumes))
             _require(f"{where}: volumes", self.volumes)
         elif len(self.volumes) == 0:
             raise ValueError(f"{where}: empty volume sample list")
         else:
-            _require(f"{where}: volumes sample", self.volumes, positive=False)
+            _require(f"{where}: volumes sample", self.volumes, positive=False, sample=True)
         _require_poisson(f"{where}: 2 * volumes", 2 * float(np.max(self.volumes)))
 
 

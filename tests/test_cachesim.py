@@ -138,8 +138,10 @@ class TestReuseDistances:
 
 
 class TestRowBoundaries:
-    # the low levels run in rows of 2^16 requests, the last one padded; these
-    # lengths end a row exactly, one short of it, one past it and mid-row
+    # each level splits the aligned 2^c blocks in halves and moves the last,
+    # partial block on its own; these lengths end on a power of two, fall one
+    # short of it or one past it, and the odd ones leave a partial block at
+    # every level
     @pytest.mark.parametrize("n", [2**16 - 1, 2**16, 2**16 + 1, 2**17 + 1, 3 * 2**16 + 5])
     @pytest.mark.parametrize("n_ids", [3, 2000, None], ids=["3", "2000", "half"])
     def test_fenwick_oracle_across_rows(self, n, n_ids):
@@ -159,7 +161,7 @@ class TestRowBoundaries:
             assert fenwick_reuse_distances(ids) == naive_reuse_distances(ids)
 
     def test_memory_peak_per_request(self):
-        # the kernel's scratch, _previous's and the result, on top of the trace: at most 50 bytes a request
+        # the kernel's scratch, _previous's and the result, on top of the trace: at most 45 bytes a request
         trace = generate_irm(IrmConfig(1000, 0.8, 10**6, 30.0), seed=1)
         tracemalloc.start()
         try:
@@ -168,7 +170,7 @@ class TestRowBoundaries:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak <= 50 * len(trace)
+        assert peak <= 45 * len(trace)
 
 
 def lru_fields(results):

@@ -507,6 +507,14 @@ class TestConfigRules:
         with pytest.raises(ValueError, match=re.escape(message)):
             generate(self.one_class(**changes), 10.0, 0)
 
+    @pytest.mark.parametrize("volumes", [[[1.0, 2.0]], [[1.0], [2.0, 3.0]], [[]]])
+    def test_volume_sample_must_be_one_dimensional(self, volumes):
+        # these constructed and failed later in numpy: a TypeError from generate_snm and
+        # snm_config_files, an "inhomogeneous shape" error and a zero-size reduction
+        message = f"class 1: volumes sample must be a 1-D sequence of numbers, got {volumes!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            self.one_class(volumes=volumes)
+
     @pytest.mark.parametrize("class_id", [1.5, True, "1", np.float64(1.0)])
     def test_class_id_must_be_an_integer(self, class_id):
         # 1.5 and True used to construct, True generating the ids cTrue_0, ...
