@@ -19,7 +19,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .generators import SnmClassConfig, SnmConfig
+from .generators import SnmClassConfig, SnmConfig, _require_int
 from .trace import Trace, _by_content
 
 __all__ = [
@@ -83,6 +83,7 @@ def slice_bounds(total: int, K: int) -> list[tuple[int, int]]:
     Slice i covers indices [floor(i*total/K), floor((i+1)*total/K)), so
     slice sizes differ by at most one request.
     """
+    _require_int("K", K)
     if K <= 0 or K > total:
         raise ValueError(f"K must be in [1, {total}], got {K}")
     return [((i * total) // K, ((i + 1) * total) // K) for i in range(K)]
@@ -124,6 +125,7 @@ def sliced_popularity(trace: Trace, K: int, top_ranks: int) -> list[RankRow]:
     5/95 percentiles across slices are reported; a slice with fewer
     distinct contents than the rank contributes frequency 0.
     """
+    _require_int("top_ranks", top_ranks)
     if top_ranks <= 0:
         raise ValueError(f"top_ranks must be positive, got {top_ranks}")
     n, m = len(trace), len(trace.ids)

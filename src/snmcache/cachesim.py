@@ -12,7 +12,7 @@ power-of-two blocks: one numpy sort of packed (previous reference,
 position) keys, then one linear pass per bit level that splits every
 block stably into its halves, O(n log n) with no Python loop per
 request.  The previous references come from one sort of packed
-(content, position) keys, and the scratch memory is about 41 bytes a
+(content, position) keys, and the scratch memory is about 33 bytes a
 request, the result included.  :func:`simulate_lru`, a direct
 per-request LRU cache, is the reference simulator the distance results
 are tested against.
@@ -28,6 +28,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .generators import _require_int
 from .trace import Trace, _by_content
 
 __all__ = [
@@ -67,8 +68,7 @@ def simulate_lru(trace: Trace, capacity: int) -> LruResult:
     miss inserts it and evicts the least recently used content when the
     cache exceeds its capacity.
     """
-    if capacity < 1:
-        raise ValueError(f"capacity must be >= 1, got {capacity}")
+    capacity = _capacity(capacity)
     cache: OrderedDict[int, None] = OrderedDict()
     last_access: dict[int, float] = {}
     hits = 0
@@ -92,6 +92,14 @@ def simulate_lru(trace: Trace, capacity: int) -> LruResult:
         evictions=evictions,
         mean_eviction_time=eviction_gap_total / evictions if evictions else math.nan,
     )
+
+
+def _capacity(c) -> int:
+    # the one capacity rule: an integer >= 1, not a bool
+    _require_int("capacity", c)
+    if c < 1:
+        raise ValueError(f"capacity must be >= 1, got {c}")
+    return int(c)
 
 
 def _stack_distances(prev: np.ndarray) -> np.ndarray:
@@ -141,8 +149,7 @@ def _previous(codes: np.ndarray) -> np.ndarray:
     # index of the previous request for the same content, -1 if none
     order, grouped = _by_content(codes)
     prev = np.full(codes.size, -1, dtype=np.int64)
-    same = grouped[1:] == grouped[:-1]
-    prev[order[1:][same]] = order[:-1][same]
+    prev[order[1:]] = np.where(grouped[1:] == grouped[:-1], order[:-1], -1)
     return prev
 
 
@@ -162,14 +169,13 @@ def lru_results(trace: Trace, distances: np.ndarray, capacities: Sequence[int]) 
     1 + the contents last requested after it); LRU evicts those i in order, at misses C+1, C+2, ..."""
     if len(distances) != len(trace):
         raise ValueError(f"distances must be one per request: {len(distances)} for {len(trace)} requests")
+    capacities = [_capacity(c) for c in capacities]
     prev = _previous(trace.codes)
     keep = np.full(len(trace), np.nan)
     keep[prev[prev >= 0]] = distances[prev >= 0]
     keep[np.isnan(keep)] = np.arange(np.count_nonzero(np.isnan(keep)), 0, -1)
     results = []
     for c in capacities:
-        if c < 1:
-            raise ValueError(f"capacity must be >= 1, got {c}")
         victims, evictors = np.flatnonzero(keep > c), np.flatnonzero(distances > c)[c:]
         gaps = np.cumsum(trace.times[evictors] - trace.times[victims])  # in order, as simulate_lru sums
         mean_gap = (0.0 + float(gaps[-1])) / gaps.size if gaps.size else math.nan  # from 0.0 too
@@ -188,9 +194,7 @@ def _finite_sorted(distances: Iterable[float]) -> tuple[np.ndarray, int]:
 def hit_curve(distances: Iterable[float], capacities: Sequence[int]) -> list[tuple[int, float]]:
     """Hit probability at each capacity from precomputed reuse distances."""
     finite, total = _finite_sorted(distances)
-    caps = [int(c) for c in capacities]
-    if any(c < 1 for c in caps):
-        raise ValueError(f"capacities must be positive, got {caps}")
+    caps = [_capacity(c) for c in capacities]
     if any(a > b for a, b in zip(caps, caps[1:])):
         raise ValueError("capacities must be sorted")
     counts = np.searchsorted(finite, caps, side="right")

@@ -20,10 +20,10 @@ Generation is deterministic given a seed: every draw comes from
 ``np.random.default_rng(key)`` for a key (seed, tag, ...).  A class's
 content keys (seed, tag, class, serial) are hashed in one vectorized
 pass of numpy's SeedSequence, and numpy seeds each key's PCG64 from its
-precomputed state.  One function draws any set of contents and places
-their request times per class in numpy: :func:`generate_snm` calls it
-once and sorts, :class:`SnmEventStream` on windows of contents in birth
-order, merging each into its pending requests.  So both produce
+precomputed state.  One function draws every content of a run, places
+their request times per class in numpy and sorts them into trace order:
+:func:`generate_snm` wraps its result in a :class:`Trace`, and
+:class:`SnmEventStream` yields it one event at a time.  So both produce
 identical traces.
 """
 
@@ -33,7 +33,7 @@ import math
 from array import array
 from collections import namedtuple
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import islice, repeat
 from pathlib import Path
 from typing import IO, Callable, Iterator, Sequence
 
@@ -63,7 +63,6 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 # numpy draws no Poisson count of a larger mean ("lam value too large"):
 # the configs bound every value that becomes one
 _POISSON_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
-_WINDOW = 4096  # contents the event stream draws and merges at a time
 
 
 def _pool_state(entropy: list[np.ndarray]) -> np.ndarray:
@@ -424,19 +423,20 @@ def _births(classes: Sequence[SnmClassConfig], horizon: float, seed: int, daynig
     return _Run(horizon, int(seed), daynight, pairs, *map(np.concatenate, (klass, serial, birth)), names)
 
 
-def _window(run: _Run, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # The request times of contents idx, unsorted, and their owners as
-    # positions in idx.  The contents are drawn and placed per class, in
-    # the order of run.classes and then of idx, each one's requests together.
+def _requests(run: _Run) -> tuple[np.ndarray, np.ndarray]:
+    # Every request of the run in trace order: its time and its owner, the
+    # content's index in the run.  The contents are drawn and placed per
+    # class, in the order of run.classes and then of their ids, each one's
+    # requests together, so the stable sort on time breaks ties by id string.
     factor = 2.0 if run.daynight else 1.0
     times, owners = [], []
     for c, (cfg, shape) in enumerate(run.classes):
-        pos = np.flatnonzero(run.klass[idx] == c).astype(np.int32)
-        births = run.birth[idx[pos]]
+        pos = np.flatnonzero(run.klass == c).astype(np.int32)
+        births = run.birth[pos]
         masses = np.ones_like(births) if shape is None else shape.cdf(run.horizon - births)
         counts = np.empty(pos.size, np.int64)
         cands, thins = array("d"), array("d")  # every content's draws, appended in place
-        rngs = _rngs(_seed_words(run.seed, [_TAG_CONTENT, cfg.class_id], run.serial[idx[pos]]))
+        rngs = _rngs(_seed_words(run.seed, [_TAG_CONTENT, cfg.class_id], run.serial[pos]))
         for k, (rng, mass) in enumerate(zip(rngs, masses.tolist())):
             u, thin = _draws(rng, factor * _volume(cfg.volumes, rng) * mass, run.daynight)
             counts[k] = u.size
@@ -451,7 +451,10 @@ def _window(run: _Run, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         del cands, thins
         times.append(t)
         owners.append(pos[owner if keep is None else owner[keep]])
-    return np.concatenate(times), np.concatenate(owners)
+    t, owner = np.concatenate(times), np.concatenate(owners)
+    del times, owners
+    order = np.argsort(t, kind="stable")
+    return t[order], owner[order]
 
 
 def generate_snm(classes: Sequence[SnmClassConfig], horizon: float, seed: int,
@@ -465,56 +468,40 @@ def generate_snm(classes: Sequence[SnmClassConfig], horizon: float, seed: int,
     serials assigned in birth order.
     """
     run = _births(classes, horizon, seed, daynight)
-    # the contents are drawn in id-string order, so a stable sort on time
-    # breaks ties by id string, as the event stream's merge does
-    t, owner = _window(run, np.arange(run.birth.size))
-    order = np.argsort(t, kind="stable")
-    t, owner = t[order], owner[order]
-    del order
-    return Trace(t, owner, run.names, horizon)
+    return Trace(*_requests(run), run.names, horizon)
 
 
 class SnmEventStream:
     """Streaming shot-noise generator: events in global timestamp order.
 
-    It draws the contents of :func:`generate_snm` as it does, in birth
-    order (stationary ones, at birth 0, first) and ``_WINDOW`` at a time,
-    merges each window's events into the pending ones in linear time and
-    yields those earlier than the next window's first birth: exactly the
-    events of :func:`generate_snm`.  ``peak_pending`` is the most a heap
-    fed each content's requests at its birth would hold, updated as the
-    stream passes each birth (0 before the first event): after content k,
-    the events drawn through k minus those earlier than its birth.  All
-    stationary requests are pending from the first event on.
+    It makes the draw of :func:`generate_snm` at the first ``next()``
+    and yields its requests one event at a time.  ``peak_pending``
+    is the most a heap fed each content's requests at its birth would
+    hold, updated as the stream passes each birth (0 before the first
+    event): after content k in birth order (stationary ones, at birth 0,
+    first), the requests of the contents born through k minus those
+    earlier than its birth.  All stationary requests are pending from
+    the first event on.
     """
 
     def __init__(self, classes: Sequence[SnmClassConfig], horizon: float, seed: int, daynight=False):
         self.horizon = horizon
         self.peak_pending = 0
-        self._events = self._merge(_births(classes, horizon, seed, daynight))
+        self._events = self._replay(_births(classes, horizon, seed, daynight))
 
-    def _merge(self, run: _Run) -> Iterator[RequestEvent]:
-        # A pending event is the key time + 1j * id rank (its owner's index
-        # in the run), which numpy orders as the pair (time, rank).
+    def _replay(self, run: _Run) -> Iterator[RequestEvent]:
+        t, owner = _requests(run)
         order = np.argsort(run.birth, kind="stable")
-        births = np.append(run.birth[order], np.inf)
-        pending, peak = np.empty(0, complex), 0
-        for lo in range(0, order.size, _WINDOW):
-            idx = order[lo:lo + _WINDOW]
-            t, owner = _window(run, idx)
-            held = pending.size + np.cumsum(np.bincount(owner, minlength=idx.size))
-            new = np.sort(t + 1j * idx[owner])
-            pending = np.insert(pending, np.searchsorted(pending, new), new)
-            # the pending events earlier than each birth, the next window's first included
-            marks = np.searchsorted(pending, births[lo:lo + idx.size + 1])
-            peaks = np.maximum.accumulate(np.append(peak, held - marks[:-1])).tolist()
-            keys, marks = pending[:marks[-1]], [0, *marks.tolist()]
-            ids = map(run.names.__getitem__, keys.imag.astype(np.intp).tolist())
-            events = list(map(tuple.__new__, repeat(RequestEvent), zip(keys.real.tolist(), ids)))
-            for peak, a, b in zip(peaks, marks, marks[1:]):
-                self.peak_pending = peak
-                yield from events[a:b]
-            pending = pending[keys.size:]
+        # the requests earlier than each birth in birth order, then all of them
+        marks = np.searchsorted(t, np.append(run.birth[order], np.inf))
+        held = np.cumsum(np.bincount(owner, minlength=order.size)[order])
+        peaks = np.maximum.accumulate(np.append(0, held - marks[:-1])).tolist()
+        sizes = np.diff(marks, prepend=0).tolist()
+        events = map(tuple.__new__, repeat(RequestEvent), zip(t.tolist(), np.array(run.names, object)[owner]))
+        del t, owner  # the events hold the requests from here on
+        for peak, size in zip(peaks, sizes):
+            self.peak_pending = peak
+            yield from islice(events, size)
 
     def __iter__(self):
         return self

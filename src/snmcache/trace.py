@@ -91,7 +91,8 @@ class Trace:
     ``Trace(times, codes, names, horizon)`` takes a 1-D timestamp column
     and an equally long 1-D column of integer indices into ``names``
     (else ValueError); the names are renumbered by first appearance and
-    those that no request uses are left out.
+    those that no request uses are left out, and those used must be
+    distinct (else ValueError).
     :meth:`from_columns` takes the content ids themselves and
     :meth:`from_events` collects a stream of events.  ``times`` must be
     non-decreasing and lie in ``[0, horizon]``, a finite horizon >= 0;
@@ -123,6 +124,10 @@ class Trace:
         self.codes = remap[codes]
         self.times.flags.writeable = self.codes.flags.writeable = False
         self.ids = tuple(names[i] for i in order.tolist())
+        if len(set(self.ids)) < len(self.ids):  # a file would merge the contents that share a name
+            seen: set[str] = set()
+            repeated = next(c for c in self.ids if c in seen or seen.add(c))
+            raise ValueError(f"the names the codes use must be distinct, got {repeated!r} twice")
         self.horizon = float(horizon)
 
     @classmethod

@@ -121,9 +121,12 @@ class TestSlicedPopularity:
 
     def test_k_validation(self):
         trace = self.toy()
-        for bad in (0, -1, len(trace.events) + 1):
-            with pytest.raises(ValueError):
+        for bad in (0, -1, len(trace.events) + 1, 1.5, True):  # 1.5 used to raise TypeError
+            with pytest.raises(ValueError, match="K must be"):
                 sliced_popularity(trace, K=bad, top_ranks=2)
+        for bad in (0, 2.0, True):
+            with pytest.raises(ValueError, match="top_ranks must be"):
+                sliced_popularity(trace, K=2, top_ranks=bad)
 
     def test_mean_non_increasing_in_rank(self):
         rng = np.random.default_rng(8)

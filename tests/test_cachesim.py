@@ -39,9 +39,11 @@ class TestSimulateLru:
         r = simulate_lru(make_trace(["x"] * 10), capacity=1)
         assert r.hit_prob == 0.9
 
-    def test_capacity_error(self):
-        with pytest.raises(ValueError):
-            simulate_lru(make_trace([1]), capacity=0)
+    @pytest.mark.parametrize("capacity", [0, -1, 1.5, 2.0, True, "2"])
+    def test_capacity_error(self, capacity):
+        # 1.5 used to run and report capacity=1.5
+        with pytest.raises(ValueError, match="capacity must be"):
+            simulate_lru(make_trace([1]), capacity=capacity)
 
     def test_eviction_time(self):
         # cap 2: c's arrival at t=7 evicts b (last access t=1)
@@ -161,7 +163,7 @@ class TestRowBoundaries:
             assert fenwick_reuse_distances(ids) == naive_reuse_distances(ids)
 
     def test_memory_peak_per_request(self):
-        # the kernel's scratch, _previous's and the result, on top of the trace: at most 45 bytes a request
+        # the kernel's scratch, _previous's and the result, on top of the trace: at most 36 bytes a request
         trace = generate_irm(IrmConfig(1000, 0.8, 10**6, 30.0), seed=1)
         tracemalloc.start()
         try:
@@ -170,7 +172,7 @@ class TestRowBoundaries:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak <= 45 * len(trace)
+        assert peak <= 36 * len(trace)
 
 
 def lru_fields(results):
@@ -217,10 +219,12 @@ class TestLruResults:
             with pytest.raises(ValueError, match=re.escape(f"distances must be one per request: {d.size} for 3")):
                 lru_results(trace, d, [1])
 
-    def test_capacity_error(self):
+    @pytest.mark.parametrize("capacity", [0, -1, 1.5, 2.0, True, "2"])
+    def test_capacity_error(self, capacity):
+        # 1.5 used to raise a bare TypeError
         trace = make_trace([1, 2])
-        with pytest.raises(ValueError):
-            lru_results(trace, reuse_distances(trace), [0])
+        with pytest.raises(ValueError, match="capacity must be"):
+            lru_results(trace, reuse_distances(trace), [1, capacity])
 
 
 class TestHitCurve:
@@ -240,11 +244,18 @@ class TestHitCurve:
             probs = [p for _, p in curve]
             assert all(a <= b for a, b in zip(probs, probs[1:]))
 
-    def test_bad_capacities(self):
-        with pytest.raises(ValueError):
-            hit_curve([1.0], [0])
+    @pytest.mark.parametrize("capacity", [0, -1, 1.5, 2.0, True, "2"])
+    def test_bad_capacities(self, capacity):
+        # 1.5 used to be read as capacity 1
+        with pytest.raises(ValueError, match="capacity must be"):
+            hit_curve([1.0], [capacity])
         with pytest.raises(ValueError):
             hit_curve([1.0], [5, 2])
+
+    def test_numpy_integer_capacities_give_python_ints(self):
+        curve = hit_curve([math.inf, 1.0, 1.0], np.array([1, 2]))
+        assert curve == [(1, 2 / 3), (2, 2 / 3)]
+        assert all(type(c) is int for c, _ in curve)
 
 
 class TestSizeForHitProb:

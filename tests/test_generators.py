@@ -2,6 +2,7 @@ import hashlib
 import io
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -413,12 +414,10 @@ class TestEventStream:
         assert ids.index("c1_10") < ids.index("c1_2")
         assert list(SnmEventStream(classes, 5.0, seed=3)) == batch.events
 
-    @pytest.mark.parametrize("window", [1, 2, 3, generators._WINDOW])
     @pytest.mark.parametrize("daynight", [False, True])
-    def test_windows_match_heap_oracle(self, monkeypatch, window, daynight):
+    def test_matches_heap_oracle(self, daynight):
         # after every next(), the event and peak_pending are those of a heap
         # fed each content's requests at its birth
-        monkeypatch.setattr(generators, "_WINDOW", window)
         classes = self.small_classes() + [SnmClassConfig(3, 3.0, 0.6, "exponential", (2.0, 90.0))]
         for seed in (0, 7, 11):
             expected = list(heap_stream(classes, 8.0, seed, daynight))
@@ -427,14 +426,12 @@ class TestEventStream:
             assert [(event, stream.peak_pending) for event in stream] == expected
             assert stream.peak_pending == expected[-1][1]
 
-    @pytest.mark.parametrize("window", [1, 2, 3, generators._WINDOW])
-    def test_tied_windows_match_heap_oracle(self, monkeypatch, window):
-        # every request at the horizon, so only the id orders the merge
+    def test_tied_times_match_heap_oracle(self, monkeypatch):
+        # every request at the horizon, so only the id orders the events
         def at_horizon(shape, births, masses, owner, u, horizon, thin):
             return np.full(u.size, 5.0), None
 
         monkeypatch.setattr(generators, "_place", at_horizon)
-        monkeypatch.setattr(generators, "_WINDOW", window)
         classes = [SnmClassConfig(1, 4.0, 1.0, "uniform", 10.0),
                    SnmClassConfig(5, 2.0, 1.0, "stationary", 10.0),
                    SnmClassConfig(12, 3.0, 1.0, "exponential", 6.0)]
@@ -463,13 +460,26 @@ class TestEventStream:
         assert stream.peak_pending == peak
         assert hashlib.sha256(repr(events).encode()).hexdigest() == digest
 
-    def test_contents_materialized_lazily(self):
-        # after one event only the contents born by then hold pending requests
+    def test_first_peak_counts_only_births_passed(self):
+        # after the first event, peak_pending counts the requests of the
+        # contents born by then, not those of the whole run
         classes = [SnmClassConfig(1, 10.0, 1.0, "uniform", 40.0)]
         stream = SnmEventStream(classes, 30.0, seed=0)
         next(stream)
         n_events = sum(1 for _ in SnmEventStream(classes, 30.0, seed=0))
         assert stream.peak_pending < n_events / 100
+
+    def test_memory_peak_per_request(self):
+        # a counting drain holds the run's requests once, as generate_snm
+        # does: at most 80 bytes a request at its peak
+        tracemalloc.start()
+        try:
+            n_events = sum(1 for _ in SnmEventStream(reference_classes(), 30.0, 1, daynight=True))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert n_events > 100_000
+        assert peak / n_events <= 80
 
 
 class TestConfigRules:

@@ -56,8 +56,8 @@ class TestSliceShuffle:
 
     def test_invalid_k(self):
         trace = make_trace([1, 2, 3])
-        for bad in (0, -2, 4):
-            with pytest.raises(ValueError):
+        for bad in (0, -2, 4, 1.5, True):  # True used to run a 1-slice shuffle
+            with pytest.raises(ValueError, match="K must be"):
                 slice_shuffle(trace, bad, seed=0)
 
     def test_identity_shuffle_same_lru_hit_prob(self):

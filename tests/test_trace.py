@@ -225,6 +225,16 @@ class TestConstructor:
         with pytest.raises(ValueError, match="codes must index the 2 names"):
             Trace(np.array([0.0, 1.0]), np.array(codes, np.int32), ["a", "b"], 3.0)
 
+    def test_used_names_must_be_distinct(self):
+        # two contents named "a" used to construct; the file write_trace wrote
+        # read back as one content, with other reuse distances
+        with pytest.raises(ValueError, match="distinct, got 'a' twice"):
+            Trace([0.0, 1.0, 2.0], [0, 1, 0], ["a", "a"], 2.0)
+        with pytest.raises(ValueError, match="got 'b' twice"):
+            Trace([0.0, 1.0, 2.0], [2, 0, 1], ["b", "c", "b"], 2.0)
+        # a repeated name that no code uses is left out, as any unused name is
+        assert Trace([0.0, 1.0], [0, 1], ["a", "b", "a"], 2.0).ids == ("a", "b")
+
 class TestValidate:
     def test_valid_trace(self):
         assert validate(make_trace(["a", "b", "a"])) == []
