@@ -30,7 +30,6 @@ from .generators import (
     lifespan_to_L,
     parse_snm_config,
     shot_requests,
-    write_snm_config,
     zipf_probabilities,
 )
 from .shuffle import slice_shuffle

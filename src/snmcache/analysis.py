@@ -4,7 +4,8 @@ Covers the measurement side of the toolkit: request volumes and
 effective life-spans per content, rank/frequency distributions over
 trace slices, power-law tail fitting, the volume/life-span density map,
 and the 6-class content partition.  :func:`content_stats` measures a
-trace once into a per-content table; classification, class summaries,
+trace once, in numpy, into a per-content table: the module has no
+per-content loop.  Classification, class summaries,
 the density map and :func:`fit_snm`, which turns the table into the
 shot-noise generator's config, all read that table.  The module only
 computes, and returns plain values (rank rows, a count matrix) that the
@@ -30,7 +31,6 @@ __all__ = [
     "DEFAULT_LIFESPAN_BOUNDS",
     "slice_bounds",
     "content_stats",
-    "effective_lifespan",
     "sliced_popularity",
     "fit_zipf",
     "classify_contents",
@@ -89,27 +89,18 @@ def slice_bounds(total: int, K: int) -> list[tuple[int, int]]:
     return [((i * total) // K, ((i + 1) * total) // K) for i in range(K)]
 
 
-def effective_lifespan(times: Sequence[float]) -> float:
-    """Life-span of one content from its sorted request times.
-
-    Elapsed time between the ceil(0.1*V)-th and ceil(0.9*V)-th requests
-    (1-based).  The ceilings are computed in integer arithmetic so e.g.
-    V=30 maps to indices (3, 27) without float rounding surprises.
-    """
-    v = len(times)
-    if v == 0:
-        raise ValueError("times must be non-empty")
-    i_lo = (v + 9) // 10  # ceil(0.1 * v)
-    i_hi = (9 * v + 9) // 10  # ceil(0.9 * v)
-    return times[i_hi - 1] - times[i_lo - 1]
-
-
 def content_stats(trace: Trace) -> ContentStats:
-    """Measure volume, effective life-span and first/last request per content."""
+    """Measure volume, effective life-span and first/last request per content.
+
+    A content's effective life-span is the time between its
+    ceil(0.1*V)-th and ceil(0.9*V)-th requests (1-based), of its V
+    requests; the ceilings are integer arithmetic, so V=30 uses
+    requests 3 and 27 with no float rounding.
+    """
     times = trace.times[_by_content(trace.codes)[0]]
     volume = np.bincount(trace.codes, minlength=len(trace.ids))
     start = np.cumsum(volume) - volume
-    lo = start + (volume + 9) // 10 - 1  # as in effective_lifespan
+    lo = start + (volume + 9) // 10 - 1
     hi = start + (9 * volume + 9) // 10 - 1
     return ContentStats(trace.ids, volume, times[hi] - times[lo], times[start], times[start + volume - 1])
 
@@ -160,8 +151,10 @@ def fit_zipf(rank_freqs: Sequence[tuple[int, float]], rank_range: tuple[int, int
     if len(pts) < 3:
         raise ValueError(f"need at least 3 ranks in range [{lo}, {hi}], got {len(pts)}")
     for r, f in pts:
-        if f <= 0:
-            raise ValueError(f"non-positive frequency {f!r} at rank {r}")
+        if not 1 <= r < math.inf:
+            raise ValueError(f"rank must be >= 1 and finite, got {r!r}")
+        if not 0 < f < math.inf:
+            raise ValueError(f"frequency must be positive and finite, got {f!r} at rank {r}")
     log_r = np.log([r for r, _ in pts])
     log_f = np.log([f for _, f in pts])
     slope, _ = np.polyfit(log_r, log_f, 1)
@@ -207,6 +200,8 @@ def class_summary(
     classes = np.asarray(classes)
     if classes.shape != (len(stats.ids),):
         raise ValueError(f"need one class per content: {len(stats.ids)} contents, got shape {classes.shape}")
+    if classes.dtype.kind not in "iu" and classes.size:
+        raise ValueError(f"class ids must be integers, got {classes.dtype}")
     n_classes = len(lifespan_bounds) + 2
     bad = (classes < 0) | (classes >= n_classes)
     if bad.any():

@@ -13,16 +13,14 @@ position) keys, then one linear pass per bit level that splits every
 block stably into its halves, O(n log n) with no Python loop per
 request.  The previous references come from one sort of packed
 (content, position) keys, and the scratch memory is about 33 bytes a
-request, the result included.  :func:`simulate_lru`, a direct
-per-request LRU cache, is the reference simulator the distance results
-are tested against.
+request, the result included.  :func:`simulate_lru` is the same
+evaluation at one capacity: the module has no per-request cache loop.
 The module only computes: the CLI writes its results to files.
 """
 
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -62,36 +60,13 @@ class LruResult:
 
 
 def simulate_lru(trace: Trace, capacity: int) -> LruResult:
-    """Run a unit-size-object LRU cache over the trace.
+    """Run a unit-size-object LRU cache over the trace: :func:`lru_results` at one capacity.
 
     Every access (hit or miss) makes the content most recently used; a
     miss inserts it and evicts the least recently used content when the
     cache exceeds its capacity.
     """
-    capacity = _capacity(capacity)
-    cache: OrderedDict[int, None] = OrderedDict()
-    last_access: dict[int, float] = {}
-    hits = 0
-    evictions = 0
-    eviction_gap_total = 0.0
-    for ts, cid in zip(trace.times.tolist(), trace.codes.tolist()):
-        if cid in cache:
-            hits += 1
-            cache.move_to_end(cid)
-        else:
-            cache[cid] = None
-            if len(cache) > capacity:
-                victim, _ = cache.popitem(last=False)
-                evictions += 1
-                eviction_gap_total += ts - last_access[victim]
-        last_access[cid] = ts
-    return LruResult(
-        capacity=capacity,
-        requests=len(trace),
-        hits=hits,
-        evictions=evictions,
-        mean_eviction_time=eviction_gap_total / evictions if evictions else math.nan,
-    )
+    return lru_results(trace, reuse_distances(trace), [_capacity(capacity)])[0]
 
 
 def _capacity(c) -> int:
@@ -163,7 +138,7 @@ def reuse_distances(trace: Trace) -> np.ndarray:
 
 
 def lru_results(trace: Trace, distances: np.ndarray, capacities: Sequence[int]) -> list[LruResult]:
-    """:func:`simulate_lru`'s result at each capacity, from the trace's reuse distances.
+    """The LRU cache's result at each capacity, from the trace's reuse distances.
 
     Request i's content is evicted at capacity C iff keep[i] > C (its next request's distance, or
     1 + the contents last requested after it); LRU evicts those i in order, at misses C+1, C+2, ..."""
@@ -177,8 +152,8 @@ def lru_results(trace: Trace, distances: np.ndarray, capacities: Sequence[int]) 
     results = []
     for c in capacities:
         victims, evictors = np.flatnonzero(keep > c), np.flatnonzero(distances > c)[c:]
-        gaps = np.cumsum(trace.times[evictors] - trace.times[victims])  # in order, as simulate_lru sums
-        mean_gap = (0.0 + float(gaps[-1])) / gaps.size if gaps.size else math.nan  # from 0.0 too
+        gaps = np.cumsum(trace.times[evictors] - trace.times[victims])  # summed in eviction order
+        mean_gap = (0.0 + float(gaps[-1])) / gaps.size if gaps.size else math.nan  # a sum from 0.0: never -0.0
         results.append(LruResult(c, len(trace), int(np.count_nonzero(distances <= c)), gaps.size, mean_gap))
     return results
 

@@ -39,12 +39,12 @@ from typing import IO, Callable, Iterator, Sequence
 
 import numpy as np
 
-from .trace import RequestEvent, Trace, format_cell, write_atomic
+from .trace import RequestEvent, Trace, format_cell
 
 __all__ = [
     "PopularityShape", "IrmConfig", "SnmClassConfig", "SnmConfig", "SnmEventStream", "SHAPE_KINDS",
     "daynight_factor", "lifespan_to_L", "shot_requests", "generate_irm", "generate_snm",
-    "zipf_probabilities", "parse_snm_config", "snm_config_files", "write_snm_config",
+    "zipf_probabilities", "parse_snm_config", "snm_config_files",
 ]
 
 SHAPE_KINDS = ("exponential", "uniform", "stationary")
@@ -142,12 +142,13 @@ def _rngs(rows: np.ndarray) -> Iterator[np.random.Generator]:
 
 
 def _require(key: str, value, positive: bool = True, sample: bool = False) -> None:
-    # the configs' one value rule, over a number or (in one pass) a sample: a 1-D sequence, not strings
+    # the configs' one value rule, over a real number or (in one pass) a sample, a 1-D sequence of
+    # them: Python or numpy integers and floats, not bools, complex numbers, strings or mappings
     try:
         values = np.asarray(value)
     except ValueError:  # a ragged nested sequence
         values = None
-    if values is None or values.dtype.kind in "SU" or (sample and values.ndim != 1):
+    if values is None or values.dtype.kind not in "iuf" or values.ndim != int(sample):
         raise ValueError(f"{key} must be {'a 1-D sequence of numbers' if sample else 'a number'}, got {value!r}")
     values = values.astype(float)
     bad = ~np.isfinite(values) | ((values <= 0) if positive else (values < 0))
@@ -256,8 +257,8 @@ class SnmClassConfig:
         _require(f"{where}: arrival_rate", self.arrival_rate)
         _require(f"{where}: lifespan_days", self.lifespan, positive=self.shape_kind != "stationary")
         if not isinstance(self.volumes, (list, tuple)) and np.ndim(self.volumes) == 0:
-            object.__setattr__(self, "volumes", float(self.volumes))
             _require(f"{where}: volumes", self.volumes)
+            object.__setattr__(self, "volumes", float(self.volumes))
         elif len(self.volumes) == 0:
             raise ValueError(f"{where}: empty volume sample list")
         else:
@@ -267,9 +268,10 @@ class SnmClassConfig:
 
 @dataclass
 class SnmConfig:
-    """A full generation run: horizon (finite and positive), seed,
-    modulation flag and one or more classes with unique ids, each with
-    expected births (arrival rate * horizon) within numpy's Poisson limit."""
+    """A full generation run: horizon (finite and positive), seed (None or
+    an integer, not a bool), modulation flag (a Python or numpy bool) and
+    one or more classes with unique ids, each with expected births
+    (arrival rate * horizon) within numpy's Poisson limit."""
 
     horizon: float
     classes: list[SnmClassConfig]
@@ -278,6 +280,10 @@ class SnmConfig:
 
     def __post_init__(self):
         _require("horizon", self.horizon)
+        if self.seed is not None:
+            _require_int("seed", self.seed)
+        if not isinstance(self.daynight, (bool, np.bool_)):
+            raise ValueError(f"daynight must be a bool, got {self.daynight!r}")
         if not self.classes:
             raise ValueError("class list must be non-empty")
         ids = [cfg.class_id for cfg in self.classes]
@@ -398,63 +404,51 @@ def _volume(volumes: float | tuple[float, ...], rng: np.random.Generator) -> flo
     return float(volumes[rng.integers(0, len(volumes))])
 
 
-# Every content of a run, in id-string order ("c1_10" before "c1_2"): its
-# class (an index into the (config, shape) pairs of ``classes``), its
-# serial (an index into its class's sorted births), birth and id.
-_Run = namedtuple("_Run", "horizon seed daynight classes klass serial birth names")
-
-
-def _births(classes: Sequence[SnmClassConfig], horizon: float, seed: int, daynight: bool) -> _Run:
-    # The contents of a run, for every SNM generator.  A stationary
-    # content's birth is 0, which its placement ignores.
+def _run_config(classes: Sequence[SnmClassConfig], horizon: float, seed: int, daynight: bool) -> SnmConfig:
+    # every precondition of an SNM run, checked before anything is drawn; its seed is not None
     _require_int("seed", seed)
-    pairs, klass, serial, birth, names = [], [], [], [], []
-    # class id prefixes ("c12_", "c1_") order as the ids that start with them
-    for cfg in sorted(SnmConfig(horizon, list(classes)).classes, key=lambda cfg: f"c{cfg.class_id}_"):
-        rng = np.random.default_rng([int(seed) & _MASK64, _TAG_BIRTHS, cfg.class_id])
-        births = np.sort(rng.uniform(0.0, horizon, rng.poisson(cfg.arrival_rate * horizon)))
-        shape = _class_shape(cfg)
-        serials = np.array(sorted(range(births.size), key=str), np.int64)
-        klass.append(np.full(births.size, len(pairs)))
-        pairs.append((cfg, shape))
-        serial.append(serials)
-        birth.append(np.zeros_like(births) if shape is None else births[serials])
-        names += [f"c{cfg.class_id}_{s}" for s in serials.tolist()]
-    return _Run(horizon, int(seed), daynight, pairs, *map(np.concatenate, (klass, serial, birth)), names)
+    return SnmConfig(horizon, list(classes), int(seed), daynight)
 
 
-def _requests(run: _Run) -> tuple[np.ndarray, np.ndarray]:
-    # Every request of the run in trace order: its time and its owner, the
-    # content's index in the run.  The contents are drawn and placed per
-    # class, in the order of run.classes and then of their ids, each one's
-    # requests together, so the stable sort on time breaks ties by id string.
+def _draw_run(run: SnmConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]:
+    # Every request of a run in trace order, as its time and owner (the content's index in id-string
+    # order, "c1_10" before "c1_2"), and every content's birth and id.  Classes go in id-prefix order
+    # ("c12_" before "c1_"), each one's contents in id order with their requests together, so the
+    # stable sort on time breaks ties by id.  A stationary content's birth is 0, which _place ignores.
     factor = 2.0 if run.daynight else 1.0
-    times, owners = [], []
-    for c, (cfg, shape) in enumerate(run.classes):
-        pos = np.flatnonzero(run.klass == c).astype(np.int32)
-        births = run.birth[pos]
-        masses = np.ones_like(births) if shape is None else shape.cdf(run.horizon - births)
-        counts = np.empty(pos.size, np.int64)
+    times, owners, births, names = [], [], [], []
+    for cfg in sorted(run.classes, key=lambda cfg: f"c{cfg.class_id}_"):
+        rng = np.random.default_rng([run.seed & _MASK64, _TAG_BIRTHS, cfg.class_id])
+        birth = np.sort(rng.uniform(0.0, run.horizon, rng.poisson(cfg.arrival_rate * run.horizon)))
+        serials = np.array(sorted(range(birth.size), key=str), np.int64)
+        shape = _class_shape(cfg)
+        birth = np.zeros_like(birth) if shape is None else birth[serials]
+        masses = np.ones_like(birth) if shape is None else shape.cdf(run.horizon - birth)
+        counts = np.empty(birth.size, np.int64)
         cands, thins = array("d"), array("d")  # every content's draws, appended in place
-        rngs = _rngs(_seed_words(run.seed, [_TAG_CONTENT, cfg.class_id], run.serial[pos]))
+        rngs = _rngs(_seed_words(run.seed, [_TAG_CONTENT, cfg.class_id], serials))
         for k, (rng, mass) in enumerate(zip(rngs, masses.tolist())):
             u, thin = _draws(rng, factor * _volume(cfg.volumes, rng) * mass, run.daynight)
             counts[k] = u.size
             cands.frombytes(u.tobytes())
             if run.daynight:
                 thins.frombytes(thin.tobytes())
-        owner = np.repeat(np.arange(pos.size, dtype=np.int32), counts)
-        t, keep = _place(shape, births, masses, owner, np.frombuffer(cands), run.horizon,
+        owner = np.repeat(np.arange(birth.size, dtype=np.int32), counts)
+        t, keep = _place(shape, birth, masses, owner, np.frombuffer(cands), run.horizon,
                          np.frombuffer(thins) if run.daynight else None)
         # Each step drops its inputs as soon as its output exists, so that
         # peak memory stays near one trace's columns.
         del cands, thins
+        owner = owner if keep is None else owner[keep]
+        owner += len(names)  # the contents of the classes drawn before
         times.append(t)
-        owners.append(pos[owner if keep is None else owner[keep]])
+        owners.append(owner)
+        births.append(birth)
+        names += [f"c{cfg.class_id}_{s}" for s in serials.tolist()]
     t, owner = np.concatenate(times), np.concatenate(owners)
     del times, owners
     order = np.argsort(t, kind="stable")
-    return t[order], owner[order]
+    return t[order], owner[order], np.concatenate(births), names
 
 
 def generate_snm(classes: Sequence[SnmClassConfig], horizon: float, seed: int,
@@ -467,8 +461,8 @@ def generate_snm(classes: Sequence[SnmClassConfig], horizon: float, seed: int,
     the horizon are censored.  Content ids are "c<class>_<serial>" with
     serials assigned in birth order.
     """
-    run = _births(classes, horizon, seed, daynight)
-    return Trace(*_requests(run), run.names, horizon)
+    t, owner, _, names = _draw_run(_run_config(classes, horizon, seed, daynight))
+    return Trace(t, owner, names, horizon)
 
 
 class SnmEventStream:
@@ -487,17 +481,17 @@ class SnmEventStream:
     def __init__(self, classes: Sequence[SnmClassConfig], horizon: float, seed: int, daynight=False):
         self.horizon = horizon
         self.peak_pending = 0
-        self._events = self._replay(_births(classes, horizon, seed, daynight))
+        self._events = self._replay(_run_config(classes, horizon, seed, daynight))
 
-    def _replay(self, run: _Run) -> Iterator[RequestEvent]:
-        t, owner = _requests(run)
-        order = np.argsort(run.birth, kind="stable")
+    def _replay(self, run: SnmConfig) -> Iterator[RequestEvent]:
+        t, owner, birth, names = _draw_run(run)
+        order = np.argsort(birth, kind="stable")
         # the requests earlier than each birth in birth order, then all of them
-        marks = np.searchsorted(t, np.append(run.birth[order], np.inf))
+        marks = np.searchsorted(t, np.append(birth[order], np.inf))
         held = np.cumsum(np.bincount(owner, minlength=order.size)[order])
         peaks = np.maximum.accumulate(np.append(0, held - marks[:-1])).tolist()
         sizes = np.diff(marks, prepend=0).tolist()
-        events = map(tuple.__new__, repeat(RequestEvent), zip(t.tolist(), np.array(run.names, object)[owner]))
+        events = map(tuple.__new__, repeat(RequestEvent), zip(t.tolist(), np.array(names, object)[owner]))
         del t, owner  # the events hold the requests from here on
         for peak, size in zip(peaks, sizes):
             self.peak_pending = peak
@@ -632,8 +626,3 @@ def snm_config_files(config: SnmConfig, path: str | Path) -> dict[Path, Callable
                      f"lifespan_days={format_cell(cfg.lifespan)}, shape={cfg.shape_kind}, volumes={vol_spec}")
     texts[path] = "\n".join(lines) + "\n"
     return {p: lambda f, text=text: f.write(text) for p, text in texts.items()}
-
-
-def write_snm_config(config: SnmConfig, path: str | Path) -> None:
-    """Write a generation config and its volume sidecars atomically."""
-    write_atomic(snm_config_files(config, path))

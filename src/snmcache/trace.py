@@ -174,7 +174,7 @@ def _violations(times: np.ndarray, codes: np.ndarray, ids, horizon: float) -> li
     if not 0 <= horizon < math.inf:
         violations.append(Violation("horizon", -1, f"horizon must be finite and >= 0, got {horizon!r}"))
         horizon = math.inf  # one horizon violation, not one more for each request
-    bad_ids = np.array([_CONTENT_ID.fullmatch(c) is None for c in ids], bool)
+    bad_ids = np.array([not isinstance(c, str) or _CONTENT_ID.fullmatch(c) is None for c in ids], bool)
     masks = (
         ("timestamp", ~(np.isfinite(times) & (times >= 0)), 0),
         ("content_id", bad_ids[codes], 0),

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import OrderedDict
 
 import numpy as np
 
 from snmcache import generators
+from snmcache.cachesim import LruResult, _capacity
 from snmcache.generators import SnmClassConfig, shot_requests
 from snmcache.trace import RequestEvent, Trace
 
@@ -54,6 +56,54 @@ def random_trace(rng: np.random.Generator, n_requests: int, n_ids: int, horizon:
     times = np.sort(rng.uniform(0.0, horizon, n_requests))
     events = [RequestEvent(float(t), f"id{x}") for t, x in zip(times, ids)]
     return Trace.from_events(events, horizon)
+
+
+def lru_oracle(trace: Trace, capacity: int) -> LruResult:
+    """Per-request oracle of ``simulate_lru``: a unit-size-object LRU cache.
+
+    Every access (hit or miss) makes the content most recently used; a
+    miss inserts it and evicts the least recently used content when the
+    cache exceeds its capacity.
+    """
+    capacity = _capacity(capacity)
+    cache: OrderedDict[int, None] = OrderedDict()
+    last_access: dict[int, float] = {}
+    hits = 0
+    evictions = 0
+    eviction_gap_total = 0.0
+    for ts, cid in zip(trace.times.tolist(), trace.codes.tolist()):
+        if cid in cache:
+            hits += 1
+            cache.move_to_end(cid)
+        else:
+            cache[cid] = None
+            if len(cache) > capacity:
+                victim, _ = cache.popitem(last=False)
+                evictions += 1
+                eviction_gap_total += ts - last_access[victim]
+        last_access[cid] = ts
+    return LruResult(
+        capacity=capacity,
+        requests=len(trace),
+        hits=hits,
+        evictions=evictions,
+        mean_eviction_time=eviction_gap_total / evictions if evictions else math.nan,
+    )
+
+
+def effective_lifespan(times) -> float:
+    """Per-content oracle of ``content_stats``' life-span, from one content's sorted request times.
+
+    Elapsed time between the ceil(0.1*V)-th and ceil(0.9*V)-th requests
+    (1-based).  The ceilings are computed in integer arithmetic so e.g.
+    V=30 maps to indices (3, 27) without float rounding surprises.
+    """
+    v = len(times)
+    if v == 0:
+        raise ValueError("times must be non-empty")
+    i_lo = (v + 9) // 10  # ceil(0.1 * v)
+    i_hi = (9 * v + 9) // 10  # ceil(0.9 * v)
+    return times[i_hi - 1] - times[i_lo - 1]
 
 
 def naive_reuse_distances(ids) -> list[float]:

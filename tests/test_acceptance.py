@@ -21,11 +21,10 @@ from snmcache.analysis import (
     class_summary,
     classify_contents,
     content_stats,
-    effective_lifespan,
     fit_zipf,
     sliced_popularity,
 )
-from snmcache.cachesim import hit_curve, reuse_distances, simulate_lru, size_for_hit_prob
+from snmcache.cachesim import hit_curve, reuse_distances, size_for_hit_prob
 from snmcache.generators import (
     IrmConfig,
     PopularityShape,
@@ -39,7 +38,7 @@ from snmcache.generators import (
 from snmcache.shuffle import slice_shuffle
 from snmcache.trace import read_trace, write_trace
 
-from helpers import make_trace, reference_classes
+from helpers import effective_lifespan, lru_oracle, make_trace, reference_classes
 
 SEEDS = list(range(20))
 T1_HORIZON = 30.0
@@ -97,7 +96,7 @@ def test_criterion_03_reuse_distance_oracle_equivalence():
         trace = make_trace([f"id{x}" for x in ids])
         d = reuse_distances(trace)
         for cap in range(1, 51):
-            if int(np.count_nonzero(d <= cap)) != simulate_lru(trace, cap).hits:
+            if int(np.count_nonzero(d <= cap)) != lru_oracle(trace, cap).hits:
                 ok = False
                 break
         if not ok:

@@ -1,6 +1,7 @@
 import functools
 import math
 import operator
+import re
 from bisect import bisect_left
 
 import numpy as np
@@ -15,7 +16,6 @@ from snmcache.analysis import (
     classify_contents,
     content_stats,
     density_map,
-    effective_lifespan,
     fit_snm,
     fit_zipf,
     slice_bounds,
@@ -24,7 +24,7 @@ from snmcache.analysis import (
 from snmcache.generators import generate_snm, parse_snm_config, snm_config_files
 from snmcache.trace import RequestEvent, Trace, write_atomic
 
-from helpers import make_trace, random_trace, reference_classes
+from helpers import effective_lifespan, make_trace, random_trace, reference_classes
 
 
 def row(stats: ContentStats, cid: str) -> tuple:
@@ -59,6 +59,7 @@ class TestContentStats:
         # V=30 must use requests 3 and 27; float ceil of 0.1*30 would give 4
         times = [float(i) for i in range(30)]
         assert effective_lifespan(times) == times[26] - times[2]
+        assert row(content_stats(make_trace(["a"] * 30, times=times)), "a")[1] == times[26] - times[2]
 
     def test_lifespan_bounded_by_span(self):
         rng = np.random.default_rng(0)
@@ -175,6 +176,20 @@ class TestFitZipf:
         with pytest.raises(ValueError):
             fit_zipf([(1, 0.6), (2, 0.4)], (1, 2))
 
+    @pytest.mark.parametrize("rows,message", [
+        # a NaN frequency used to return nan
+        ([(1, 0.5), (2, math.nan), (3, 0.2)], "frequency must be positive and finite, got nan at rank 2"),
+        ([(1, 0.5), (2, math.inf), (3, 0.2)], "frequency must be positive and finite, got inf at rank 2"),
+        ([(1, 0.5), (2, -0.1), (3, 0.2)], "frequency must be positive and finite, got -0.1 at rank 2"),
+        # rank 0 used to print LAPACK DLASCL errors and raise "SVD did not converge"
+        ([(0, 0.5), (1, 0.3), (2, 0.2)], "rank must be >= 1 and finite, got 0"),
+        ([(0.5, 0.5), (1, 0.3), (2, 0.2)], "rank must be >= 1 and finite, got 0.5"),
+    ])
+    def test_bad_ranks_and_frequencies_rejected(self, capfd, rows, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fit_zipf(rows, (0, 10))
+        assert capfd.readouterr() == ("", "")
+
 
 class TestClassifyContents:
     def stats_for(self, volume, lifespan):
@@ -236,6 +251,13 @@ class TestClassSummary:
         trace = make_trace(["a", "b"])
         with pytest.raises(ValueError, match="class id 6 out of range for 4 bounds"):
             class_summary(content_stats(trace), np.array([0, 6]), DEFAULT_LIFESPAN_BOUNDS, trace.horizon)
+
+    @pytest.mark.parametrize("classes", [[1.0, 1.5], [True, False], ["1", "2"]])
+    def test_class_column_must_be_integers(self, classes):
+        # [1.0, 1.5] used to drop the second content, so the shares summed to 50%
+        trace = make_trace(["a", "b"])
+        with pytest.raises(ValueError, match="class ids must be integers"):
+            class_summary(content_stats(trace), classes, DEFAULT_LIFESPAN_BOUNDS, trace.horizon)
 
     def test_zero_horizon_rejected(self):
         # all requests at one instant give no arrival rate

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from snmcache.cachesim import (
@@ -19,7 +19,14 @@ from snmcache.generators import IrmConfig, generate_irm, generate_snm
 from snmcache.shuffle import slice_shuffle
 from snmcache.trace import RequestEvent, Trace
 
-from helpers import fenwick_reuse_distances, make_trace, naive_reuse_distances, random_trace, reference_classes
+from helpers import (
+    fenwick_reuse_distances,
+    lru_oracle,
+    make_trace,
+    naive_reuse_distances,
+    random_trace,
+    reference_classes,
+)
 
 
 class TestSimulateLru:
@@ -91,14 +98,14 @@ class TestReuseDistances:
         trace = random_trace(rng, 1000, 50)
         d = reuse_distances(trace)
         for cap in range(1, 51):
-            assert int(np.count_nonzero(d <= cap)) == simulate_lru(trace, cap).hits
+            assert int(np.count_nonzero(d <= cap)) == lru_oracle(trace, cap).hits
 
     def test_matches_lru_on_ten_thousand_requests(self):
         rng = np.random.default_rng(18)
         trace = random_trace(rng, 10_000, 60)
         d = reuse_distances(trace)
         for cap in range(1, 61):
-            assert int(np.count_nonzero(d <= cap)) == simulate_lru(trace, cap).hits
+            assert int(np.count_nonzero(d <= cap)) == lru_oracle(trace, cap).hits
 
 
     @pytest.mark.parametrize("n", [1, 2, 3, 63, 64, 65, 1023, 1024, 1025])
@@ -136,7 +143,7 @@ class TestReuseDistances:
         assert len(trace) > 150_000
         d = reuse_distances(trace)
         for cap in (1, 50, 500, 2000, 8000):
-            assert int(np.count_nonzero(d <= cap)) == simulate_lru(trace, cap).hits
+            assert int(np.count_nonzero(d <= cap)) == lru_oracle(trace, cap).hits
 
 
 class TestRowBoundaries:
@@ -184,20 +191,22 @@ class TestLruResults:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 6), st.sampled_from([-0.0, 0.0, 0.5, 1.0, 2.25, 7.0])),
                     min_size=1, max_size=80))
-    def test_equals_simulate_lru(self, requests):
+    @example([])  # the empty trace
+    def test_equals_lru_oracle(self, requests):
         # few distinct timestamps give equal-time requests (and both zeros);
         # capacities run from 1 to past the distinct-content count
         requests.sort(key=lambda r: r[1])
         trace = make_trace([cid for cid, _ in requests], [t for _, t in requests])
         caps = list(range(1, len(trace.ids) + 3))
-        expected = lru_fields(simulate_lru(trace, c) for c in caps)
+        expected = lru_fields(lru_oracle(trace, c) for c in caps)
         assert lru_fields(lru_results(trace, reuse_distances(trace), caps)) == expected
+        assert lru_fields(simulate_lru(trace, c) for c in caps) == expected
 
     def test_single_content(self):
         trace = make_trace(["x"] * 7, times=[0.0, 0.0, 1.0, 1.0, 1.0, 3.0, 3.0])
         caps = [1, 2, 5]
         results = lru_results(trace, reuse_distances(trace), caps)
-        assert lru_fields(results) == lru_fields(simulate_lru(trace, c) for c in caps)
+        assert lru_fields(results) == lru_fields(lru_oracle(trace, c) for c in caps)
         assert [(r.hits, r.evictions) for r in results] == [(6, 0)] * 3
 
     def test_eviction_time(self):
@@ -206,11 +215,12 @@ class TestLruResults:
         assert (r.evictions, r.mean_eviction_time) == (1, 6.0)
 
     @pytest.mark.parametrize("daynight", [False, True])
-    def test_equals_simulate_lru_on_snm_trace(self, daynight):
+    def test_equals_lru_oracle_on_snm_trace(self, daynight):
         trace = generate_snm(reference_classes(n_videos=800.0), 30.0, seed=3, daynight=daynight)
         caps = [1, 2, 5, 10, 20, 50, 100, 200, 500, len(trace.ids)]
-        expected = lru_fields(simulate_lru(trace, c) for c in caps)
+        expected = lru_fields(lru_oracle(trace, c) for c in caps)
         assert lru_fields(lru_results(trace, reuse_distances(trace), caps)) == expected
+        assert lru_fields(simulate_lru(trace, c) for c in caps) == expected
 
     def test_distances_must_be_one_per_request(self):
         # a shorter array used to raise IndexError

@@ -3,6 +3,7 @@ import io
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from snmcache.analysis import (
     class_summary,
     classify_contents,
     content_stats,
-    effective_lifespan,
 )
 from snmcache.cachesim import simulate_lru
 from snmcache import generators, shuffle
@@ -31,12 +31,12 @@ from snmcache.generators import (
     lifespan_to_L,
     parse_snm_config,
     shot_requests,
-    write_snm_config,
+    snm_config_files,
     zipf_probabilities,
 )
-from snmcache.trace import RequestEvent, validate, write_trace
+from snmcache.trace import RequestEvent, validate, write_atomic, write_trace
 
-from helpers import heap_stream, reference_classes
+from helpers import effective_lifespan, heap_stream, reference_classes
 
 
 class TestLifespanToL:
@@ -541,6 +541,55 @@ class TestConfigRules:
         with pytest.raises(ValueError, match=re.escape(f"seed must be an integer, got {seed!r}")):
             generate(self.one_class(), 10.0, seed)
 
+    @pytest.mark.parametrize("seed", ["x", 1.5, True, np.float64(3.0)])
+    def test_config_seed_is_none_or_an_integer(self, seed):
+        # snm_config_files used to write seed=x, seed=1.5 and seed=True, which
+        # parse_snm_config rejected at line 2
+        with pytest.raises(ValueError, match=re.escape(f"seed must be an integer, got {seed!r}")):
+            SnmConfig(10.0, self.one_class(), seed=seed)
+        assert SnmConfig(10.0, self.one_class(), seed=np.int64(3)).seed == 3
+
+    @pytest.mark.parametrize("generate", [generate_snm, SnmEventStream, SnmConfig])
+    @pytest.mark.parametrize("daynight", ["off", "on", 0, 1, None, np.array([True])])
+    def test_daynight_must_be_a_bool(self, generate, daynight):
+        # generate_snm(classes, 5.0, 0, "off") used to give the day/night trace,
+        # and snm_config_files wrote daynight=on for "off"
+        with pytest.raises(ValueError, match=re.escape(f"daynight must be a bool, got {daynight!r}")):
+            if generate is SnmConfig:
+                SnmConfig(5.0, self.one_class(), daynight=daynight)
+            else:
+                generate(self.one_class(), 5.0, 0, daynight)
+
+    def test_numpy_bool_daynight_is_the_python_bool(self, tmp_path):
+        assert generate_snm(self.one_class(), 5.0, 0, np.True_) == generate_snm(self.one_class(), 5.0, 0, True)
+        config = SnmConfig(5.0, self.one_class(), daynight=np.False_)
+        write_atomic(snm_config_files(config, tmp_path / "snm.conf"))
+        assert parse_snm_config(tmp_path / "snm.conf") == config
+
+    @pytest.mark.parametrize("build,message", [
+        # "5" constructed with volume 5.0; True as a rate or horizon constructed;
+        # 1+0j constructed with a ComplexWarning; a mapping or set raised a bare TypeError
+        (lambda c: c(volumes="5"), "class 1: volumes must be a number, got '5'"),
+        (lambda c: c(volumes={1: 2}), "class 1: volumes must be a number, got {1: 2}"),
+        (lambda c: c(volumes={1.0, 2.0}), "class 1: volumes must be a number, got {1.0, 2.0}"),
+        (lambda c: c(volumes=True), "class 1: volumes must be a number, got True"),
+        (lambda c: c(arrival_rate=True), "class 1: arrival_rate must be a number, got True"),
+        (lambda c: c(arrival_rate=1 + 0j), "class 1: arrival_rate must be a number, got (1+0j)"),
+        (lambda c: c(arrival_rate=[2.0]), "class 1: arrival_rate must be a number, got [2.0]"),
+        (lambda c: c(lifespan=np.bool_(True)), f"class 1: lifespan_days must be a number, got {np.bool_(True)!r}"),
+        (lambda c: c(volumes=(1.0, 2.0 + 0j)), "class 1: volumes sample must be a 1-D sequence of numbers"),
+        (lambda c: c(volumes=(True, False)), "class 1: volumes sample must be a 1-D sequence of numbers"),
+        (lambda c: SnmConfig(True, c()), "horizon must be a number, got True"),
+        (lambda c: IrmConfig(10, 0.8, 100, True), "horizon must be a number, got True"),
+        (lambda c: IrmConfig(10, 1 + 0j, 100, 5.0), "alpha must be a number, got (1+0j)"),
+        (lambda c: IrmConfig(10, False, 100, 5.0), "alpha must be a number, got False"),
+    ])
+    def test_numbers_are_real_not_bools_strings_or_mappings(self, build, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no ComplexWarning on the way
+            with pytest.raises(ValueError, match=re.escape(message)):
+                build(lambda **changes: self.one_class(**changes)[0])
+
     def test_numpy_integer_seed_is_the_python_int(self):
         # a numpy seed used to overflow in the seed's 64-bit mask
         expected = generate_snm(self.one_class(), 10.0, 3)
@@ -554,7 +603,7 @@ class TestConfigRules:
         assert generate_snm(classes, 10.0, 3) == generate_snm(self.one_class(volumes=4.0), 10.0, 3)
         with pytest.raises(ValueError, match="class 1: volumes must be positive and finite, got 0.0"):
             self.one_class(volumes=volume * 0)
-        write_snm_config(SnmConfig(10.0, classes), tmp_path / "snm.conf")
+        write_atomic(snm_config_files(SnmConfig(10.0, classes), tmp_path / "snm.conf"))
         assert "volumes=const:4.0" in (tmp_path / "snm.conf").read_text()
 
     def test_poisson_limit_is_numpys(self):
@@ -586,9 +635,9 @@ class TestConfigRules:
         (lambda c: SnmConfig(5.0, c(volumes=(4.0, -3.0))), "class 1: volumes sample"),
     ])
     def test_configs_the_parser_rejects_cannot_be_written(self, tmp_path, build, message):
-        # write_snm_config used to write each of these, which parse_snm_config then rejected
+        # the config writer used to write each of these, which parse_snm_config then rejected
         with pytest.raises(ValueError, match=message):
-            write_snm_config(build(self.one_class), tmp_path / "snm.conf")
+            write_atomic(snm_config_files(build(self.one_class), tmp_path / "snm.conf"))
         assert list(tmp_path.iterdir()) == []
 
     REALS = st.floats() | st.sampled_from([0.0, -0.0, -1.0, math.inf, -math.inf, math.nan])
@@ -615,7 +664,7 @@ class TestConfigRules:
         except ValueError:
             return
         path = tmp_path_factory.mktemp("conf") / "snm.conf"
-        write_snm_config(config, path)
+        write_atomic(snm_config_files(config, path))
         assert parse_snm_config(path) == config
 
 
@@ -631,7 +680,7 @@ class TestConfigFile:
             ],
         )
         path = tmp_path / "snm.conf"
-        write_snm_config(config, path)
+        write_atomic(snm_config_files(config, path))
         parsed = parse_snm_config(path)
         assert parsed.horizon == config.horizon
         assert parsed.seed == 99
@@ -641,10 +690,11 @@ class TestConfigFile:
     def test_numpy_scalar_fields_round_trip(self, tmp_path):
         # numpy 2 writes a numpy scalar's repr as "np.float64(...)", which the parser rejects
         config = SnmConfig(np.float64(30.0), [SnmClassConfig(1, np.float64(2.5), np.float64(1.5), "uniform", 4.0)])
-        write_snm_config(config, tmp_path / "snm.conf")
+        write_atomic(snm_config_files(config, tmp_path / "snm.conf"))
         assert parse_snm_config(tmp_path / "snm.conf") == config
         # a Python number is written as its repr, as before
-        write_snm_config(SnmConfig(30, [SnmClassConfig(1, 2.5, 1.5, "uniform", 4.0)]), tmp_path / "snm.conf")
+        config = SnmConfig(30, [SnmClassConfig(1, 2.5, 1.5, "uniform", 4.0)])
+        write_atomic(snm_config_files(config, tmp_path / "snm.conf"))
         assert (tmp_path / "snm.conf").read_text().startswith("horizon_days=30\n")
 
     def test_volumes_sidecar_format(self, tmp_path):
@@ -652,7 +702,7 @@ class TestConfigFile:
             horizon=5.0,
             classes=[SnmClassConfig(2, 1.0, 2.0, "uniform", (7.0, 3.0))],
         )
-        write_snm_config(config, tmp_path / "snm.conf")
+        write_atomic(snm_config_files(config, tmp_path / "snm.conf"))
         assert (tmp_path / "2.volumes").read_text() == "7\n3\n"
 
     def test_non_integer_volume_samples_rejected(self, tmp_path):
@@ -662,12 +712,12 @@ class TestConfigFile:
                      SnmClassConfig(3, 1.0, 2.0, "uniform", (2.5, 3.7, 10.9))],
         )
         with pytest.raises(ValueError, match="class 3"):
-            write_snm_config(config, tmp_path / "snm.conf")
+            write_atomic(snm_config_files(config, tmp_path / "snm.conf"))
         assert list(tmp_path.iterdir()) == []
 
     def test_integer_volume_samples_round_trip(self, tmp_path):
         config = SnmConfig(horizon=5.0, classes=[SnmClassConfig(3, 1.0, 2.0, "uniform", (2.0, 37.0, 10.0))])
-        write_snm_config(config, tmp_path / "snm.conf")
+        write_atomic(snm_config_files(config, tmp_path / "snm.conf"))
         assert parse_snm_config(tmp_path / "snm.conf").classes == config.classes
 
     def test_missing_horizon(self, tmp_path):
@@ -770,7 +820,7 @@ class TestConfigFile:
             classes=[SnmClassConfig(k, *spec) for k, spec in enumerate(specs)],
         )
         path = tmp_path_factory.mktemp("conf") / "snm.conf"
-        write_snm_config(config, path)
+        write_atomic(snm_config_files(config, path))
         assert parse_snm_config(path) == config
 
     def test_volume_file_values_follow_the_sample_rule(self, tmp_path):

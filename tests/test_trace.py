@@ -256,6 +256,16 @@ class TestValidate:
         names = {v.invariant for v in validate(t)}
         assert names == {"timestamp", "content_id"}
 
+    @pytest.mark.parametrize("cid", [1, 2.5, None, b"a"])
+    def test_non_string_id_is_a_content_id_violation(self, cid):
+        # these raised "TypeError: expected string or bytes-like object" from the id rule
+        trace = Trace.from_columns([0.0], [cid], 1.0)
+        assert validate(trace) == [Violation("content_id", 0, f"invalid content id {cid!r}")]
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match=re.escape(f"cannot write request 0: invalid content id {cid!r}")):
+            write_trace(trace, buf)
+        assert buf.getvalue() == ""
+
     @settings(max_examples=300, deadline=None)
     @given(
         st.one_of(
