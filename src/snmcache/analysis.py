@@ -20,8 +20,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .generators import SnmClassConfig, SnmConfig, _require_int
-from .trace import Trace, _by_content
+from .generators import SnmClassConfig, SnmConfig
+from .trace import Trace, _by_content, _require, _require_int
 
 __all__ = [
     "ContentStats",
@@ -83,9 +83,7 @@ def slice_bounds(total: int, K: int) -> list[tuple[int, int]]:
     Slice i covers indices [floor(i*total/K), floor((i+1)*total/K)), so
     slice sizes differ by at most one request.
     """
-    _require_int("K", K)
-    if K <= 0 or K > total:
-        raise ValueError(f"K must be in [1, {total}], got {K}")
+    K = _require_int("K", K, lo=1, hi=total)
     return [((i * total) // K, ((i + 1) * total) // K) for i in range(K)]
 
 
@@ -116,9 +114,7 @@ def sliced_popularity(trace: Trace, K: int, top_ranks: int) -> list[RankRow]:
     5/95 percentiles across slices are reported; a slice with fewer
     distinct contents than the rank contributes frequency 0.
     """
-    _require_int("top_ranks", top_ranks)
-    if top_ranks <= 0:
-        raise ValueError(f"top_ranks must be positive, got {top_ranks}")
+    top_ranks = _require_int("top_ranks", top_ranks, lo=1)
     n, m = len(trace), len(trace.ids)
     sizes = np.array([hi - lo for lo, hi in slice_bounds(n, K)])
     pairs, counts = np.unique(np.repeat(np.arange(K), sizes) * m + trace.codes, return_counts=True)
@@ -207,8 +203,7 @@ def class_summary(
     if bad.any():
         k = classes[bad.argmax()]
         raise ValueError(f"class id {k} out of range for {len(lifespan_bounds)} bounds")
-    if not horizon > 0:
-        raise ValueError(f"trace horizon must be positive to give arrival rates, got {horizon!r}")
+    horizon = _require("trace horizon", horizon)  # it gives the arrival rates
 
     edges = (0.0, *lifespan_bounds, math.inf)
     total_requests = int(stats.volume.sum())
@@ -255,7 +250,7 @@ def fit_snm(stats: ContentStats, horizon: float, volume_threshold: int, lifespan
                 # the shot profile well-defined with a tiny floor
                 lifespan=s.mean_lifespan if stationary else max(s.mean_lifespan, 1e-9),
                 shape_kind="stationary" if stationary else shape,
-                volumes=tuple(float(v) for v in s.volume_samples),
+                volumes=s.volume_samples,
             )
         )
     return summaries, SnmConfig(horizon=horizon, classes=class_cfgs, seed=seed, daynight=False)

@@ -26,8 +26,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .generators import _require_int
-from .trace import Trace, _by_content
+from .trace import Trace, _by_content, _require, _require_int
 
 __all__ = [
     "LruResult",
@@ -66,15 +65,7 @@ def simulate_lru(trace: Trace, capacity: int) -> LruResult:
     miss inserts it and evicts the least recently used content when the
     cache exceeds its capacity.
     """
-    return lru_results(trace, reuse_distances(trace), [_capacity(capacity)])[0]
-
-
-def _capacity(c) -> int:
-    # the one capacity rule: an integer >= 1, not a bool
-    _require_int("capacity", c)
-    if c < 1:
-        raise ValueError(f"capacity must be >= 1, got {c}")
-    return int(c)
+    return lru_results(trace, reuse_distances(trace), [capacity])[0]
 
 
 def _stack_distances(prev: np.ndarray) -> np.ndarray:
@@ -144,7 +135,7 @@ def lru_results(trace: Trace, distances: np.ndarray, capacities: Sequence[int]) 
     1 + the contents last requested after it); LRU evicts those i in order, at misses C+1, C+2, ..."""
     if len(distances) != len(trace):
         raise ValueError(f"distances must be one per request: {len(distances)} for {len(trace)} requests")
-    capacities = [_capacity(c) for c in capacities]
+    capacities = [_require_int("capacity", c, lo=1) for c in capacities]
     prev = _previous(trace.codes)
     keep = np.full(len(trace), np.nan)
     keep[prev[prev >= 0]] = distances[prev >= 0]
@@ -169,7 +160,7 @@ def _finite_sorted(distances: Iterable[float]) -> tuple[np.ndarray, int]:
 def hit_curve(distances: Iterable[float], capacities: Sequence[int]) -> list[tuple[int, float]]:
     """Hit probability at each capacity from precomputed reuse distances."""
     finite, total = _finite_sorted(distances)
-    caps = [_capacity(c) for c in capacities]
+    caps = [_require_int("capacity", c, lo=1) for c in capacities]
     if any(a > b for a, b in zip(caps, caps[1:])):
         raise ValueError("capacities must be sorted")
     counts = np.searchsorted(finite, caps, side="right")
@@ -182,7 +173,8 @@ def size_for_hit_prob(distances: Iterable[float], target: float) -> int | None:
     Returns None when the target exceeds the compulsory-miss ceiling
     (unattainable even with a cache holding every distinct content).
     """
-    if not 0.0 < target < 1.0:
+    target = _require("target", target)  # a real number > 0
+    if not target < 1.0:
         raise ValueError(f"target must be in (0, 1), got {target!r}")
     finite, total = _finite_sorted(distances)
     # smallest hit count k with k/total >= target, under float comparison

@@ -30,7 +30,7 @@ from typing import IO, Callable, Iterable, Sequence
 import numpy as np
 
 from . import analysis, cachesim, generators, shuffle as shuffle_mod
-from .trace import Trace, format_cell, read_trace, write_atomic, write_trace
+from .trace import Trace, _require_int, format_cell, read_trace, write_atomic, write_trace
 
 __all__ = ["main"]
 
@@ -52,19 +52,12 @@ def _csv(header: str, rows: Iterable[Sequence]) -> Callable[[IO[str]], None]:
     return write
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
-
-
-def _int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
-
-
-def _check_volume_threshold(threshold: int) -> None:
-    # a volume is a request count of at least 1; doubling bins from a
-    # threshold below 1 would never pass the largest volume
-    if threshold < 1:
-        raise ValueError(f"--volume-threshold must be >= 1, got {threshold}")
+def _numbers(kind: type, option: str, text: str) -> list:
+    # an option's comma-separated ints or floats; an error names the option, as --irm's does
+    try:
+        return [kind(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise ValueError(f"{option} {text}: {exc}") from None
 
 
 def _default_volume_bins(threshold: int, max_volume: int) -> list[float]:
@@ -78,17 +71,18 @@ def _default_volume_bins(threshold: int, max_volume: int) -> list[float]:
 
 
 def cmd_analyze(args) -> int:
-    _check_volume_threshold(args.volume_threshold)
+    # a volume is at least 1 request: doubling bins from below 1 would never pass the largest volume
+    _require_int("--volume-threshold", args.volume_threshold, lo=1)
     trace = _read_trace_file(args.trace)
     # compute every output, and so check every argument, before writing any
     stats = analysis.content_stats(trace)
     ranks = analysis.sliced_popularity(trace, args.slices, args.top)
     if args.lifespan_bins:
-        l_bins = _float_list(args.lifespan_bins)
+        l_bins = _numbers(float, "--lifespan-bins", args.lifespan_bins)
     else:
         l_bins = np.linspace(0.0, max(trace.horizon, 1.0), 15).tolist()
     if args.volume_bins:
-        v_bins = _float_list(args.volume_bins)
+        v_bins = _numbers(float, "--volume-bins", args.volume_bins)
     else:
         v_bins = _default_volume_bins(args.volume_threshold, int(stats.volume.max()))
     density = analysis.density_map(stats, args.volume_threshold, l_bins, v_bins)
@@ -117,10 +111,10 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    _check_volume_threshold(args.volume_threshold)
+    _require_int("--volume-threshold", args.volume_threshold, lo=1)
     trace = _read_trace_file(args.trace)
     summaries, config = analysis.fit_snm(analysis.content_stats(trace), trace.horizon, args.volume_threshold,
-                                         _float_list(args.bounds), args.shape, args.seed)
+                                         _numbers(float, "--bounds", args.bounds), args.shape, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     # one atomic write, the config last: a failed fit leaves none of these files
@@ -187,7 +181,8 @@ def cmd_evaluate(args) -> int:
             n += 1
             label = f"{stem}_{n}"
         traces[label] = _read_trace_file(path)
-    targets = _float_list(args.targets)
+    targets = _numbers(float, "--targets", args.targets)
+    capacities = _numbers(int, "--capacities", args.capacities)
 
     # compute every output, and so check every argument, before writing any
     out = Path(args.out)
@@ -195,7 +190,7 @@ def cmd_evaluate(args) -> int:
     rows = []
     for label, trace in traces.items():
         distances = cachesim.reuse_distances(trace)
-        caps = _int_list(args.capacities) if args.capacities else _default_capacities(len(trace.ids))
+        caps = capacities if args.capacities else _default_capacities(len(trace.ids))
         writers[out / f"curve_{label}.csv"] = _csv("capacity,hit_prob", cachesim.hit_curve(distances, caps))
         sizes = [cachesim.size_for_hit_prob(distances, t) for t in targets]
         rows += [(label, t, "unattainable" if size is None else size) for t, size in zip(targets, sizes)]

@@ -39,7 +39,7 @@ from typing import IO, Callable, Iterator, Sequence
 
 import numpy as np
 
-from .trace import RequestEvent, Trace, format_cell
+from .trace import RequestEvent, Trace, _require, _require_int, format_cell
 
 __all__ = [
     "PopularityShape", "IrmConfig", "SnmClassConfig", "SnmConfig", "SnmEventStream", "SHAPE_KINDS",
@@ -141,28 +141,6 @@ def _rngs(rows: np.ndarray) -> Iterator[np.random.Generator]:
     return map(np.random.default_rng, map(_State, rows))
 
 
-def _require(key: str, value, positive: bool = True, sample: bool = False) -> None:
-    # the configs' one value rule, over a real number or (in one pass) a sample, a 1-D sequence of
-    # them: Python or numpy integers and floats, not bools, complex numbers, strings or mappings
-    try:
-        values = np.asarray(value)
-    except ValueError:  # a ragged nested sequence
-        values = None
-    if values is None or values.dtype.kind not in "iuf" or values.ndim != int(sample):
-        raise ValueError(f"{key} must be {'a 1-D sequence of numbers' if sample else 'a number'}, got {value!r}")
-    values = values.astype(float)
-    bad = ~np.isfinite(values) | ((values <= 0) if positive else (values < 0))
-    if bad.any():
-        rule = "positive" if positive else ">= 0"
-        raise ValueError(f"{key} must be {rule} and finite, got {values[bad].flat[0]}")
-
-
-def _require_int(key: str, value) -> None:
-    # the configs' one integer rule: a Python or numpy integer, not a bool
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-
-
 def _require_poisson(key: str, mean: float) -> None:
     if not mean <= _POISSON_MAX:
         raise ValueError(f"{key} must be <= {_POISSON_MAX!r}, numpy's Poisson limit, got {mean!r}")
@@ -213,9 +191,7 @@ class IrmConfig:
     horizon: float  # days
 
     def __post_init__(self):
-        _require_int("catalogue_size", self.catalogue_size)
-        if self.catalogue_size < 1:
-            raise ValueError(f"catalogue_size must be >= 1, got {self.catalogue_size}")
+        _require_int("catalogue_size", self.catalogue_size, lo=1)
         _require("alpha", self.alpha, positive=False)
         _require_int("total_requests", self.total_requests)
         if not 1 <= self.total_requests <= 2**31 - 1:  # reuse_distances' limit
@@ -229,7 +205,8 @@ class SnmClassConfig:
 
     ``volumes`` is either a constant mean request count (any 0-d real,
     held as a Python float) or a sequence of observed volumes to resample
-    from.  Stationary classes ignore the life-span and place requests
+    from (held as a tuple of Python floats, which cannot change after the
+    check).  Stationary classes ignore the life-span and place requests
     uniformly over the horizon with count Poisson(V_m), which is how
     classes without a usable life-span estimate are handled.
 
@@ -248,44 +225,43 @@ class SnmClassConfig:
     volumes: float | tuple[float, ...]
 
     def __post_init__(self):
-        _require_int("class id", self.class_id)
         where = f"class {self.class_id}"
-        if self.class_id < 0:
-            raise ValueError(f"{where}: class id must be >= 0")
+        object.__setattr__(self, "class_id", _require_int(f"{where}: class id", self.class_id, lo=0))
         if self.shape_kind not in SHAPE_KINDS:
             raise ValueError(f"{where}: unknown shape {self.shape_kind!r}")
         _require(f"{where}: arrival_rate", self.arrival_rate)
         _require(f"{where}: lifespan_days", self.lifespan, positive=self.shape_kind != "stationary")
-        if not isinstance(self.volumes, (list, tuple)) and np.ndim(self.volumes) == 0:
-            _require(f"{where}: volumes", self.volumes)
-            object.__setattr__(self, "volumes", float(self.volumes))
-        elif len(self.volumes) == 0:
+        sample = isinstance(self.volumes, (list, tuple)) or np.ndim(self.volumes) > 0
+        if sample and len(self.volumes) == 0:
             raise ValueError(f"{where}: empty volume sample list")
-        else:
-            _require(f"{where}: volumes sample", self.volumes, positive=False, sample=True)
+        key = f"{where}: volumes sample" if sample else f"{where}: volumes"
+        object.__setattr__(self, "volumes", _require(key, self.volumes, positive=not sample, sample=sample))
         _require_poisson(f"{where}: 2 * volumes", 2 * float(np.max(self.volumes)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class SnmConfig:
-    """A full generation run: horizon (finite and positive), seed (None or
-    an integer, not a bool), modulation flag (a Python or numpy bool) and
-    one or more classes with unique ids, each with expected births
-    (arrival rate * horizon) within numpy's Poisson limit."""
+    """A full generation run: horizon (finite and positive, kept as
+    given), seed (None or an integer, not a bool), modulation flag (a
+    Python or numpy bool) and one or more classes, held as a tuple, with
+    unique ids, each with expected births (arrival rate * horizon) within
+    numpy's Poisson limit.  Frozen: ``dataclasses.replace`` makes a
+    changed copy and checks it again."""
 
     horizon: float
-    classes: list[SnmClassConfig]
+    classes: tuple[SnmClassConfig, ...]
     seed: int | None = None
     daynight: bool = False
 
     def __post_init__(self):
         _require("horizon", self.horizon)
         if self.seed is not None:
-            _require_int("seed", self.seed)
+            object.__setattr__(self, "seed", _require_int("seed", self.seed))
         if not isinstance(self.daynight, (bool, np.bool_)):
             raise ValueError(f"daynight must be a bool, got {self.daynight!r}")
         if not self.classes:
             raise ValueError("class list must be non-empty")
+        object.__setattr__(self, "classes", tuple(self.classes))
         ids = [cfg.class_id for cfg in self.classes]
         if len(set(ids)) < len(ids):
             raise ValueError(f"duplicate class id {next(k for k in ids if ids.count(k) > 1)}")
@@ -380,8 +356,7 @@ def generate_irm(config: IrmConfig, seed: int) -> Trace:
     Content ids are the popularity ranks ("r1" most popular).  Sampling
     is inverse-transform on the cumulative Zipf distribution.
     """
-    _require_int("seed", seed)
-    rng = np.random.default_rng([int(seed) & _MASK64, _TAG_IRM])
+    rng = np.random.default_rng([_require_int("seed", seed) & _MASK64, _TAG_IRM])
     cum = np.cumsum(zipf_probabilities(config.catalogue_size, config.alpha))
     cum[-1] = 1.0
     ranks = np.searchsorted(cum, rng.random(config.total_requests), side="right") + 1
@@ -401,13 +376,7 @@ def _volume(volumes: float | tuple[float, ...], rng: np.random.Generator) -> flo
     # a content's mean volume: the class's constant, or one resampled observation
     if isinstance(volumes, float):
         return volumes
-    return float(volumes[rng.integers(0, len(volumes))])
-
-
-def _run_config(classes: Sequence[SnmClassConfig], horizon: float, seed: int, daynight: bool) -> SnmConfig:
-    # every precondition of an SNM run, checked before anything is drawn; its seed is not None
-    _require_int("seed", seed)
-    return SnmConfig(horizon, list(classes), int(seed), daynight)
+    return volumes[rng.integers(0, len(volumes))]
 
 
 def _draw_run(run: SnmConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]:
@@ -461,7 +430,7 @@ def generate_snm(classes: Sequence[SnmClassConfig], horizon: float, seed: int,
     the horizon are censored.  Content ids are "c<class>_<serial>" with
     serials assigned in birth order.
     """
-    t, owner, _, names = _draw_run(_run_config(classes, horizon, seed, daynight))
+    t, owner, _, names = _draw_run(SnmConfig(horizon, classes, _require_int("seed", seed), daynight))
     return Trace(t, owner, names, horizon)
 
 
@@ -481,7 +450,7 @@ class SnmEventStream:
     def __init__(self, classes: Sequence[SnmClassConfig], horizon: float, seed: int, daynight=False):
         self.horizon = horizon
         self.peak_pending = 0
-        self._events = self._replay(_run_config(classes, horizon, seed, daynight))
+        self._events = self._replay(SnmConfig(horizon, classes, _require_int("seed", seed), daynight))
 
     def _replay(self, run: SnmConfig) -> Iterator[RequestEvent]:
         t, owner, birth, names = _draw_run(run)
@@ -583,8 +552,7 @@ def parse_snm_config(path: str | Path) -> SnmConfig:
                 else:
                     key, value = _add_field(top, line)
                     if key == "horizon_days":
-                        horizon = _number(float, key, value)
-                        _require(key, horizon)  # SnmConfig's rule, applied here to name the line
+                        horizon = _require(key, _number(float, key, value))  # SnmConfig's rule, to name the line
                     elif key == "seed":
                         seed = _number(int, key, value)
                     elif key == "daynight":
@@ -617,7 +585,7 @@ def snm_config_files(config: SnmConfig, path: str | Path) -> dict[Path, Callable
         if isinstance(cfg.volumes, float):
             vol_spec = f"const:{cfg.volumes!r}"
         else:
-            bad = next((v for v in cfg.volumes if not float(v).is_integer()), None)
+            bad = next((v for v in cfg.volumes if not v.is_integer()), None)
             if bad is not None:
                 raise ValueError(f"class {cfg.class_id}: volume sample {bad!r} is not an integer")
             vol_spec = f"{cfg.class_id}.volumes"

@@ -14,8 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from .analysis import slice_bounds
-from .generators import _require_int, _rngs, _seed_words
-from .trace import Trace
+from .generators import _rngs, _seed_words
+from .trace import Trace, _require_int
 
 __all__ = ["slice_shuffle"]
 
@@ -30,9 +30,9 @@ def slice_shuffle(trace: Trace, K: int, seed: int) -> Trace:
     Deterministic given (trace, K, seed): each slice draws its
     permutation from an RNG keyed by (seed, slice index).
     """
-    _require_int("seed", seed)
+    seed = _require_int("seed", seed)
     source = np.empty(len(trace), np.int64)  # output position -> input position
     bounds = slice_bounds(len(trace), K)
-    for (lo, hi), rng in zip(bounds, _rngs(_seed_words(int(seed), [_SHUFFLE_TAG], np.arange(len(bounds))))):
+    for (lo, hi), rng in zip(bounds, _rngs(_seed_words(seed, [_SHUFFLE_TAG], np.arange(len(bounds))))):
         source[lo:hi] = lo + rng.permutation(hi - lo)
     return Trace(trace.times, trace.codes[source], trace.ids, trace.horizon)

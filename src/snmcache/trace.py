@@ -15,6 +15,9 @@ line-oriented text:
 Timestamps are written with ``repr`` so a read/write cycle is lossless.
 :func:`write_atomic` is the package's one way to write output files,
 and :func:`format_cell` writes each value of a CSV or config file.
+The module also holds the package's value rules, ``_require`` for real
+numbers and samples and ``_require_int`` for integers: each returns the
+value it accepted, so that every check of an argument is one call.
 """
 
 from __future__ import annotations
@@ -311,6 +314,35 @@ def write_atomic(files: Mapping[Path, Callable[[IO[str]], object]]) -> None:
         for path in (*tmps.values(), *placed):
             path.unlink(missing_ok=True)
         raise
+
+
+def _require(key: str, value, positive: bool = True, sample: bool = False) -> float | tuple[float, ...]:
+    # the one value rule, over a real number or (in one pass) a sample, a 1-D sequence of them:
+    # Python or numpy integers and floats, not bools, complex numbers, strings or mappings.
+    # Returns the number as a float, or the sample as a tuple of floats.
+    try:
+        values = np.asarray(value)
+    except ValueError:  # a ragged nested sequence
+        values = None
+    if values is None or values.dtype.kind not in "iuf" or values.ndim != int(sample):
+        raise ValueError(f"{key} must be {'a 1-D sequence of numbers' if sample else 'a number'}, got {value!r}")
+    values = values.astype(float)
+    bad = ~np.isfinite(values) | ((values <= 0) if positive else (values < 0))
+    if bad.any():
+        rule = "positive" if positive else ">= 0"
+        raise ValueError(f"{key} must be {rule} and finite, got {values[bad].flat[0]}")
+    return tuple(values.tolist()) if sample else values.item()
+
+
+def _require_int(key: str, value, lo: int | None = None, hi: int | None = None) -> int:
+    # the one integer rule, which returns a Python int: a Python or numpy integer, not a bool, in [lo, hi]
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    value = int(value)
+    if lo is not None and value < lo or hi is not None and value > hi:
+        raise ValueError(f"{key} must be >= {lo}, got {value}" if hi is None else
+                         f"{key} must be in [{lo}, {hi}], got {value}")
+    return value
 
 
 def format_cell(value) -> str:

@@ -9,9 +9,9 @@ from collections import OrderedDict
 import numpy as np
 
 from snmcache import generators
-from snmcache.cachesim import LruResult, _capacity
+from snmcache.cachesim import LruResult
 from snmcache.generators import SnmClassConfig, shot_requests
-from snmcache.trace import RequestEvent, Trace
+from snmcache.trace import RequestEvent, Trace, _require_int
 
 # Reference per-class parameters (share of contents, mean life-span in
 # days, mean request volume) mirroring a measured residential-ISP
@@ -65,7 +65,7 @@ def lru_oracle(trace: Trace, capacity: int) -> LruResult:
     miss inserts it and evicts the least recently used content when the
     cache exceeds its capacity.
     """
-    capacity = _capacity(capacity)
+    capacity = _require_int("capacity", capacity, lo=1)
     cache: OrderedDict[int, None] = OrderedDict()
     last_access: dict[int, float] = {}
     hits = 0

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from snmcache.analysis import (
     DEFAULT_LIFESPAN_BOUNDS,
+    DEFAULT_VOLUME_THRESHOLD,
     ContentStats,
     class_summary,
     classify_contents,
@@ -265,6 +266,19 @@ class TestClassSummary:
         with pytest.raises(ValueError, match="trace horizon must be positive.*got 0.0"):
             stats = content_stats(trace)
             class_summary(stats, classify_contents(stats), DEFAULT_LIFESPAN_BOUNDS, trace.horizon)
+
+    @pytest.mark.parametrize("horizon,message", [
+        (math.inf, "trace horizon must be positive and finite, got inf"),
+        ("5", "trace horizon must be a number, got '5'"),
+    ])
+    def test_horizon_is_a_positive_finite_number(self, horizon, message):
+        # inf gave every arrival rate as 0.0, and fit_snm then blamed class 0's arrival_rate;
+        # "5" raised a TypeError
+        stats = content_stats(make_trace(["a", "b", "a"]))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            class_summary(stats, classify_contents(stats), DEFAULT_LIFESPAN_BOUNDS, horizon)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fit_snm(stats, horizon, DEFAULT_VOLUME_THRESHOLD, DEFAULT_LIFESPAN_BOUNDS, "uniform")
 
     def test_pct_requests_sums_to_100(self):
         rng = np.random.default_rng(3)

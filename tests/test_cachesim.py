@@ -289,6 +289,13 @@ class TestSizeForHitProb:
             with pytest.raises(ValueError):
                 size_for_hit_prob(d, bad)
 
+    @pytest.mark.parametrize("target", ["0.5", 0.5 + 0j, None])
+    def test_target_must_be_a_number(self, target):
+        # "0.5" and 0.5+0j used to raise a TypeError
+        d = reuse_distances(make_trace([1, 1]))
+        with pytest.raises(ValueError, match=re.escape(f"target must be a number, got {target!r}")):
+            size_for_hit_prob(d, target)
+
 
 def required_sizes(trace, targets):
     d = reuse_distances(trace)

@@ -446,6 +446,22 @@ class TestInputErrors:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("argv,message", [
+        (["evaluate", "--capacities", "1.5"], "--capacities 1.5: invalid literal for int() with base 10: '1.5'"),
+        (["evaluate", "--targets", "abc"], "--targets abc: could not convert string to float: 'abc'"),
+        (["fit", "--bounds", "2,x"], "--bounds 2,x: could not convert string to float: 'x'"),
+        (["analyze", "--lifespan-bins", "0,1d"], "--lifespan-bins 0,1d: could not convert string to float: '1d'"),
+        (["analyze", "--volume-bins", "10,,y"], "--volume-bins 10,,y: could not convert string to float: 'y'"),
+        (["analyze", "--volume-threshold", "0"], "--volume-threshold must be >= 1, got 0"),
+    ])
+    def test_option_errors_name_the_option(self, toy_trace_path, tmp_path, capsys, argv, message):
+        # a bad list token used to print only the parser's words: "invalid literal for int() ..."
+        out = tmp_path / "out"
+        assert cli.main([argv[0], str(toy_trace_path), *argv[1:], "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+
 class TestEvaluate:
     def test_toy_curve_matches_hand_traced_lru(self, tmp_path):
         path = tmp_path / "t.trace"

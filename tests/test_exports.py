@@ -1,6 +1,7 @@
-"""Each module's ``__all__`` names only what the module defines, so a star import works, and
-importing the package leaves ``numpy.random`` to the first draw."""
+"""Each module's ``__all__`` names only what the module defines, so a star import works,
+importing the package leaves ``numpy.random`` to the first draw, and each value rule has one home."""
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -17,6 +18,19 @@ MODULES = ["analysis", "cachesim", "cli", "generators", "shuffle", "trace"]
 
 def test_modules_are_listed():
     assert sorted(m.name for m in pkgutil.iter_modules(snmcache.__path__)) == MODULES
+
+
+def test_value_rules_are_defined_in_trace_alone():
+    # _require_int lived in generators, so cachesim imported generators for that name alone
+    folder = Path(snmcache.__file__).parent
+    trees = {name: ast.parse((folder / f"{name}.py").read_text(encoding="utf-8")) for name in MODULES}
+    homes = sorted((node.name, name) for name, tree in trees.items() for node in ast.walk(tree)
+                   if isinstance(node, ast.FunctionDef) and node.name in ("_require", "_require_int"))
+    assert homes == [("_require", "trace"), ("_require_int", "trace")]
+    imported = {module.rpartition(".")[2] for node in ast.walk(trees["cachesim"])
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for module in ([node.module] if getattr(node, "module", None) else [a.name for a in node.names])}
+    assert "generators" not in imported
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import math
@@ -605,6 +606,30 @@ class TestConfigRules:
             self.one_class(volumes=volume * 0)
         write_atomic(snm_config_files(SnmConfig(10.0, classes), tmp_path / "snm.conf"))
         assert "volumes=const:4.0" in (tmp_path / "snm.conf").read_text()
+
+    def test_run_config_is_frozen_and_replace_checks_again(self):
+        # assigning a field skipped the checks: snm_config_files then wrote seed=x, which the parser rejected
+        config = SnmConfig(10.0, self.one_class(), seed=3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.seed = "x"
+        with pytest.raises(ValueError, match=re.escape("seed must be an integer, got 'x'")):
+            dataclasses.replace(config, seed="x")
+        assert type(config.classes) is tuple and hash(config) == hash(SnmConfig(10.0, tuple(self.one_class()), 3))
+
+    @pytest.mark.parametrize("sample", [[4.0, 7.0], np.array([4, 7]), (np.float32(4.0), np.int64(7))])
+    def test_volume_sample_is_a_tuple_of_floats(self, sample):
+        # an ndarray sample made == raise ("truth value ... is ambiguous") and hash raise TypeError
+        cfg = self.one_class(volumes=sample)[0]
+        assert cfg.volumes == (4.0, 7.0) and all(type(v) is float for v in cfg.volumes)
+        assert cfg == self.one_class(volumes=(4.0, 7.0))[0] and hash(cfg) == hash(self.one_class(volumes=(4.0, 7.0))[0])
+
+    def test_volume_sample_cannot_change_after_its_check(self):
+        # appending to the list passed used to reach numpy's "lam < 0 or lam is NaN" in generate_snm
+        sample = [4.0, 7.0]
+        classes = self.one_class(volumes=sample)
+        sample.append(-5.0)
+        assert classes[0].volumes == (4.0, 7.0)
+        assert generate_snm(classes, 10.0, 3) == generate_snm(self.one_class(volumes=(4.0, 7.0)), 10.0, 3)
 
     def test_poisson_limit_is_numpys(self):
         limit = generators._POISSON_MAX

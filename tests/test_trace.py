@@ -7,6 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from snmcache.analysis import slice_bounds, sliced_popularity
+from snmcache.cachesim import hit_curve, lru_results, reuse_distances, simulate_lru
+from snmcache.generators import IrmConfig, SnmClassConfig, SnmConfig, SnmEventStream, generate_irm, generate_snm
+from snmcache.shuffle import slice_shuffle
 from snmcache.trace import (
     RequestEvent,
     Trace,
@@ -318,3 +322,44 @@ class TestReaderValidatorAgreement:
             written = io.StringIO()
             write_trace(trace, written)
             assert written.getvalue() == buf.getvalue()
+
+
+# the inputs of the value-rule table below
+TOY = make_trace([1, 2, 1, 3])
+ONE_CLASS = (SnmClassConfig(1, 2.0, 1.5, "uniform", 5.0),)
+
+
+class TestValueRules:
+    """The package's value rules live in ``trace``; every check of an argument is one call,
+    which returns the value it accepted."""
+
+    # every integer site: the call of a value v, a value it rejects, the whole message, and a value it accepts
+    SITES = {
+        "simulate_lru": (lambda v: simulate_lru(TOY, v).capacity, 0, "capacity must be >= 1, got 0", 2),
+        "lru_results": (lambda v: lru_results(TOY, reuse_distances(TOY), [v])[0].capacity, -1,
+                        "capacity must be >= 1, got -1", 1),
+        "hit_curve": (lambda v: hit_curve([1.0], [v])[0][0], 0, "capacity must be >= 1, got 0", 3),
+        "K": (lambda v: slice_bounds(4, v)[-1][0], 5, "K must be in [1, 4], got 5", 2),
+        "top_ranks": (lambda v: sliced_popularity(TOY, 1, v), 0, "top_ranks must be >= 1, got 0", 5),
+        "catalogue_size": (lambda v: generate_irm(IrmConfig(v, 0.8, 20, 1.0), 1), 0,
+                           "catalogue_size must be >= 1, got 0", 5),
+        "class id": (lambda v: SnmClassConfig(v, 2.0, 1.5, "uniform", 5.0).class_id, -3,
+                     "class -3: class id must be >= 0, got -3", 2),
+        "SnmConfig seed": (lambda v: SnmConfig(5.0, ONE_CLASS, seed=v).seed, "x",
+                           "seed must be an integer, got 'x'", 7),
+        "generate_irm seed": (lambda v: generate_irm(IrmConfig(5, 0.8, 20, 1.0), v), 1.5,
+                              "seed must be an integer, got 1.5", 3),
+        "slice_shuffle seed": (lambda v: slice_shuffle(TOY, 2, v), True, "seed must be an integer, got True", 3),
+        "generate_snm seed": (lambda v: generate_snm(ONE_CLASS, 5.0, v), None, "seed must be an integer, got None", 3),
+        "SnmEventStream seed": (lambda v: list(SnmEventStream(ONE_CLASS, 5.0, v)), "3",
+                                "seed must be an integer, got '3'", 3),
+    }
+
+    @pytest.mark.parametrize("call,bad,message,good", SITES.values(), ids=SITES.keys())
+    def test_integer_sites(self, call, bad, message, good):
+        with pytest.raises(ValueError) as exc:
+            call(bad)
+        assert str(exc.value) == message
+        # a numpy integer is the Python int: a value the call hands back is an int too
+        expected, got = call(good), call(np.int64(good))
+        assert got == expected and type(got) is type(expected)
