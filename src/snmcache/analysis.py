@@ -175,7 +175,7 @@ def classify_contents(
     if any(b1 >= b2 for b1, b2 in zip(bounds, bounds[1:])):
         raise ValueError(f"lifespan bounds must be strictly increasing, got {bounds}")
     classes = np.searchsorted(np.asarray(bounds, dtype=float), stats.lifespan) + 1
-    classes[stats.volume < volume_threshold] = 0
+    classes[stats.volume < _require_int("volume_threshold", volume_threshold, lo=1)] = 0
     return classes
 
 
@@ -274,7 +274,7 @@ def density_map(
     for name, edges in (("lifespan", l_edges), ("volume", v_edges)):
         if edges.ndim != 1 or len(edges) < 2 or not np.all(np.diff(edges) > 0):
             raise ValueError(f"{name} bin edges must be strictly increasing, got {edges}")
-    qualifying = stats.volume >= volume_threshold
+    qualifying = stats.volume >= _require_int("volume_threshold", volume_threshold, lo=1)
     ls = np.clip(stats.lifespan[qualifying], l_edges[0], l_edges[-1])
     vs = np.clip(stats.volume[qualifying], v_edges[0], v_edges[-1])
     counts, _, _ = np.histogram2d(ls, vs, bins=[l_edges, v_edges])

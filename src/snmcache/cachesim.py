@@ -151,7 +151,9 @@ def lru_results(trace: Trace, distances: np.ndarray, capacities: Sequence[int]) 
 
 def _finite_sorted(distances: Iterable[float]) -> tuple[np.ndarray, int]:
     # the finite distances in increasing order, and the request count
-    d = np.asarray(list(distances) if not isinstance(distances, np.ndarray) else distances, float)
+    d = np.asarray(list(distances) if not isinstance(distances, np.ndarray) else distances)
+    if d.ndim != 1 or d.dtype.kind not in "iuf" or not (d >= 1).all():
+        raise ValueError("distances must be a 1-D column of integers or floats >= 1 (inf for a first reference)")
     if d.size == 0:
         raise ValueError("no requests")
     return np.sort(d[np.isfinite(d)]), d.size
@@ -173,16 +175,13 @@ def size_for_hit_prob(distances: Iterable[float], target: float) -> int | None:
     Returns None when the target exceeds the compulsory-miss ceiling
     (unattainable even with a cache holding every distinct content).
     """
+    from bisect import bisect_left  # already in sys.modules after import snmcache
+
     target = _require("target", target)  # a real number > 0
     if not target < 1.0:
         raise ValueError(f"target must be in (0, 1), got {target!r}")
     finite, total = _finite_sorted(distances)
-    # smallest hit count k with k/total >= target, under float comparison
-    k = math.ceil(target * total)
-    while k > 1 and (k - 1) / total >= target:
-        k -= 1
-    while k / total < target:
-        k += 1
+    k = bisect_left(range(1, total + 1), target, key=lambda j: j / total) + 1  # the least k with k/total >= target
     if k > finite.size:
         return None
     return int(finite[k - 1])

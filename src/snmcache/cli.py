@@ -173,14 +173,6 @@ def _default_capacities(n_distinct: int) -> list[int]:
 
 
 def cmd_evaluate(args) -> int:
-    traces: dict[str, Trace] = {}  # by label, the first of <stem>, <stem>_2, <stem>_3, ... not taken
-    for path in args.traces:
-        label = stem = Path(path).stem
-        n = 1
-        while label in traces:
-            n += 1
-            label = f"{stem}_{n}"
-        traces[label] = _read_trace_file(path)
     targets = _numbers(float, "--targets", args.targets)
     capacities = _numbers(int, "--capacities", args.capacities)
 
@@ -188,7 +180,13 @@ def cmd_evaluate(args) -> int:
     out = Path(args.out)
     writers = {}
     rows = []
-    for label, trace in traces.items():
+    for path in args.traces:
+        label = stem = Path(path).stem  # the first of <stem>, <stem>_2, <stem>_3, ... whose files are not taken
+        n = 1
+        while out / f"curve_{label}.csv" in writers:
+            n += 1
+            label = f"{stem}_{n}"
+        trace = _read_trace_file(path)
         distances = cachesim.reuse_distances(trace)
         caps = capacities if args.capacities else _default_capacities(len(trace.ids))
         writers[out / f"curve_{label}.csv"] = _csv("capacity,hit_prob", cachesim.hit_curve(distances, caps))
@@ -199,6 +197,7 @@ def cmd_evaluate(args) -> int:
                 "capacity,hit_prob,evictions,mean_eviction_time",
                 [(r.capacity, r.hit_prob, r.evictions, r.mean_eviction_time)
                  for r in cachesim.lru_results(trace, distances, caps)])
+        del trace, distances  # one trace alive at a time: this one goes before the next is read
     writers[out / "required_sizes.csv"] = _csv("trace_label,target,required_size", rows)
     out.mkdir(parents=True, exist_ok=True)
     write_atomic(writers)

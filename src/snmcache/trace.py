@@ -198,13 +198,14 @@ def _violations(times: np.ndarray, codes: np.ndarray, ids, horizon: float) -> li
     return violations
 
 
-def _parse_rows(body: str) -> tuple[np.ndarray, np.ndarray, tuple[str, ...], str | None]:
-    # Columns of the rows before the first malformed one, and its error (or None),
-    # parsed a block of lines at a time so that one block's row strings are alive at once.
-    times, codes, index, start, error = [np.empty(0)], [np.empty(0, np.int32)], {}, 0, None
-    while start < len(body) and error is None:
-        stop = body.find("\n", start + _READ_CHARS) + 1 or len(body)
-        text, start = body[start:stop], stop
+def _parse_rows(stream: IO[str]) -> tuple[np.ndarray, np.ndarray, tuple[str, ...], str | None]:
+    # Columns of the rows before the first malformed one, and its error (or None), read and
+    # parsed a block of whole lines at a time so that one block's text and row strings are alive at once.
+    times, codes, index, error = [np.empty(0)], [np.empty(0, np.int32)], {}, None
+    while error is None and (text := stream.read(_READ_CHARS)):
+        text += stream.readline()  # the rest of the block's last line
+        if not text.endswith("\n"):  # the last line of a file without a final line end
+            text += "\n"
         seps = np.frombuffer(text.encode("utf-8", "surrogatepass"), np.uint8)
         seps = seps[(seps == 44) | (seps == 10)]  # commas and line ends, in order
         commas = np.diff(np.flatnonzero(seps == 10), prepend=-1) - 1
@@ -250,8 +251,7 @@ def read_trace(stream: IO[str]) -> Trace:
         except ValueError:
             raise TraceFormatError(f"unparsable horizon {token!r}", line=1) from None
 
-    body = stream.read()
-    times, codes, ids, error = _parse_rows(body if body.endswith("\n") or not body else body + "\n")
+    times, codes, ids, error = _parse_rows(stream)
     if horizon is None:  # the last timestamp, or 0; the largest finite one if the rows are unsorted
         horizon = float(np.max(times, initial=0.0, where=np.isfinite(times)))
     violations = _violations(times, codes, ids, horizon)

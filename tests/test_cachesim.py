@@ -268,6 +268,25 @@ class TestHitCurve:
         assert all(type(c) is int for c, _ in curve)
 
 
+# distances no trace can have: below 1, NaN, strings, bools, 2-D; each used to give a result
+BAD_DISTANCES = [[-3.0, math.inf], [math.nan, 2.0], [0, 1], ["1"], [True, False], [[1.0, 2.0]]]
+
+
+@pytest.mark.parametrize("distances", BAD_DISTANCES)
+def test_distances_rule(distances):
+    message = "distances must be a 1-D column of integers or floats >= 1 (inf for a first reference)"
+    for call in (lambda: hit_curve(distances, [1]), lambda: size_for_hit_prob(distances, 0.5)):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message
+
+
+def test_integer_and_float_distances_agree():
+    for distances in ([1, 3, 2, 1], np.array([1, 3, 2, 1], np.int32)):
+        assert hit_curve(distances, [1, 2]) == hit_curve([1.0, 3.0, 2.0, 1.0], [1, 2]) == [(1, 0.5), (2, 0.75)]
+        assert size_for_hit_prob(distances, 0.75) == size_for_hit_prob([1.0, 3.0, 2.0, 1.0], 0.75) == 2
+
+
 class TestSizeForHitProb:
     def test_alternating(self):
         d = reuse_distances(make_trace([1, 2] * 5))
@@ -288,6 +307,17 @@ class TestSizeForHitProb:
         for bad in (0.0, 1.0, -0.1, 1.5):
             with pytest.raises(ValueError):
                 size_for_hit_prob(d, bad)
+
+    def test_least_k_at_and_beside_each_fraction(self):
+        # the k-th smallest of the distances 1..total is k, so the size is the least k with k/total >= target;
+        # ceil(target * total) is off by one at some of these targets (totals 3 and 25, for instance)
+        for total in range(1, 41):
+            distances = np.arange(1.0, total + 1)
+            for k in range(1, total + 1):
+                for target in (math.nextafter(k / total, 0), k / total, math.nextafter(k / total, 1)):
+                    if 0 < target < 1:
+                        least = next(j for j in range(1, total + 1) if j / total >= target)
+                        assert size_for_hit_prob(distances, target) == least
 
     @pytest.mark.parametrize("target", ["0.5", 0.5 + 0j, None])
     def test_target_must_be_a_number(self, target):

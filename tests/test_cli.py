@@ -545,6 +545,16 @@ class TestEvaluate:
         path.write_text("# trace-v1 horizon=4\n")
         assert cli.main(["evaluate", str(path), "--out", str(tmp_path / "out")]) == 2
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--targets", "abc", "--targets abc: could not convert string to float: 'abc'"),
+        ("--capacities", "1.5", "--capacities 1.5: invalid literal for int() with base 10: '1.5'"),
+    ])
+    def test_options_are_checked_before_any_trace_is_read(self, tmp_path, capsys, flag, value, message):
+        # the traces used to be read first, so the missing file was reported instead
+        missing = tmp_path / "missing.trace"
+        assert cli.main(["evaluate", str(missing), flag, value, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestCsvWriters:
     def test_headers(self, tmp_path):

@@ -817,6 +817,9 @@ class TestConfigFile:
         ("horizon_days=5\n" + 2 * CLASS_LINE.format(rate=1, life=1, vols="const:5"),
          "config line 3: duplicate class id 1"),
         ("horizon_days=5\nseed=1\n", "config: class list must be non-empty"),
+        ("horizon_days=5\nseed\n", "config line 2: expected key=value, got 'seed'"),
+        ("horizon_days=5\n" + CLASS_LINE.format(rate=1, life=1, vols="const:5, colour=red"),
+         "config line 2: unknown field 'colour'"),
     ])
     def test_bad_fields_name_the_file_and_line(self, tmp_path, text, message):
         p = tmp_path / "c.conf"

@@ -1,13 +1,14 @@
 import io
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from snmcache.analysis import slice_bounds, sliced_popularity
+from snmcache.analysis import classify_contents, content_stats, density_map, slice_bounds, sliced_popularity
 from snmcache.cachesim import hit_curve, lru_results, reuse_distances, simulate_lru
 from snmcache.generators import IrmConfig, SnmClassConfig, SnmConfig, SnmEventStream, generate_irm, generate_snm
 from snmcache.shuffle import slice_shuffle
@@ -88,6 +89,57 @@ class TestReadTrace:
         with pytest.raises(TraceFormatError) as exc:
             read_trace(io.StringIO("# trace-v1 horizon=1\n2.0,a\n"))
         assert exc.value.line == 2
+
+    @pytest.mark.parametrize("chars", [1, 5, 12, 1 << 20])
+    def test_any_block_size_reads_the_same(self, monkeypatch, chars):
+        # the block size sets how much text is alive at once, never the result or the line an error names;
+        # a last line may lack its line end
+        monkeypatch.setattr("snmcache.trace._READ_CHARS", chars)
+        times, ids = [i / 4 for i in range(20)], [f"c{i % 3}" for i in range(20)]
+        body = "# trace-v1\n" + "".join(f"{t!r},{c}\n" for t, c in zip(times, ids))
+        expected = Trace.from_columns(times, ids, 4.75)
+        assert read_trace(io.StringIO(body)) == read_trace(io.StringIO(body[:-1])) == expected
+        for last, message in [("0.7", "line 22: expected 2 comma-separated columns, got 1"),
+                              ("9.5,a,b", "line 22: expected 2 comma-separated columns, got 3"),
+                              ("x,a", "line 22: unparsable timestamp 'x'"),
+                              ("1.0,a", "line 22: timestamps not sorted: 1.0 after 4.75")]:
+            for end in ("\n", ""):
+                with pytest.raises(TraceFormatError) as exc:
+                    read_trace(io.StringIO(body + last + end))
+                assert str(exc.value) == message
+        # a violation in an earlier row wins over a later malformed row
+        with pytest.raises(TraceFormatError, match="^line 5: timestamps not sorted: 0.0 after 0.5$"):
+            read_trace(io.StringIO(body.replace("0.5,c2", "0.5,c2\n0.0,c2", 1) + "0.7"))
+
+    @pytest.mark.parametrize("header,message", [
+        ("# trace-v1 horizon=5 seed=1\n", "line 1: unrecognized header field 'seed=1'"),
+        ("# trace-v1 horizon=five\n", "line 1: unparsable horizon 'horizon=five'"),
+    ])
+    def test_bad_header_fields(self, header, message):
+        with pytest.raises(TraceFormatError) as exc:
+            read_trace(io.StringIO(header + "0.5,a\n"))
+        assert (str(exc.value), exc.value.line) == (message, 1)
+
+    def test_memory_peak_per_request(self, tmp_path):
+        # the reader holds one _READ_CHARS block of text at a time, not the whole file: 200,000 rows
+        # with ids of 64 hex digits, as long as a SHA-256 digest (84 bytes a row, 17 MB, 16 blocks),
+        # peak at 48 bytes a request; reading the whole text at once peaked at 167
+        rng = np.random.default_rng(1)
+        trace = Trace(np.sort(rng.random(200_000)) * 30, rng.integers(0, 1000, 200_000),
+                      [f"{k:064x}" for k in range(1000)], 30.0)
+        path = tmp_path / "long_ids.trace"
+        with open(path, "w", encoding="utf-8") as f:
+            write_trace(trace, f)
+        tracemalloc.start()
+        try:
+            with open(path, encoding="utf-8") as f:
+                before = tracemalloc.get_traced_memory()[0]
+                read = read_trace(f)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert read == trace
+        assert peak <= 64 * len(trace)
 
 
 class TestWriteTrace:
@@ -239,6 +291,11 @@ class TestConstructor:
         # a repeated name that no code uses is left out, as any unused name is
         assert Trace([0.0, 1.0], [0, 1], ["a", "b", "a"], 2.0).ids == ("a", "b")
 
+    def test_equal_only_to_a_trace(self):
+        t = Trace.from_columns([0.5], ["a"], 1.0)
+        assert t.__eq__((t.times, t.codes, t.ids, t.horizon)) is NotImplemented
+        assert t != (t.times, t.codes, t.ids, t.horizon) and t != "a"
+
 class TestValidate:
     def test_valid_trace(self):
         assert validate(make_trace(["a", "b", "a"])) == []
@@ -341,6 +398,11 @@ class TestValueRules:
         "hit_curve": (lambda v: hit_curve([1.0], [v])[0][0], 0, "capacity must be >= 1, got 0", 3),
         "K": (lambda v: slice_bounds(4, v)[-1][0], 5, "K must be in [1, 4], got 5", 2),
         "top_ranks": (lambda v: sliced_popularity(TOY, 1, v), 0, "top_ranks must be >= 1, got 0", 5),
+        # a threshold of -3 used to count every content, and 'x' to raise numpy's UFuncTypeError
+        "classify_contents": (lambda v: classify_contents(content_stats(TOY), v).tolist(), "x",
+                              "volume_threshold must be an integer, got 'x'", 2),
+        "density_map": (lambda v: density_map(content_stats(TOY), v, [0.0, 2.0], [1.0, 3.0]).tolist(), -3,
+                        "volume_threshold must be >= 1, got -3", 2),
         "catalogue_size": (lambda v: generate_irm(IrmConfig(v, 0.8, 20, 1.0), 1), 0,
                            "catalogue_size must be >= 1, got 0", 5),
         "class id": (lambda v: SnmClassConfig(v, 2.0, 1.5, "uniform", 5.0).class_id, -3,
