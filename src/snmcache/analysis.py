@@ -15,7 +15,6 @@ CLI writes to files.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -63,8 +62,7 @@ class RankRow(NamedTuple):
     p95: float
 
 
-@dataclass
-class ClassSummary:
+class ClassSummary(NamedTuple):
     """Aggregate statistics of one content class."""
 
     class_id: int
@@ -74,7 +72,7 @@ class ClassSummary:
     mean_lifespan: float  # NaN when the class is empty
     mean_volume: float  # NaN when the class is empty
     arrival_rate: float  # contents per day
-    volume_samples: list[int] = field(default_factory=list)
+    volume_samples: list[int]
 
 
 def slice_bounds(total: int, K: int) -> list[tuple[int, int]]:
@@ -181,30 +179,21 @@ def classify_contents(
 
 def class_summary(
     stats: ContentStats,
-    classes: np.ndarray,
-    lifespan_bounds: Sequence[float],
     horizon: float,
+    volume_threshold: int,
+    lifespan_bounds: Sequence[float],
 ) -> list[ClassSummary]:
     """Aggregate request/content shares and means per class of a content table.
 
-    ``classes`` is a class column of :func:`classify_contents`, one class
-    per row of ``stats``.  The per-class arrival rate is the content
+    The classes are those of :func:`classify_contents` with the same
+    threshold and bounds.  The per-class arrival rate is the content
     count divided by the trace horizon, which must be positive, and
     ``volume_samples`` collects the class's empirical volume multiset
     for later resampling.
     """
-    classes = np.asarray(classes)
-    if classes.shape != (len(stats.ids),):
-        raise ValueError(f"need one class per content: {len(stats.ids)} contents, got shape {classes.shape}")
-    if classes.dtype.kind not in "iu" and classes.size:
-        raise ValueError(f"class ids must be integers, got {classes.dtype}")
-    n_classes = len(lifespan_bounds) + 2
-    bad = (classes < 0) | (classes >= n_classes)
-    if bad.any():
-        k = classes[bad.argmax()]
-        raise ValueError(f"class id {k} out of range for {len(lifespan_bounds)} bounds")
     horizon = _require("trace horizon", horizon)  # it gives the arrival rates
-
+    classes = classify_contents(stats, volume_threshold, lifespan_bounds)
+    n_classes = len(lifespan_bounds) + 2
     edges = (0.0, *lifespan_bounds, math.inf)
     total_requests = int(stats.volume.sum())
     total_videos = len(stats.ids)
@@ -235,8 +224,7 @@ def fit_snm(stats: ContentStats, horizon: float, volume_threshold: int, lifespan
             shape: str, seed: int | None = None) -> tuple[list[ClassSummary], SnmConfig]:
     """Class summaries of a content table and the shot-noise config fitted to them: class 0
     and the last class are stationary, the others get ``shape``; empty classes are left out."""
-    classes = classify_contents(stats, volume_threshold, lifespan_bounds)
-    summaries = class_summary(stats, classes, lifespan_bounds, horizon)
+    summaries = class_summary(stats, horizon, volume_threshold, lifespan_bounds)
     class_cfgs = []
     for s in summaries:
         if not s.volume_samples:

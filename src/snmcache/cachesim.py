@@ -133,35 +133,40 @@ def lru_results(trace: Trace, distances: np.ndarray, capacities: Sequence[int]) 
 
     Request i's content is evicted at capacity C iff keep[i] > C (its next request's distance, or
     1 + the contents last requested after it); LRU evicts those i in order, at misses C+1, C+2, ..."""
-    if len(distances) != len(trace):
-        raise ValueError(f"distances must be one per request: {len(distances)} for {len(trace)} requests")
+    finite, total = _finite_sorted(distances)
+    if total != len(trace):
+        raise ValueError(f"distances must be one per request: {total} for {len(trace)} requests")
     capacities = [_require_int("capacity", c, lo=1) for c in capacities]
+    distances = np.asarray(distances)
     prev = _previous(trace.codes)
     keep = np.full(len(trace), np.nan)
     keep[prev[prev >= 0]] = distances[prev >= 0]
     keep[np.isnan(keep)] = np.arange(np.count_nonzero(np.isnan(keep)), 0, -1)
     results = []
-    for c in capacities:
+    for c, hits in zip(capacities, np.searchsorted(finite, capacities, side="right").tolist()):
         victims, evictors = np.flatnonzero(keep > c), np.flatnonzero(distances > c)[c:]
         gaps = np.cumsum(trace.times[evictors] - trace.times[victims])  # summed in eviction order
         mean_gap = (0.0 + float(gaps[-1])) / gaps.size if gaps.size else math.nan  # a sum from 0.0: never -0.0
-        results.append(LruResult(c, len(trace), int(np.count_nonzero(distances <= c)), gaps.size, mean_gap))
+        results.append(LruResult(c, len(trace), hits, gaps.size, mean_gap))
     return results
 
 
 def _finite_sorted(distances: Iterable[float]) -> tuple[np.ndarray, int]:
     # the finite distances in increasing order, and the request count
-    d = np.asarray(list(distances) if not isinstance(distances, np.ndarray) else distances)
-    if d.ndim != 1 or d.dtype.kind not in "iuf" or not (d >= 1).all():
+    try:
+        d = np.asarray(list(distances) if not isinstance(distances, np.ndarray) else distances)
+    except ValueError:  # a ragged nested sequence
+        d = None
+    if d is None or d.ndim != 1 or d.dtype.kind not in "iuf" or not (d >= 1).all():
         raise ValueError("distances must be a 1-D column of integers or floats >= 1 (inf for a first reference)")
-    if d.size == 0:
-        raise ValueError("no requests")
     return np.sort(d[np.isfinite(d)]), d.size
 
 
 def hit_curve(distances: Iterable[float], capacities: Sequence[int]) -> list[tuple[int, float]]:
     """Hit probability at each capacity from precomputed reuse distances."""
     finite, total = _finite_sorted(distances)
+    if not total:
+        raise ValueError("no requests")
     caps = [_require_int("capacity", c, lo=1) for c in capacities]
     if any(a > b for a, b in zip(caps, caps[1:])):
         raise ValueError("capacities must be sorted")
@@ -181,6 +186,8 @@ def size_for_hit_prob(distances: Iterable[float], target: float) -> int | None:
     if not target < 1.0:
         raise ValueError(f"target must be in (0, 1), got {target!r}")
     finite, total = _finite_sorted(distances)
+    if not total:
+        raise ValueError("no requests")
     k = bisect_left(range(1, total + 1), target, key=lambda j: j / total) + 1  # the least k with k/total >= target
     if k > finite.size:
         return None

@@ -175,6 +175,9 @@ def _default_capacities(n_distinct: int) -> list[int]:
 def cmd_evaluate(args) -> int:
     targets = _numbers(float, "--targets", args.targets)
     capacities = _numbers(int, "--capacities", args.capacities)
+    cachesim.hit_curve([np.inf], capacities)  # the library's own value checks, before any trace is read
+    for t in targets:
+        cachesim.size_for_hit_prob([np.inf], t)
 
     # compute every output, and so check every argument, before writing any
     out = Path(args.out)

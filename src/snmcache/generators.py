@@ -448,7 +448,6 @@ class SnmEventStream:
     """
 
     def __init__(self, classes: Sequence[SnmClassConfig], horizon: float, seed: int, daynight=False):
-        self.horizon = horizon
         self.peak_pending = 0
         self._events = self._replay(SnmConfig(horizon, classes, _require_int("seed", seed), daynight))
 

@@ -18,8 +18,8 @@ from scipy import stats as scipy_stats
 from snmcache import cli
 from snmcache.analysis import (
     DEFAULT_LIFESPAN_BOUNDS,
+    DEFAULT_VOLUME_THRESHOLD,
     class_summary,
-    classify_contents,
     content_stats,
     fit_zipf,
     sliced_popularity,
@@ -194,8 +194,8 @@ def test_criterion_08_fit_generate_closure(tmp_path):
         trace_b = read_trace(f)
 
     stats_a, stats_b = content_stats(trace_a), content_stats(trace_b)
-    summary_a = class_summary(stats_a, classify_contents(stats_a), DEFAULT_LIFESPAN_BOUNDS, trace_a.horizon)
-    summary_b = class_summary(stats_b, classify_contents(stats_b), DEFAULT_LIFESPAN_BOUNDS, trace_b.horizon)
+    summary_a = class_summary(stats_a, trace_a.horizon, DEFAULT_VOLUME_THRESHOLD, DEFAULT_LIFESPAN_BOUNDS)
+    summary_b = class_summary(stats_b, trace_b.horizon, DEFAULT_VOLUME_THRESHOLD, DEFAULT_LIFESPAN_BOUNDS)
     worst = 0.0
     for sa, sb in zip(summary_a, summary_b):
         if sa.pct_videos < 1.0:

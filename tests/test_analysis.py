@@ -234,38 +234,31 @@ class TestClassSummary:
     def test_all_class_zero(self):
         trace = make_trace(["a", "b", "c"])
         stats = content_stats(trace)
-        summaries = class_summary(stats, classify_contents(stats), DEFAULT_LIFESPAN_BOUNDS, trace.horizon)
+        summaries = class_summary(stats, trace.horizon, DEFAULT_VOLUME_THRESHOLD, DEFAULT_LIFESPAN_BOUNDS)
         assert summaries[0].pct_requests == 100.0
         assert all(s.pct_requests == 0.0 for s in summaries[1:])
 
     def test_arrival_rate(self):
         trace = make_trace(["a", "b"], times=[1.0, 2.0], horizon=10.0)
-        summaries = class_summary(content_stats(trace), np.array([0, 0]), DEFAULT_LIFESPAN_BOUNDS, trace.horizon)
+        summaries = class_summary(content_stats(trace), trace.horizon, 10, DEFAULT_LIFESPAN_BOUNDS)
         assert summaries[0].arrival_rate == pytest.approx(0.2)
 
-    def test_missing_content_rejected(self):
-        trace = make_trace(["a", "b"])
-        with pytest.raises(ValueError, match="one class per content"):
-            class_summary(content_stats(trace), np.array([0]), DEFAULT_LIFESPAN_BOUNDS, trace.horizon)
-
-    def test_class_out_of_range_rejected(self):
-        trace = make_trace(["a", "b"])
-        with pytest.raises(ValueError, match="class id 6 out of range for 4 bounds"):
-            class_summary(content_stats(trace), np.array([0, 6]), DEFAULT_LIFESPAN_BOUNDS, trace.horizon)
-
-    @pytest.mark.parametrize("classes", [[1.0, 1.5], [True, False], ["1", "2"]])
-    def test_class_column_must_be_integers(self, classes):
-        # [1.0, 1.5] used to drop the second content, so the shares summed to 50%
-        trace = make_trace(["a", "b"])
-        with pytest.raises(ValueError, match="class ids must be integers"):
-            class_summary(content_stats(trace), classes, DEFAULT_LIFESPAN_BOUNDS, trace.horizon)
+    @pytest.mark.parametrize("bounds,message", [
+        ([5, 2, 8, 13], "must be strictly increasing"), ([2, 2, 8, 13], "must be strictly increasing"),
+        ([2, math.nan, 8], "must be finite"), ([2, 5, math.inf], "must be finite"),
+    ])
+    def test_bounds_follow_the_partition_rule(self, bounds, message):
+        # [5, 2, 8, 13] gave the row (5.0, 2.0) and a NaN bound (5.0, nan) when the class column came from elsewhere
+        trace = make_trace(["a", "b", "a"])
+        with pytest.raises(ValueError, match=message):
+            class_summary(content_stats(trace), trace.horizon, DEFAULT_VOLUME_THRESHOLD, bounds)
 
     def test_zero_horizon_rejected(self):
         # all requests at one instant give no arrival rate
         trace = make_trace(["a", "b", "a"], times=[0.0] * 3)
         with pytest.raises(ValueError, match="trace horizon must be positive.*got 0.0"):
             stats = content_stats(trace)
-            class_summary(stats, classify_contents(stats), DEFAULT_LIFESPAN_BOUNDS, trace.horizon)
+            class_summary(stats, trace.horizon, DEFAULT_VOLUME_THRESHOLD, DEFAULT_LIFESPAN_BOUNDS)
 
     @pytest.mark.parametrize("horizon,message", [
         (math.inf, "trace horizon must be positive and finite, got inf"),
@@ -276,7 +269,7 @@ class TestClassSummary:
         # "5" raised a TypeError
         stats = content_stats(make_trace(["a", "b", "a"]))
         with pytest.raises(ValueError, match=re.escape(message)):
-            class_summary(stats, classify_contents(stats), DEFAULT_LIFESPAN_BOUNDS, horizon)
+            class_summary(stats, horizon, DEFAULT_VOLUME_THRESHOLD, DEFAULT_LIFESPAN_BOUNDS)
         with pytest.raises(ValueError, match=re.escape(message)):
             fit_snm(stats, horizon, DEFAULT_VOLUME_THRESHOLD, DEFAULT_LIFESPAN_BOUNDS, "uniform")
 
@@ -284,8 +277,7 @@ class TestClassSummary:
         rng = np.random.default_rng(3)
         trace = random_trace(rng, 700, 40)
         stats = content_stats(trace)
-        classes = classify_contents(stats, volume_threshold=5)
-        summaries = class_summary(stats, classes, DEFAULT_LIFESPAN_BOUNDS, trace.horizon)
+        summaries = class_summary(stats, trace.horizon, 5, DEFAULT_LIFESPAN_BOUNDS)
         assert sum(s.pct_requests for s in summaries) == pytest.approx(100.0, abs=0.01)
         assert sum(s.pct_videos for s in summaries) == pytest.approx(100.0, abs=0.01)
 
@@ -294,7 +286,7 @@ class TestClassSummary:
         horizon = 90.0
         trace = generate_snm(reference_classes(horizon=horizon, shape="uniform"), horizon, seed=42)
         stats = content_stats(trace)
-        s1 = class_summary(stats, classify_contents(stats), DEFAULT_LIFESPAN_BOUNDS, trace.horizon)[1]
+        s1 = class_summary(stats, trace.horizon, DEFAULT_VOLUME_THRESHOLD, DEFAULT_LIFESPAN_BOUNDS)[1]
         assert s1.pct_requests == pytest.approx(9.15, rel=0.12)
         assert s1.pct_videos == pytest.approx(3.17, rel=0.12)
         assert s1.mean_lifespan == pytest.approx(1.14, rel=0.12)
@@ -309,7 +301,7 @@ class TestClassSummary:
         classes = classify_contents(stats).tolist()
         lifespans = [effective_lifespan(own) for own in own_times(trace)]
         compensated_differs = False
-        for s in class_summary(stats, classes, DEFAULT_LIFESPAN_BOUNDS, trace.horizon):
+        for s in class_summary(stats, trace.horizon, DEFAULT_VOLUME_THRESHOLD, DEFAULT_LIFESPAN_BOUNDS):
             xs = [x for x, k in zip(lifespans, classes) if k == s.class_id]
             assert s.mean_lifespan == functools.reduce(operator.add, xs, 0.0) / len(xs)
             compensated_differs |= s.mean_lifespan != math.fsum(xs) / len(xs)
@@ -319,7 +311,7 @@ class TestClassSummary:
         ids = ["a"] * 12 + ["b"] * 15 + ["c"]
         trace = make_trace(ids, times=[0.5] * len(ids))
         stats = content_stats(trace)
-        summaries = class_summary(stats, classify_contents(stats), DEFAULT_LIFESPAN_BOUNDS, trace.horizon)
+        summaries = class_summary(stats, trace.horizon, DEFAULT_VOLUME_THRESHOLD, DEFAULT_LIFESPAN_BOUNDS)
         assert summaries[1].volume_samples == [12, 15]  # zero lifespan -> class 1
         assert summaries[0].volume_samples == [1]
 

@@ -268,14 +268,17 @@ class TestHitCurve:
         assert all(type(c) is int for c, _ in curve)
 
 
-# distances no trace can have: below 1, NaN, strings, bools, 2-D; each used to give a result
-BAD_DISTANCES = [[-3.0, math.inf], [math.nan, 2.0], [0, 1], ["1"], [True, False], [[1.0, 2.0]]]
+# distances no trace can have: below 1, NaN, strings, bools, 2-D, ragged; each used to give a result
+# or numpy's own error
+BAD_DISTANCES = [[-3.0, math.inf], [math.nan, 2.0], [0, 1], ["1"], [True, False], [[1.0, 2.0]], [[1.0], [2.0, 3.0]]]
 
 
 @pytest.mark.parametrize("distances", BAD_DISTANCES)
 def test_distances_rule(distances):
     message = "distances must be a 1-D column of integers or floats >= 1 (inf for a first reference)"
-    for call in (lambda: hit_curve(distances, [1]), lambda: size_for_hit_prob(distances, 0.5)):
+    trace = make_trace(list(range(len(distances))))  # one request per row, so only the rule can fail
+    for call in (lambda: hit_curve(distances, [1]), lambda: size_for_hit_prob(distances, 0.5),
+                 lambda: lru_results(trace, distances, [1])):
         with pytest.raises(ValueError) as exc:
             call()
         assert str(exc.value) == message

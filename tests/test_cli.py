@@ -548,6 +548,10 @@ class TestEvaluate:
     @pytest.mark.parametrize("flag,value,message", [
         ("--targets", "abc", "--targets abc: could not convert string to float: 'abc'"),
         ("--capacities", "1.5", "--capacities 1.5: invalid literal for int() with base 10: '1.5'"),
+        # values that parse but break the library's rules used to wait for the first trace too
+        ("--targets", "0.1,1.5", "target must be in (0, 1), got 1.5"),
+        ("--capacities", "5,1", "capacities must be sorted"),
+        ("--capacities", "0,3", "capacity must be >= 1, got 0"),
     ])
     def test_options_are_checked_before_any_trace_is_read(self, tmp_path, capsys, flag, value, message):
         # the traces used to be read first, so the missing file was reported instead

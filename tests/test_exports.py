@@ -33,6 +33,15 @@ def test_value_rules_are_defined_in_trace_alone():
     assert "generators" not in imported
 
 
+def test_class_summary_classifies_the_table_itself():
+    # it took a class column beside the bounds, so a column made by other bounds gave mislabelled rows
+    tree = ast.parse((Path(snmcache.__file__).parent / "analysis.py").read_text(encoding="utf-8"))
+    [func] = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "class_summary"]
+    assert [a.arg for a in func.args.args] == ["stats", "horizon", "volume_threshold", "lifespan_bounds"]
+    called = {node.func.id for node in ast.walk(func) if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert "classify_contents" in called
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_all_names_exist_and_star_import_works(name):
     module = importlib.import_module(f"snmcache.{name}")

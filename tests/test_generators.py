@@ -14,8 +14,8 @@ from scipy import stats as scipy_stats
 
 from snmcache.analysis import (
     DEFAULT_LIFESPAN_BOUNDS,
+    DEFAULT_VOLUME_THRESHOLD,
     class_summary,
-    classify_contents,
     content_stats,
 )
 from snmcache.cachesim import simulate_lru
@@ -240,7 +240,7 @@ class TestGenerateSnm:
         classes = [SnmClassConfig(2, 10.9, 3.36, "uniform", 40.0)]
         trace = generate_snm(classes, 30.0, seed=7)
         stats = content_stats(trace)
-        summaries = class_summary(stats, classify_contents(stats), DEFAULT_LIFESPAN_BOUNDS, trace.horizon)
+        summaries = class_summary(stats, trace.horizon, DEFAULT_VOLUME_THRESHOLD, DEFAULT_LIFESPAN_BOUNDS)
         row = summaries[2]
         assert row.mean_lifespan == pytest.approx(3.36, rel=0.10)
         assert row.mean_volume == pytest.approx(40.0, rel=0.10)
