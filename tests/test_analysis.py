@@ -22,7 +22,7 @@ from snmcache.analysis import (
     slice_bounds,
     sliced_popularity,
 )
-from snmcache.generators import generate_snm, parse_snm_config, snm_config_files
+from snmcache.generators import SnmClassConfig, generate_snm, parse_snm_config, snm_config_files
 from snmcache.trace import RequestEvent, Trace, write_atomic
 
 from helpers import effective_lifespan, make_trace, random_trace, reference_classes
@@ -325,7 +325,10 @@ class TestFitSnm:
         return fit_snm(content_stats(trace), trace.horizon, 10, DEFAULT_LIFESPAN_BOUNDS, shape, seed)
 
     def test_first_and_last_class_are_stationary(self):
-        trace = generate_snm(reference_classes(n_videos=400.0), 30.0, seed=3)
+        # the added class's contents draw about 3 requests each, below the volume threshold, so
+        # class 0 is never empty; without it, class 0 held only the reference contents drawn short
+        low_volume = SnmClassConfig(0, 2.0, 0.0, "stationary", 3.0)
+        trace = generate_snm(reference_classes(n_videos=400.0) + [low_volume], 30.0, seed=3)
         _, config = self.fit(trace)
         kinds = {c.class_id: c.shape_kind for c in config.classes}
         assert kinds == {0: "stationary", 1: "uniform", 2: "uniform", 3: "uniform", 4: "uniform", 5: "stationary"}
