@@ -244,6 +244,14 @@ def fit_snm(stats: ContentStats, horizon: float, volume_threshold: int, lifespan
     return summaries, SnmConfig(horizon=horizon, classes=class_cfgs, seed=seed, daynight=False)
 
 
+def _bin_edges(name: str, edges: Sequence[float]) -> np.ndarray:
+    # density_map's rule for one axis: two or more strictly increasing edges
+    edges = np.asarray(edges, dtype=float)
+    if edges.ndim != 1 or len(edges) < 2 or not np.all(np.diff(edges) > 0):
+        raise ValueError(f"{name} bin edges must be strictly increasing, got {edges}")
+    return edges
+
+
 def density_map(
     stats: ContentStats,
     volume_threshold: int,
@@ -257,11 +265,7 @@ def density_map(
     the bin range are clamped into the edge bins so the grid total
     always equals the number of qualifying contents.
     """
-    l_edges = np.asarray(lifespan_bins, dtype=float)
-    v_edges = np.asarray(volume_bins, dtype=float)
-    for name, edges in (("lifespan", l_edges), ("volume", v_edges)):
-        if edges.ndim != 1 or len(edges) < 2 or not np.all(np.diff(edges) > 0):
-            raise ValueError(f"{name} bin edges must be strictly increasing, got {edges}")
+    l_edges, v_edges = _bin_edges("lifespan", lifespan_bins), _bin_edges("volume", volume_bins)
     qualifying = stats.volume >= _require_int("volume_threshold", volume_threshold, lo=1)
     ls = np.clip(stats.lifespan[qualifying], l_edges[0], l_edges[-1])
     vs = np.clip(stats.volume[qualifying], v_edges[0], v_edges[-1])

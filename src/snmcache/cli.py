@@ -71,20 +71,19 @@ def _default_volume_bins(threshold: int, max_volume: int) -> list[float]:
 
 
 def cmd_analyze(args) -> int:
+    # every option's rule before the trace is read (the upper bound of --slices, the request count, needs it);
     # a volume is at least 1 request: doubling bins from below 1 would never pass the largest volume
     _require_int("--volume-threshold", args.volume_threshold, lo=1)
+    _require_int("--slices", args.slices, lo=1)
+    _require_int("--top", args.top, lo=1)
+    given = {name: analysis._bin_edges(name, _numbers(float, f"--{name}-bins", text)).tolist()
+             for name, text in (("lifespan", args.lifespan_bins), ("volume", args.volume_bins)) if text}
     trace = _read_trace_file(args.trace)
     # compute every output, and so check every argument, before writing any
     stats = analysis.content_stats(trace)
     ranks = analysis.sliced_popularity(trace, args.slices, args.top)
-    if args.lifespan_bins:
-        l_bins = _numbers(float, "--lifespan-bins", args.lifespan_bins)
-    else:
-        l_bins = np.linspace(0.0, max(trace.horizon, 1.0), 15).tolist()
-    if args.volume_bins:
-        v_bins = _numbers(float, "--volume-bins", args.volume_bins)
-    else:
-        v_bins = _default_volume_bins(args.volume_threshold, int(stats.volume.max()))
+    l_bins = given.get("lifespan") or np.linspace(0.0, max(trace.horizon, 1.0), 15).tolist()
+    v_bins = given.get("volume") or _default_volume_bins(args.volume_threshold, int(stats.volume.max()))
     density = analysis.density_map(stats, args.volume_threshold, l_bins, v_bins)
     grid = [(*l_bins[i:i + 2], *v_bins[j:j + 2], density[i, j]) for i, j in np.ndindex(density.shape)]
 
@@ -112,9 +111,12 @@ def cmd_analyze(args) -> int:
 
 def cmd_fit(args) -> int:
     _require_int("--volume-threshold", args.volume_threshold, lo=1)
+    bounds = _numbers(float, "--bounds", args.bounds)
+    # the library's own rules, on an empty table, before the trace is read
+    analysis.classify_contents(analysis.ContentStats((), *[np.empty(0)] * 4), args.volume_threshold, bounds)
     trace = _read_trace_file(args.trace)
     summaries, config = analysis.fit_snm(analysis.content_stats(trace), trace.horizon, args.volume_threshold,
-                                         _numbers(float, "--bounds", args.bounds), args.shape, args.seed)
+                                         bounds, args.shape, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     # one atomic write, the config last: a failed fit leaves none of these files
@@ -153,6 +155,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_shuffle(args) -> int:
+    _require_int("K", args.K, lo=1)  # its upper bound, the request count, needs the trace
     trace = _read_trace_file(args.trace)
     shuffled = shuffle_mod.slice_shuffle(trace, args.K, args.seed)
     write_atomic({Path(args.out): lambda f: write_trace(shuffled, f)})

@@ -461,6 +461,24 @@ class TestInputErrors:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv,message", [
+        (["fit", "--bounds", "x"], "--bounds x: could not convert string to float: 'x'"),
+        (["fit", "--bounds", "5,2"], "lifespan bounds must be strictly increasing, got [5.0, 2.0]"),
+        (["analyze", "--lifespan-bins", "x"], "--lifespan-bins x: could not convert string to float: 'x'"),
+        (["analyze", "--volume-bins", "20,10"], "volume bin edges must be strictly increasing, got [20. 10.]"),
+        (["analyze", "--lifespan-bins", ","], "lifespan bin edges must be strictly increasing, got []"),
+        (["analyze", "--slices", "0"], "--slices must be >= 1, got 0"),
+        (["analyze", "--top", "0"], "--top must be >= 1, got 0"),
+        (["shuffle", "0", "--seed", "1"], "K must be >= 1, got 0"),
+    ])
+    def test_options_are_checked_before_the_trace_is_read(self, tmp_path, capsys, argv, message):
+        # the trace used to be read first, so the missing file was reported instead
+        missing = tmp_path / "missing.trace"
+        out = tmp_path / "out"
+        assert cli.main([argv[0], str(missing), *argv[1:], "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
 
 class TestEvaluate:
     def test_toy_curve_matches_hand_traced_lru(self, tmp_path):
