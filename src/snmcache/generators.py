@@ -17,11 +17,13 @@ f(t) = 1 + sin(2*pi*t) (t in days), realized by exact thinning against
 the bound f <= 2.  :func:`shot_requests` samples one content.
 
 Generation is deterministic given a seed: every draw comes from
-``np.random.default_rng(key)`` for a key (seed, tag, ...).  A class's
-content keys (seed, tag, class, serial) are hashed in one vectorized
-pass of numpy's SeedSequence, and numpy seeds each key's PCG64 from its
-precomputed state.  One function draws every content of a run, places
-their request times per class in numpy and sorts them into trace order:
+``np.random.default_rng(key)`` for a key (seed mod 2**64, tag, ...).  A
+shot-noise class draws from the one stream of its key (seed, births tag,
+class id), in this order: its births; then, for all its contents at once
+in id order, the volume indices (classes with a volume sample only), the
+Poisson counts, the candidate uniforms and, under day/night, the
+thinning uniforms.  One function draws every class of a run, places
+their request times in numpy and sorts them into trace order:
 :func:`generate_snm` wraps its result in a :class:`Trace`, and
 :class:`SnmEventStream` yields it one event at a time.  So both produce
 identical traces.
@@ -30,8 +32,6 @@ identical traces.
 from __future__ import annotations
 
 import math
-from array import array
-from collections import namedtuple
 from dataclasses import dataclass
 from itertools import islice, repeat
 from pathlib import Path
@@ -53,92 +53,10 @@ SHAPE_KINDS = ("exponential", "uniform", "stationary")
 # (seed, tag, ...), which is the package's reproducibility contract.
 _TAG_IRM = 0x12
 _TAG_BIRTHS = 0xB1
-_TAG_CONTENT = 0xC0
-_MASK32 = 0xFFFFFFFF
 _MASK64 = 0xFFFFFFFFFFFFFFFF
-# numpy's SeedSequence hash constants (NEP 19)
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 # numpy draws no Poisson count of a larger mean ("lam value too large"):
 # the configs bound every value that becomes one
 _POISSON_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
-
-
-def _pool_state(entropy: list[np.ndarray]) -> np.ndarray:
-    # numpy's SeedSequence over rows of uint32 entropy words (one column
-    # per word, uint32 arithmetic wraps as numpy's does): mix them into a
-    # pool of 4 words, then generate_state(4, np.uint64) from the pool
-    hash_a = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_a
-        value = value ^ np.uint32(hash_a)
-        hash_a = hash_a * _MULT_A & _MASK32
-        value *= np.uint32(hash_a)
-        value ^= value >> 16
-        return value
-
-    def mix(x, y):
-        out = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
-        out ^= out >> 16
-        return out
-
-    zeros = np.zeros_like(entropy[0])
-    pool = [hashmix(entropy[i] if i < len(entropy) else zeros) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    state = np.empty((entropy[0].size, 8), np.uint64)
-    hash_b = _INIT_B
-    for i in range(8):
-        value = pool[i % 4] ^ np.uint32(hash_b)
-        hash_b = hash_b * _MULT_B & _MASK32
-        value *= np.uint32(hash_b)
-        value ^= value >> 16
-        state[:, i] = value
-    return state[:, 0::2] | state[:, 1::2] << np.uint64(32)  # little-endian word pairs
-
-
-def _seed_words(seed: int, key: Sequence[int], last) -> np.ndarray:
-    """Rows of ``np.random.SeedSequence(k).generate_state(4, np.uint64)``
-    for the keys k = [seed mod 2**64, *key, j], one per j of ``last``, all
-    at once.  Key words are ints >= 0 and each j is below 2**64; as in
-    SeedSequence, each becomes its 32-bit words, least significant first.
-    """
-    head = []
-    for word in (seed & _MASK64, *key):
-        head.append(word & _MASK32)
-        while word > _MASK32:
-            word >>= 32
-            head.append(word & _MASK32)
-    last = np.asarray(last, np.uint64)
-    lo, hi = (last & _MASK32).astype(np.uint32), (last >> 32).astype(np.uint32)
-    rows = np.empty((last.size, 4), np.uint64)
-    wide = hi > 0
-    for part, tail in ((~wide, [lo]), (wide, [lo, hi])):
-        if part.any():
-            n = np.count_nonzero(part)
-            rows[part] = _pool_state([np.full(n, w, np.uint32) for w in head] + [t[part] for t in tail])
-    return rows
-
-
-class _State(namedtuple("_State", "row")):
-    # numpy's ISeedSequence interface over one _seed_words row: PCG64 asks
-    # for generate_state(4, np.uint64), which the row already is
-    def generate_state(self, n_words, dtype):
-        return self.row
-
-
-def _rngs(rows: np.ndarray) -> Iterator[np.random.Generator]:
-    """``np.random.default_rng(k)`` for the key k of each :func:`_seed_words` row."""
-    # registered here, not at import, so that importing the package does not load numpy.random
-    np.random.bit_generator.ISeedSequence.register(_State)
-    return map(np.random.default_rng, map(_State, rows))
 
 
 def _require_poisson(key: str, mean: float) -> None:
@@ -309,13 +227,6 @@ def _place(shape: PopularityShape | None, births, masses, owner: np.ndarray, u: 
     return t[keep], keep
 
 
-def _draws(rng: np.random.Generator, mean: float, daynight: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    # One content's draws after its volume, for every generator: a Poisson
-    # count n, n candidate uniforms, then under day/night n thinning uniforms.
-    n = rng.poisson(mean)
-    return rng.random(n), rng.random(n) if daynight else None
-
-
 def shot_requests(
     shape: PopularityShape | None, birth: float, volume: float, horizon: float,
     rng: np.random.Generator, daynight: bool,
@@ -337,7 +248,9 @@ def shot_requests(
         if horizon < birth:
             raise ValueError(f"horizon {horizon!r} precedes birth {birth!r}")
         mass = float(shape.cdf(horizon - birth))
-    u, thin = _draws(rng, (2.0 if daynight else 1.0) * volume * mass, daynight)
+    # a Poisson count n, n candidate uniforms, then under day/night n thinning uniforms
+    u = rng.random(rng.poisson((2.0 if daynight else 1.0) * volume * mass))
+    thin = rng.random(u.size) if daynight else None
     t, _ = _place(shape, np.array([birth]), np.array([mass]), np.zeros(u.size, np.intp), u, horizon, thin)
     t.sort()
     return t
@@ -372,18 +285,12 @@ def _class_shape(cfg: SnmClassConfig) -> PopularityShape | None:
     return PopularityShape(cfg.shape_kind, lifespan_to_L(cfg.shape_kind, cfg.lifespan))
 
 
-def _volume(volumes: float | tuple[float, ...], rng: np.random.Generator) -> float:
-    # a content's mean volume: the class's constant, or one resampled observation
-    if isinstance(volumes, float):
-        return volumes
-    return volumes[rng.integers(0, len(volumes))]
-
-
 def _draw_run(run: SnmConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]:
     # Every request of a run in trace order, as its time and owner (the content's index in id-string
     # order, "c1_10" before "c1_2"), and every content's birth and id.  Classes go in id-prefix order
     # ("c12_" before "c1_"), each one's contents in id order with their requests together, so the
     # stable sort on time breaks ties by id.  A stationary content's birth is 0, which _place ignores.
+    # Each class draws from its one stream in the order of the module docstring.
     factor = 2.0 if run.daynight else 1.0
     times, owners, births, names = [], [], [], []
     for cfg in sorted(run.classes, key=lambda cfg: f"c{cfg.class_id}_"):
@@ -393,21 +300,15 @@ def _draw_run(run: SnmConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[
         shape = _class_shape(cfg)
         birth = np.zeros_like(birth) if shape is None else birth[serials]
         masses = np.ones_like(birth) if shape is None else shape.cdf(run.horizon - birth)
-        counts = np.empty(birth.size, np.int64)
-        cands, thins = array("d"), array("d")  # every content's draws, appended in place
-        rngs = _rngs(_seed_words(run.seed, [_TAG_CONTENT, cfg.class_id], serials))
-        for k, (rng, mass) in enumerate(zip(rngs, masses.tolist())):
-            u, thin = _draws(rng, factor * _volume(cfg.volumes, rng) * mass, run.daynight)
-            counts[k] = u.size
-            cands.frombytes(u.tobytes())
-            if run.daynight:
-                thins.frombytes(thin.tobytes())
-        owner = np.repeat(np.arange(birth.size, dtype=np.int32), counts)
-        t, keep = _place(shape, birth, masses, owner, np.frombuffer(cands), run.horizon,
-                         np.frombuffer(thins) if run.daynight else None)
+        volumes = cfg.volumes
+        if not isinstance(volumes, float):  # a volume sample: one resampled observation per content
+            volumes = np.take(volumes, rng.integers(0, len(volumes), birth.size))
+        owner = np.repeat(np.arange(birth.size, dtype=np.int32), rng.poisson(factor * volumes * masses))
+        u = rng.random(owner.size)
         # Each step drops its inputs as soon as its output exists, so that
         # peak memory stays near one trace's columns.
-        del cands, thins
+        t, keep = _place(shape, birth, masses, owner, u, run.horizon, rng.random(u.size) if run.daynight else None)
+        del u
         owner = owner if keep is None else owner[keep]
         owner += len(names)  # the contents of the classes drawn before
         times.append(t)

@@ -14,12 +14,11 @@ from __future__ import annotations
 import numpy as np
 
 from .analysis import slice_bounds
-from .generators import _rngs, _seed_words
 from .trace import Trace, _require_int
 
 __all__ = ["slice_shuffle"]
 
-_SHUFFLE_TAG = 0x51  # keys the per-slice RNG streams apart from other modules
+_SHUFFLE_TAG = 0x51  # keys the shuffle's RNG stream apart from other modules
 
 
 def slice_shuffle(trace: Trace, K: int, seed: int) -> Trace:
@@ -27,12 +26,12 @@ def slice_shuffle(trace: Trace, K: int, seed: int) -> Trace:
 
     Timestamps stay fixed (so the result is still sorted and keeps the
     same horizon); only the ids move, and only within their slice.
-    Deterministic given (trace, K, seed): each slice draws its
-    permutation from an RNG keyed by (seed, slice index).
+    Deterministic given (trace, K, seed): one RNG per call, keyed by
+    (seed mod 2**64, shuffle tag), draws each slice's permutation in
+    slice order.
     """
-    seed = _require_int("seed", seed)
+    rng = np.random.default_rng([_require_int("seed", seed) % 2**64, _SHUFFLE_TAG])
     source = np.empty(len(trace), np.int64)  # output position -> input position
-    bounds = slice_bounds(len(trace), K)
-    for (lo, hi), rng in zip(bounds, _rngs(_seed_words(seed, [_SHUFFLE_TAG], np.arange(len(bounds))))):
+    for lo, hi in slice_bounds(len(trace), K):
         source[lo:hi] = lo + rng.permutation(hi - lo)
     return Trace(trace.times, trace.codes[source], trace.ids, trace.horizon)

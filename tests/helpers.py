@@ -10,7 +10,7 @@ import numpy as np
 
 from snmcache import generators
 from snmcache.cachesim import LruResult
-from snmcache.generators import SnmClassConfig, shot_requests
+from snmcache.generators import SnmClassConfig
 from snmcache.trace import RequestEvent, Trace, _require_int
 
 # Reference per-class parameters (share of contents, mean life-span in
@@ -153,27 +153,48 @@ def fenwick_reuse_distances(codes) -> list[float]:
     return out
 
 
+def class_requests(cfg: SnmClassConfig, horizon: float, seed: int, daynight: bool = False):
+    """One shot-noise class drawn as the generator draws it, without ``_draw_run``: its request
+    times, unsorted, the serial of each one's content, and every content's birth by serial (0 for
+    a stationary content).  One ``default_rng`` per (seed mod 2**64, births tag, class id) key
+    draws, in this order: the births; then, for all the class's contents at once in id order
+    ("c1_10" before "c1_2"), the volume indices (a volume sample only), the Poisson counts, the
+    candidate uniforms and, under day/night, the thinning uniforms.  ``_place`` places the times."""
+    rng = np.random.default_rng([seed % 2**64, generators._TAG_BIRTHS, cfg.class_id])
+    births = np.sort(rng.uniform(0.0, horizon, rng.poisson(cfg.arrival_rate * horizon)))
+    shape = generators._class_shape(cfg)
+    if shape is None:
+        births[:] = 0.0
+    serials = np.array(sorted(range(births.size), key=str), dtype=np.int64)  # id order
+    b = births[serials]
+    masses = np.ones(b.size) if shape is None else shape.cdf(horizon - b)
+    volumes = cfg.volumes
+    if not isinstance(volumes, float):
+        volumes = np.array(volumes)[rng.integers(0, len(volumes), b.size)]
+    counts = rng.poisson((2.0 if daynight else 1.0) * volumes * masses)
+    u = rng.random(counts.sum())
+    thin = rng.random(u.size) if daynight else None
+    owner = np.repeat(np.arange(b.size), counts)  # each candidate's content, by its place in id order
+    t, keep = generators._place(shape, b, masses, owner, u, horizon, thin)
+    return t, serials[owner if keep is None else owner[keep]], births
+
+
 def heap_stream(classes, horizon: float, seed: int, daynight: bool = False):
     """Heap-merge oracle of ``SnmEventStream``: yields each event with the
-    pending peak after it.  The contents come in (birth, class, serial)
-    order, each drawn alone from its own ``default_rng`` key; pending
-    events earlier than a birth are popped before that content's
-    requests are pushed."""
-    key = seed & 0xFFFFFFFFFFFFFFFF
+    pending peak after it.  Each class is drawn by :func:`class_requests`;
+    the contents come in (birth, class, serial) order, and pending events
+    earlier than a birth are popped before that content's requests are
+    pushed."""
     contents = []
     for cfg in classes:
-        rng = np.random.default_rng([key, generators._TAG_BIRTHS, cfg.class_id])
-        births = np.sort(rng.uniform(0.0, horizon, rng.poisson(cfg.arrival_rate * horizon)))
-        shape = generators._class_shape(cfg)
-        contents += [(0.0 if shape is None else birth, cfg.class_id, serial, cfg, shape)
+        t, owner, births = class_requests(cfg, horizon, seed, daynight)
+        contents += [(birth, cfg.class_id, serial, t[owner == serial])
                      for serial, birth in enumerate(births.tolist())]
     heap, peak = [], 0
-    for birth, class_id, serial, cfg, shape in sorted(contents, key=lambda c: c[:3]):
+    for birth, class_id, serial, times in sorted(contents, key=lambda c: c[:3]):
         while heap and heap[0].timestamp < birth:
             yield heapq.heappop(heap), peak
-        rng = np.random.default_rng([key, generators._TAG_CONTENT, class_id, serial])
-        volume = generators._volume(cfg.volumes, rng)
-        for t in shot_requests(shape, birth, volume, horizon, rng, daynight).tolist():
+        for t in times.tolist():
             heapq.heappush(heap, RequestEvent(t, f"c{class_id}_{serial}"))
         peak = max(peak, len(heap))
     while heap:

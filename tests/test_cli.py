@@ -645,13 +645,15 @@ class TestWriteAtomic:
 class TestGoldenOutputs:
     # SHA-256 of each output of generate -> shuffle -> evaluate, recorded
     # with the Fenwick-tree reuse-distance kernel and the event-list
-    # shuffle; any change to a single output byte shows here.
+    # shuffle; any change to a single output byte shows here.  The shuffle
+    # and its curve and sizes were re-recorded when each shuffle call came
+    # to draw every slice from one stream.
     IRM_TRACE = "00cc7bf191be9ab711d77e404165f83c12e2db43af0b51a70ac07a4a4e5e9e5c"
-    SHUFFLED_TRACE = "5b63e81cc90ae3300d26ba272c05525f8c5f49ecf661355c11daf76216d616af"
+    SHUFFLED_TRACE = "cf37b16a40e58719815cb858d84538063ea523a5d3a2fc651bbf790a1bb4a01b"
     EVALUATE_FILES = sorted([
         "8a5359655ec1bba093853b370271810eb6701488269bc0244bfbccef7e23d04b",
-        "bba4fa6dc822c1afeaf81d8dd1b557d8991f20085258afb06af3ea7eae814ade",
-        "63f14c2e3e0d6e3f23b3fb85726542d3414362a7717522e5a03bf7fa330ff455",
+        "ac4f3c864d977bcccfd89e6e83e223393b6bddcac388dc016f856d385ab5f49c",
+        "d07e866c41d4b0ee5cc9d381169084e8a322901d1747ec21ef1c17713241ec0d",
     ])
 
     def test_generate_shuffle_evaluate_hashes(self, tmp_path):
@@ -674,6 +676,8 @@ class TestGoldenOutputs:
     # -> generate from the fitted config -> evaluate --eviction-stats.
     # density.csv was re-recorded when its bin edges became Python floats;
     # cumulative.csv was added later, by --contents, with no other hash changed.
+    # All but required_sizes.csv were re-recorded when each class came to
+    # draw from one stream.
     SNM_CONFIG = (
         "horizon_days=20.0\nseed=13\ndaynight={daynight}\n"
         "class=0, arrival_rate=30, lifespan_days=0, shape=stationary, volumes=const:3\n"
@@ -682,25 +686,25 @@ class TestGoldenOutputs:
         "class=5, arrival_rate=5, lifespan_days=10, shape=stationary, volumes=const:25\n"
     )
     SNM_FILES = {
-        "plain.trace": "27beadff57316a6885f19a3078410ef795e5d2d2bb63850233b89ee3835a5e5e",
-        "daynight.trace": "6327bb4cae701a358db5c4f71e028967efc837749c1813b89b147a609cd4be7d",
-        "analyze/content_stats.csv": "4ea05f5a4661d652ae780ca324569d0126b6ef136869fef5ae10cd79504e7cdf",
-        "analyze/ranks.csv": "53c2bfce54f1e45f886236daf1913146ce51a95d76ffec5dfc0ae30f2028a5b6",
-        "analyze/density.csv": "27b3ace191472760b0abcfd3c42df413c118ddbe606d2267b109567f98b713af",
-        "analyze/cumulative.csv": "2f8f9e8562de429a0026db2820ebfa73de56adf69da0fe4539b8ddede491fb02",
-        "fit/snm.conf": "020166f4073db92eaddea87981ae28d964a52f67ca987c753512b750da046979",
-        "fit/0.volumes": "60dca2cd769fd8304491541bd1aa47da72691b9cda20f8c3e7255dff25274fc0",
-        "fit/1.volumes": "30c4cf89ec95f6e57fef52c7e3533496f605cd4fbc7e0914c98d8d60d65208d7",
-        "fit/2.volumes": "09b9762c4ec40189615e6b9387d3f643b19dec44f3ff97dc7cd028330bcfecc3",
-        "fit/3.volumes": "24f21a5bba3937c536f932637576f6602b0c6375fbff5a1c59f1d96de6df6034",
-        "fit/4.volumes": "51c9478ac43844a64b2683564180be6cb09a4a8a047597f8ccf98d335afa0d54",
-        "fit/5.volumes": "7f8c12363a3f09e7bf552f2244393dbb73cf97479f25111c931e9c9996be787c",
-        "fit/class_summary.csv": "8de2a76eb65e9d0217509f5aa4a53143df90ec240f097b776a91812f2fb3f89b",
-        "refit.trace": "ed50a28a98d729ea950d285ad56bb4210dc402a11504a0eedecd60b95e9f8be7",
-        "eval/curve_plain.csv": "78ef2abbd49f95665ce6f975ab91f3bf24d2eedc024c66ce2461e0232c21f5e5",
-        "eval/curve_daynight.csv": "18bc1399817abd0e8b0ee191aae0e555b4d81a44cd04a42302046a45bdd0e35d",
-        "eval/evictions_plain.csv": "cf0fe17183c913780298693327c3300ac60d7437f9d1f2bcc39972f55c4bd6ec",
-        "eval/evictions_daynight.csv": "466a5a6dec5cbc59a4d95314dfd69825d82c5e064e6d9f0b1c480d98338a108f",
+        "plain.trace": "8661597eaf170c72d5cf3239f6f363c339e0b3d9b33e410413ee097b341caa49",
+        "daynight.trace": "1d3ccd5ff0846d680f3c5f71699cc32488f6af91bb4e6f6b8e00be00e24abb80",
+        "analyze/content_stats.csv": "bb5173116b388c01179e8825272ace706a793cdd23afc1853c4d741ec27a8034",
+        "analyze/ranks.csv": "dc8a49fd63bffbf6926e08152c6b52c0ed18cc8505cd277785858c741e89c95f",
+        "analyze/density.csv": "44e9b7589ccb5d04e14ff319a84e0ee066e9f77967d6e8a53b0b3fe85996a827",
+        "analyze/cumulative.csv": "776998627beb7ec649ab5da067d739968f84b0d3636e17f753ef6d92b6778e49",
+        "fit/snm.conf": "51ca749e0a60e506c17f45fe8ead736761674113d277393191f12b8a534f5697",
+        "fit/0.volumes": "0216fec0b2b41c0a2e28439edc4a482fd445be253591cf091695eaeb02f59d94",
+        "fit/1.volumes": "9b106b1b692f444b5935184e258075da7161bcb47b9fa305b45e5f3fbea94633",
+        "fit/2.volumes": "bfa3a9ffa6820b7c830429309a3298e9ef2c2d5d3526c6c85518b0d3b00329af",
+        "fit/3.volumes": "b28326ee143d04dd885a0c85010dadfab59f83f3f3a15375bb203ab71c4cda10",
+        "fit/4.volumes": "38d1dbe64d0092cceeb6774e65f63403b6fb314d3b67cd877a234167df1cde8a",
+        "fit/5.volumes": "dccef83aa4ad7207ccdc5eab2d31643c34f7f4833810821e89f15df0170556bf",
+        "fit/class_summary.csv": "4dcc1b68d675461fb7cc778b4342b47c7c1cbb9a0e8390fff0d6e5f4fdc14f44",
+        "refit.trace": "5879a2965932116693892bf8c9dcd7386ba775e87ad5322b7d40cf76d7de1bef",
+        "eval/curve_plain.csv": "072484431c71aab6afc2da4cc6a861f3a86f3466bd3c49d34973ee416af4a70c",
+        "eval/curve_daynight.csv": "731e64355cb7dbca8dbf109c3a5674fd867dd57b6191e6103bcea7f2fb75e0c4",
+        "eval/evictions_plain.csv": "d829882cb302f2f3185a0a9c3d87b42771ad9b869fa2a6077e05c2ba649d1c5e",
+        "eval/evictions_daynight.csv": "99543f376481964252dbf6f46d0c142f1ff5f9084cac25ea7d6b6a428c2ceebf",
         "eval/required_sizes.csv": "de380d84d47fccc8a99f1a44fe3d6379d7d8ca9c25b2ea31f17d672c9a5948b4",
     }
 

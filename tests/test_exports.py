@@ -20,23 +20,32 @@ def test_modules_are_listed():
     assert sorted(m.name for m in pkgutil.iter_modules(snmcache.__path__)) == MODULES
 
 
+def tree(name):
+    return ast.parse((Path(snmcache.__file__).parent / f"{name}.py").read_text(encoding="utf-8"))
+
+
+def imported_modules(name):
+    # the last dotted part of each module a module imports: "generators" for "from .generators import x"
+    return {module.rpartition(".")[2] for node in ast.walk(tree(name)) if isinstance(node, (ast.Import, ast.ImportFrom))
+            for module in ([node.module] if getattr(node, "module", None) else [a.name for a in node.names])}
+
+
 def test_value_rules_are_defined_in_trace_alone():
     # _require_int lived in generators, so cachesim imported generators for that name alone
-    folder = Path(snmcache.__file__).parent
-    trees = {name: ast.parse((folder / f"{name}.py").read_text(encoding="utf-8")) for name in MODULES}
-    homes = sorted((node.name, name) for name, tree in trees.items() for node in ast.walk(tree)
+    homes = sorted((node.name, name) for name in MODULES for node in ast.walk(tree(name))
                    if isinstance(node, ast.FunctionDef) and node.name in ("_require", "_require_int"))
     assert homes == [("_require", "trace"), ("_require_int", "trace")]
-    imported = {module.rpartition(".")[2] for node in ast.walk(trees["cachesim"])
-                if isinstance(node, (ast.Import, ast.ImportFrom))
-                for module in ([node.module] if getattr(node, "module", None) else [a.name for a in node.names])}
-    assert "generators" not in imported
+    assert "generators" not in imported_modules("cachesim")
+
+
+def test_shuffle_imports_nothing_from_generators():
+    # it imported the generator's SeedSequence restatement for its per-slice keys
+    assert "generators" not in imported_modules("shuffle")
 
 
 def test_class_summary_classifies_the_table_itself():
     # it took a class column beside the bounds, so a column made by other bounds gave mislabelled rows
-    tree = ast.parse((Path(snmcache.__file__).parent / "analysis.py").read_text(encoding="utf-8"))
-    [func] = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "class_summary"]
+    [func] = [node for node in tree("analysis").body if isinstance(node, ast.FunctionDef) and node.name == "class_summary"]
     assert [a.arg for a in func.args.args] == ["stats", "horizon", "volume_threshold", "lifespan_bounds"]
     called = {node.func.id for node in ast.walk(func) if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
     assert "classify_contents" in called

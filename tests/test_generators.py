@@ -37,7 +37,7 @@ from snmcache.generators import (
 )
 from snmcache.trace import RequestEvent, validate, write_atomic, write_trace
 
-from helpers import effective_lifespan, heap_stream, reference_classes
+from helpers import class_requests, effective_lifespan, heap_stream, reference_classes
 
 
 class TestLifespanToL:
@@ -297,78 +297,24 @@ class TestGenerateSnm:
 
 
 class TestKeyedSeeding:
-    # The content and slice keys are hashed in one vectorized pass that
-    # restates numpy's SeedSequence hash, the package's one restatement of
-    # numpy; a change to it in numpy fails these at once.
-    MASK64 = 2**64 - 1
-    SEEDS = [0, 1, 7, 2**32 + 5, 2**64 - 1, -12345]  # the last is masked to 64 bits
-    # serial 0, small serials, and serials of 2**32 and more, which take a second key word
-    SERIALS = np.array([*range(80), 2**32 - 1, 2**32, 2**32 + 7, 2**40 + 3, 2**63 + 9], np.uint64)
-
-    def check(self, seed, prefix, last):
-        rows = generators._seed_words(seed, prefix, last)
-        assert rows.shape == (len(last), 4)
-        for j, row, rng in zip(last.tolist(), rows, generators._rngs(rows)):
-            key = [seed & self.MASK64, *prefix, j]
-            assert row.tolist() == np.random.SeedSequence(key).generate_state(4, np.uint64).tolist(), key
-            assert rng.bit_generator.state == np.random.PCG64(np.random.SeedSequence(key)).state, key
-            # the first draws, through both 32- and 64-bit outputs
-            ref = np.random.default_rng(key)
-            assert rng.integers(0, 7, 3).tolist() == ref.integers(0, 7, 3).tolist(), key
-            assert rng.random(2).tolist() == ref.random(2).tolist(), key
-        return len(last)
-
-    def test_content_and_slice_keys_match_numpy(self):
-        checked = 0
-        for seed in self.SEEDS:
-            for class_id in (0, 3, 2**32 + 3):  # class ids of one and two words
-                checked += self.check(seed, [generators._TAG_CONTENT, class_id], self.SERIALS)
-            checked += self.check(seed, [0x51], np.arange(60))  # slice_shuffle's 2-word-prefix keys
-        assert checked >= 1500
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.integers(-2**70, 2**70), st.lists(st.integers(0, 2**70), max_size=3),
-           st.lists(st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1)), max_size=6))
-    def test_seed_words_are_seed_sequence_states(self, seed, prefix, last):
-        rows = generators._seed_words(seed, prefix, np.array(last, np.uint64))
-        assert rows.tolist() == [np.random.SeedSequence([seed & self.MASK64, *prefix, j])
-                                 .generate_state(4, np.uint64).tolist() for j in last]
-
-    def test_rngs_are_distinct_generators(self):
-        # all drawn from only after every generator exists
-        rngs = list(generators._rngs(generators._seed_words(7, [generators._TAG_CONTENT, 3], np.arange(5))))
-        assert len({id(rng) for rng in rngs}) == 5
-        for j, rng in enumerate(rngs):
-            ref = np.random.default_rng([7, generators._TAG_CONTENT, 3, j])
-            assert rng.random(3).tolist() == ref.random(3).tolist()
-
     def test_stream_tags_are_distinct(self):
-        tags = [generators._TAG_IRM, generators._TAG_BIRTHS, generators._TAG_CONTENT, shuffle._SHUFFLE_TAG]
+        tags = [generators._TAG_IRM, generators._TAG_BIRTHS, shuffle._SHUFFLE_TAG]
         assert len(set(tags)) == len(tags)
 
-    def test_empty_serials(self):
-        assert generators._seed_words(1, [generators._TAG_CONTENT, 1], np.arange(0)).shape == (0, 4)
-
     @pytest.mark.parametrize("daynight", [False, True])
-    def test_contents_draw_from_their_keyed_default_rng(self, daynight):
+    def test_each_class_draws_from_its_keyed_default_rng(self, daynight):
         # the generator's draws are those of one np.random.default_rng per
-        # (seed, tag, class, serial) key, sampled content by content
+        # (seed, tag, class) key, in the documented order (helpers.class_requests):
+        # a volume-sample class of a two-word id, a constant class and a stationary one
         classes = [SnmClassConfig(2**32 + 3, 3.0, 1.5, "exponential", (4.0, 9.0, 30.0)),
                    SnmClassConfig(0, 5.0, 2.0, "uniform", 12.0),
                    SnmClassConfig(7, 4.0, 0.0, "stationary", 6.0)]
         seed, horizon = -3, 6.0
-        key = seed & self.MASK64
         times, ids = [], []
         for cfg in classes:
-            rng = np.random.default_rng([key, generators._TAG_BIRTHS, cfg.class_id])
-            births = np.sort(rng.uniform(0.0, horizon, rng.poisson(cfg.arrival_rate * horizon)))
-            shape = generators._class_shape(cfg)
-            for serial, birth in enumerate(births.tolist()):
-                rng = np.random.default_rng([key, generators._TAG_CONTENT, cfg.class_id, serial])
-                volume = generators._volume(cfg.volumes, rng)
-                t = shot_requests(shape, 0.0 if shape is None else birth, volume, horizon, rng, daynight)
-                times += t.tolist()
-                ids += [f"c{cfg.class_id}_{serial}"] * t.size
+            t, serials, _ = class_requests(cfg, horizon, seed, daynight)
+            times += t.tolist()
+            ids += [f"c{cfg.class_id}_{serial}" for serial in serials.tolist()]
         trace = generate_snm(classes, horizon, seed, daynight)
         expected = sorted(zip(times, ids))
         assert len(trace) == len(expected) > 0
@@ -449,8 +395,8 @@ class TestEventStream:
         assert stream.peak_pending <= 5 * 10.0 * 40.0 * 3.4
 
     @pytest.mark.parametrize("seed,daynight,n_events,peak,digest", [
-        (4, False, 2907, 928, "32f9c632e62736fc1ea7899d9ecc1e71eb7c49864c616f683aa45db25c8f0cda"),
-        (5, True, 2996, 1203, "9b3faae52e41b5cccda83118e3d182f611d4ce5ed3821e06abac0bb69ab9ffc5"),
+        (4, False, 2923, 984, "b77b0ca57c45d41e2112424aad6adcce76b0666d61723deca69a14bdf635d9d5"),
+        (5, True, 2864, 1145, "a63852184b48cfff0cc35ad08aa0ca548dc5ec933b480652f960a5e8473943bd"),
     ])
     def test_pinned_events_and_peak_pending(self, seed, daynight, n_events, peak, digest):
         # exact events and pending peak of the stream, stationary class included
