@@ -129,7 +129,7 @@ class SnmClassConfig:
     classes without a usable life-span estimate are handled.
 
     Rules shared with the config file: the class id is an integer >= 0,
-    not a bool (a word of the content RNG keys); arrival rate, life-span
+    not a bool (a word of the class's RNG key); arrival rate, life-span
     (>= 0 if stationary) and a constant volume are finite and positive;
     a volume sample is a 1-D sequence of one or more finite values >= 0;
     twice the largest volume (a day/night candidate mean) is within
