@@ -122,6 +122,19 @@ class TestShotSampling:
         with pytest.raises(ValueError):
             shot_requests(shape, 5.0, 10.0, 4.0, np.random.default_rng(0), False)
 
+    def test_pinned_bytes(self):
+        # the exact times over fixed seeds: both shapes and a stationary content, plain and day/night,
+        # births up to the horizon (no request for a shot) and an int volume
+        digest = hashlib.sha256()
+        for shape in (PopularityShape("exponential", 1.5), PopularityShape("uniform", 2.0), None):
+            for daynight in (False, True):
+                rng = np.random.default_rng([27, daynight])
+                for birth, volume in ((0.0, 40.0), (2.5, 40.0), (7.9, 40.0), (1.0, 25), (10.0, 40.0)):
+                    times = shot_requests(shape, birth, volume, 10.0, rng, daynight)
+                    assert times.dtype == np.float64 and (times.size > 0) == (shape is None or birth < 10.0)
+                    digest.update(np.int64(times.size).tobytes() + times.tobytes())
+        assert digest.hexdigest() == "8bdb2e8ea02a979cd18c3c0e98deee87acad6cb14ac19fe99e30d4ad58e0bd09"
+
 
 class TestDayNight:
     def test_factor_values(self):
