@@ -79,6 +79,7 @@ def cmd_analyze(args) -> int:
     given = {name: analysis._bin_edges(name, _numbers(float, f"--{name}-bins", text)).tolist()
              for name, text in (("lifespan", args.lifespan_bins), ("volume", args.volume_bins)) if text}
     trace = _read_trace_file(args.trace)
+    _require_int("--slices", args.slices, lo=1, hi=len(trace))
     # compute every output, and so check every argument, before writing any
     stats = analysis.content_stats(trace)
     ranks = analysis.sliced_popularity(trace, args.slices, args.top)

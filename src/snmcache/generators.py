@@ -14,19 +14,20 @@ Two traffic models are provided:
 
 An optional day/night modulation multiplies every content's rate by
 f(t) = 1 + sin(2*pi*t) (t in days), realized by exact thinning against
-the bound f <= 2.  :func:`shot_requests` samples one content.
+the bound f <= 2.
 
 Generation is deterministic given a seed: every draw comes from
 ``np.random.default_rng(key)`` for a key (seed mod 2**64, tag, ...).  A
 shot-noise class draws from the one stream of its key (seed, births tag,
-class id), in this order: its births; then, for all its contents at once
-in id order, the volume indices (classes with a volume sample only), the
-Poisson counts, the candidate uniforms and, under day/night, the
-thinning uniforms.  One function draws every class of a run, places
-their request times in numpy and sorts them into trace order:
-:func:`generate_snm` wraps its result in a :class:`Trace`, and
-:class:`SnmEventStream` yields it one event at a time.  So both produce
-identical traces.
+class id): its births, then the rest for all its contents at once, in id
+order.  One per-content draw makes the rest for any set of contents, in
+this order: the volume indices (classes with a volume sample only), the
+Poisson counts, the candidate uniforms, which it places at their request
+times, and, under day/night, the thinning uniforms.  :func:`shot_requests`
+is that draw for one content.  One function draws every class of a run
+and sorts their requests into trace order: :func:`generate_snm` wraps its
+result in a :class:`Trace`, and :class:`SnmEventStream` yields it one
+event at a time.  So both produce identical traces.
 """
 
 from __future__ import annotations
@@ -207,24 +208,30 @@ def lifespan_to_L(kind: str, lifespan: float) -> float:
     raise ValueError(f"shape kind {kind!r} has no life-span scale")
 
 
-def _place(shape: PopularityShape | None, births, masses, owner: np.ndarray, u: np.ndarray,
-           horizon: float, thin: np.ndarray | None) -> tuple[np.ndarray, np.ndarray | None]:
-    # The request times of contents from their uniform draws ``u``, which
-    # are overwritten: candidate i is of content owner[i], of birth
-    # births[owner[i]] and shot mass masses[owner[i]] = F(horizon - birth),
-    # and under day/night ``thin`` holds its thinning draw.  Returns the
-    # kept times, unsorted, and which were kept (None without day/night).
+def _draw_contents(rng: np.random.Generator, shape: PopularityShape | None, births: np.ndarray, volumes,
+                   horizon: float, daynight: bool) -> tuple[np.ndarray, np.ndarray]:
+    # Every draw after the births of contents born at ``births`` (a stationary shape, None, ignores
+    # them), with a constant volume (a float) or a volume sample, in the order of the module
+    # docstring.  Returns their request times, unsorted, and each one's owner, the content's place
+    # in ``births``.  Each step drops its inputs as soon as its output exists, so that peak memory
+    # stays near one trace's columns.
+    masses = np.ones_like(births) if shape is None else shape.cdf(horizon - births)
+    if not isinstance(volumes, float):  # a volume sample: one resampled observation per content
+        volumes = np.take(volumes, rng.integers(0, len(volumes), births.size))
+    factor = 2.0 if daynight else 1.0  # under day/night, candidates at twice the rate, half of them kept
+    owner = np.repeat(np.arange(births.size, dtype=np.int32), rng.poisson(factor * volumes * masses))
+    t = rng.random(owner.size)
     if shape is None:
-        t = np.multiply(u, horizon, out=u)  # uniform over [0, horizon]
+        t *= horizon  # uniform over [0, horizon]
     else:
         b = births[owner]
-        t = shape.quantile(np.multiply(u, masses[owner], out=u))
+        t = shape.quantile(np.multiply(t, masses[owner], out=t))
         np.minimum(t, horizon - b, out=t)  # guard fp rounding at the window edge
         t += b
-    if thin is None:
-        return t, None
-    keep = thin < 0.5 * daynight_factor(t)
-    return t[keep], keep
+    if daynight:  # each candidate, at time t, kept with probability f(t)/2
+        keep = rng.random(t.size) < 0.5 * daynight_factor(t)
+        t, owner = t[keep], owner[keep]
+    return t, owner
 
 
 def shot_requests(
@@ -243,15 +250,9 @@ def shot_requests(
     probability f(t)/2, so the expected kept volume is
     volume * integral(shape * f): close to, but not exactly, ``volume``.
     """
-    mass = 1.0
-    if shape is not None:
-        if horizon < birth:
-            raise ValueError(f"horizon {horizon!r} precedes birth {birth!r}")
-        mass = float(shape.cdf(horizon - birth))
-    # a Poisson count n, n candidate uniforms, then under day/night n thinning uniforms
-    u = rng.random(rng.poisson((2.0 if daynight else 1.0) * volume * mass))
-    thin = rng.random(u.size) if daynight else None
-    t, _ = _place(shape, np.array([birth]), np.array([mass]), np.zeros(u.size, np.intp), u, horizon, thin)
+    if shape is not None and horizon < birth:
+        raise ValueError(f"horizon {horizon!r} precedes birth {birth!r}")
+    t, _ = _draw_contents(rng, shape, np.array([birth], float), float(volume), horizon, daynight)
     t.sort()
     return t
 
@@ -289,9 +290,8 @@ def _draw_run(run: SnmConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[
     # Every request of a run in trace order, as its time and owner (the content's index in id-string
     # order, "c1_10" before "c1_2"), and every content's birth and id.  Classes go in id-prefix order
     # ("c12_" before "c1_"), each one's contents in id order with their requests together, so the
-    # stable sort on time breaks ties by id.  A stationary content's birth is 0, which _place ignores.
-    # Each class draws from its one stream in the order of the module docstring.
-    factor = 2.0 if run.daynight else 1.0
+    # stable sort on time breaks ties by id.  Each class draws from its one stream in the order of the
+    # module docstring; a stationary content's birth is 0, which _draw_contents ignores.
     times, owners, births, names = [], [], [], []
     for cfg in sorted(run.classes, key=lambda cfg: f"c{cfg.class_id}_"):
         rng = np.random.default_rng([run.seed & _MASK64, _TAG_BIRTHS, cfg.class_id])
@@ -299,17 +299,7 @@ def _draw_run(run: SnmConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[
         serials = np.array(sorted(range(birth.size), key=str), np.int64)
         shape = _class_shape(cfg)
         birth = np.zeros_like(birth) if shape is None else birth[serials]
-        masses = np.ones_like(birth) if shape is None else shape.cdf(run.horizon - birth)
-        volumes = cfg.volumes
-        if not isinstance(volumes, float):  # a volume sample: one resampled observation per content
-            volumes = np.take(volumes, rng.integers(0, len(volumes), birth.size))
-        owner = np.repeat(np.arange(birth.size, dtype=np.int32), rng.poisson(factor * volumes * masses))
-        u = rng.random(owner.size)
-        # Each step drops its inputs as soon as its output exists, so that
-        # peak memory stays near one trace's columns.
-        t, keep = _place(shape, birth, masses, owner, u, run.horizon, rng.random(u.size) if run.daynight else None)
-        del u
-        owner = owner if keep is None else owner[keep]
+        t, owner = _draw_contents(rng, shape, birth, cfg.volumes, run.horizon, run.daynight)
         owner += len(names)  # the contents of the classes drawn before
         times.append(t)
         owners.append(owner)

@@ -154,12 +154,14 @@ def fenwick_reuse_distances(codes) -> list[float]:
 
 
 def class_requests(cfg: SnmClassConfig, horizon: float, seed: int, daynight: bool = False):
-    """One shot-noise class drawn as the generator draws it, without ``_draw_run``: its request
+    """One shot-noise class drawn as the generator draws it, without its draw functions: its request
     times, unsorted, the serial of each one's content, and every content's birth by serial (0 for
     a stationary content).  One ``default_rng`` per (seed mod 2**64, births tag, class id) key
     draws, in this order: the births; then, for all the class's contents at once in id order
     ("c1_10" before "c1_2"), the volume indices (a volume sample only), the Poisson counts, the
-    candidate uniforms and, under day/night, the thinning uniforms.  ``_place`` places the times."""
+    candidate uniforms and, under day/night, the thinning uniforms.  A candidate u of a content born
+    at b is placed at the shape's quantile of u * F(horizon - b), at most horizon - b, plus b (at
+    u * horizon if stationary); under day/night it is kept if its thinning uniform is below f(t)/2."""
     rng = np.random.default_rng([seed % 2**64, generators._TAG_BIRTHS, cfg.class_id])
     births = np.sort(rng.uniform(0.0, horizon, rng.poisson(cfg.arrival_rate * horizon)))
     shape = generators._class_shape(cfg)
@@ -173,10 +175,15 @@ def class_requests(cfg: SnmClassConfig, horizon: float, seed: int, daynight: boo
         volumes = np.array(volumes)[rng.integers(0, len(volumes), b.size)]
     counts = rng.poisson((2.0 if daynight else 1.0) * volumes * masses)
     u = rng.random(counts.sum())
-    thin = rng.random(u.size) if daynight else None
     owner = np.repeat(np.arange(b.size), counts)  # each candidate's content, by its place in id order
-    t, keep = generators._place(shape, b, masses, owner, u, horizon, thin)
-    return t, serials[owner if keep is None else owner[keep]], births
+    if shape is None:
+        t = u * horizon
+    else:
+        t = np.minimum(shape.quantile(u * masses[owner]), horizon - b[owner]) + b[owner]
+    if daynight:
+        keep = rng.random(t.size) < 0.5 * (1.0 + np.sin(2.0 * np.pi * t))
+        t, owner = t[keep], owner[keep]
+    return t, serials[owner], births
 
 
 def heap_stream(classes, horizon: float, seed: int, daynight: bool = False):

@@ -461,6 +461,16 @@ class TestInputErrors:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    def test_slices_beyond_the_request_count_name_the_option(self, tmp_path, capsys):
+        # the library's bound was reported under its own name: "K must be in [1, 2], got 5"
+        path = tmp_path / "two.trace"
+        write_trace_file(make_trace(["a", "b"]), path)
+        out = tmp_path / "out"
+        assert cli.main(["analyze", str(path), "--slices", "5", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: --slices must be in [1, 2], got 5\n"
+        assert not out.exists()
+        assert cli.main(["analyze", str(path), "--slices", "2", "--out", str(out)]) == 0
+
     @pytest.mark.parametrize("argv,message", [
         (["fit", "--bounds", "x"], "--bounds x: could not convert string to float: 'x'"),
         (["fit", "--bounds", "5,2"], "lifespan bounds must be strictly increasing, got [5.0, 2.0]"),

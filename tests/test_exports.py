@@ -38,6 +38,18 @@ def test_value_rules_are_defined_in_trace_alone():
     assert "generators" not in imported_modules("cachesim")
 
 
+def test_one_placement_and_thinning_path():
+    # shot_requests and the batch drew their candidates apart and placed and thinned them through a
+    # helper that the test oracle called too; now one function makes every draw after the births
+    def places(node):
+        return isinstance(node, ast.Call) and (getattr(node.func, "id", None) == "daynight_factor"
+                                               or getattr(node.func, "attr", None) == "quantile")
+
+    callers = {func.name for func in ast.walk(tree("generators"))
+               if isinstance(func, ast.FunctionDef) and any(map(places, ast.walk(func)))}
+    assert callers == {"_draw_contents"}
+
+
 def test_shuffle_imports_nothing_from_generators():
     # it imported the generator's SeedSequence restatement for its per-slice keys
     assert "generators" not in imported_modules("shuffle")

@@ -37,6 +37,7 @@ from snmcache.generators import (
 )
 from snmcache.trace import RequestEvent, validate, write_atomic, write_trace
 
+import helpers
 from helpers import class_requests, effective_lifespan, heap_stream, reference_classes
 
 
@@ -357,14 +358,20 @@ class TestEventStream:
             with pytest.raises(ValueError, match="horizon must be positive"):
                 generate(self.small_classes(), horizon, 0)
 
+    @staticmethod
+    def at_horizon(draw):
+        # the draw, with every request time set to the horizon, 5.0
+        def draw_at_horizon(*args):
+            t, *rest = draw(*args)
+            return np.full_like(t, 5.0), *rest
+
+        return draw_at_horizon
+
     def test_equal_timestamps_order_by_id_string(self, monkeypatch):
         # every request is placed at the horizon, in the batch and the
         # stream alike, so all requests tie on time and only the id
         # string orders them
-        def at_horizon(shape, births, masses, owner, u, horizon, thin):
-            return np.full(u.size, 5.0), None
-
-        monkeypatch.setattr(generators, "_place", at_horizon)
+        monkeypatch.setattr(generators, "_draw_contents", self.at_horizon(generators._draw_contents))
         classes = [SnmClassConfig(1, 4.0, 1.0, "uniform", 10.0),
                    SnmClassConfig(5, 2.0, 1.0, "stationary", 10.0)]
         batch = generate_snm(classes, 5.0, seed=3)
@@ -387,11 +394,9 @@ class TestEventStream:
             assert stream.peak_pending == expected[-1][1]
 
     def test_tied_times_match_heap_oracle(self, monkeypatch):
-        # every request at the horizon, so only the id orders the events
-        def at_horizon(shape, births, masses, owner, u, horizon, thin):
-            return np.full(u.size, 5.0), None
-
-        monkeypatch.setattr(generators, "_place", at_horizon)
+        # every request at the horizon, in the generator and the oracle, so only the id orders the events
+        monkeypatch.setattr(generators, "_draw_contents", self.at_horizon(generators._draw_contents))
+        monkeypatch.setattr(helpers, "class_requests", self.at_horizon(helpers.class_requests))
         classes = [SnmClassConfig(1, 4.0, 1.0, "uniform", 10.0),
                    SnmClassConfig(5, 2.0, 1.0, "stationary", 10.0),
                    SnmClassConfig(12, 3.0, 1.0, "exponential", 6.0)]
