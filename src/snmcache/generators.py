@@ -210,11 +210,10 @@ def lifespan_to_L(kind: str, lifespan: float) -> float:
 
 def _draw_contents(rng: np.random.Generator, shape: PopularityShape | None, births: np.ndarray, volumes,
                    horizon: float, daynight: bool) -> tuple[np.ndarray, np.ndarray]:
-    # Every draw after the births of contents born at ``births`` (a stationary shape, None, ignores
-    # them), with a constant volume (a float) or a volume sample, in the order of the module
-    # docstring.  Returns their request times, unsorted, and each one's owner, the content's place
-    # in ``births``.  Each step drops its inputs as soon as its output exists, so that peak memory
-    # stays near one trace's columns.
+    # Every draw after the births of contents born at ``births`` (ignored if stationary, shape None),
+    # with a constant volume (a float) or a volume sample, in the order of the module docstring: their
+    # request times, unsorted, and each one's owner, its place in ``births``.  Each step drops its
+    # inputs as soon as its output exists, so that peak memory stays near one trace's columns.
     masses = np.ones_like(births) if shape is None else shape.cdf(horizon - births)
     if not isinstance(volumes, float):  # a volume sample: one resampled observation per content
         volumes = np.take(volumes, rng.integers(0, len(volumes), births.size))
@@ -252,7 +251,8 @@ def shot_requests(
     """
     if shape is not None and horizon < birth:
         raise ValueError(f"horizon {horizon!r} precedes birth {birth!r}")
-    t, _ = _draw_contents(rng, shape, np.array([birth], float), float(volume), horizon, daynight)
+    volume = _require("volume", volume, positive=False)  # a float, which _draw_contents reads as a constant volume
+    t, _ = _draw_contents(rng, shape, np.array([birth], float), volume, horizon, daynight)
     t.sort()
     return t
 

@@ -123,6 +123,12 @@ class TestShotSampling:
         with pytest.raises(ValueError):
             shot_requests(shape, 5.0, 10.0, 4.0, np.random.default_rng(0), False)
 
+    @pytest.mark.parametrize("volume", ["3", -1.0, math.nan])
+    def test_volume_rule(self, volume):
+        # a string volume raised TypeError, a negative or NaN one numpy's Poisson message
+        with pytest.raises(ValueError, match="volume must be"):
+            shot_requests(PopularityShape("uniform", 1.0), 0.0, volume, 10.0, np.random.default_rng(0), False)
+
     def test_pinned_bytes(self):
         # the exact times over fixed seeds: both shapes and a stationary content, plain and day/night,
         # births up to the horizon (no request for a shot) and an int volume
