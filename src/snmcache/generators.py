@@ -22,7 +22,7 @@ shot-noise class draws from the one stream of its key (seed, births tag,
 class id): its births, then the rest for all its contents at once, in id
 order.  One per-content draw makes the rest for any set of contents, in
 this order: the volume indices (classes with a volume sample only), the
-Poisson counts, the candidate uniforms, which it places at their request
+Poisson counts, the candidate uniforms, from which it places the request
 times, and, under day/night, the thinning uniforms.  :func:`shot_requests`
 is that draw for one content.  One function draws every class of a run
 and sorts their requests into trace order: :func:`generate_snm` wraps its
@@ -217,7 +217,7 @@ def _draw_contents(rng: np.random.Generator, shape: PopularityShape | None, birt
     masses = np.ones_like(births) if shape is None else shape.cdf(horizon - births)
     if not isinstance(volumes, float):  # a volume sample: one resampled observation per content
         volumes = np.take(volumes, rng.integers(0, len(volumes), births.size))
-    factor = 2.0 if daynight else 1.0  # under day/night, candidates at twice the rate, half of them kept
+    factor = 2.0 if daynight else 1.0  # under day/night, candidates at twice the rate
     owner = np.repeat(np.arange(births.size, dtype=np.int32), rng.poisson(factor * volumes * masses))
     t = rng.random(owner.size)
     if shape is None:
