@@ -10,8 +10,9 @@ emit CSV artifacts for external plotting:
     evaluate  LRU hit curves and required-size comparisons
 
 All commands exit 0 on success and 2 on usage or input errors.  Each
-command writes its output files in one atomic step (write-then-rename,
-see :func:`snmcache.trace.write_atomic`).  This module alone writes
+command returns its output files as ``{path: writer}`` and writes none;
+:func:`main` writes them in one atomic step that makes each file's
+directory (:func:`snmcache.trace.write_atomic`).  This module alone writes
 CSV: :func:`_csv` writes every file's header and rows, each number as
 the ``repr`` of its Python value (:func:`snmcache.trace.format_cell`),
 and quotes a cell that holds a comma or a quote as RFC 4180 says.
@@ -70,7 +71,7 @@ def _default_volume_bins(threshold: int, max_volume: int) -> list[float]:
     return edges
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> dict:
     # every option's rule before the trace is read (the upper bound of --slices, the request count, needs it);
     # a volume is at least 1 request: doubling bins from below 1 would never pass the largest volume
     _require_int("--volume-threshold", args.volume_threshold, lo=1)
@@ -80,7 +81,6 @@ def cmd_analyze(args) -> int:
              for name, text in (("lifespan", args.lifespan_bins), ("volume", args.volume_bins)) if text}
     trace = _read_trace_file(args.trace)
     _require_int("--slices", args.slices, lo=1, hi=len(trace))
-    # compute every output, and so check every argument, before writing any
     stats = analysis.content_stats(trace)
     ranks = analysis.sliced_popularity(trace, args.slices, args.top)
     l_bins = given.get("lifespan") or np.linspace(0.0, max(trace.horizon, 1.0), 15).tolist()
@@ -105,12 +105,10 @@ def cmd_analyze(args) -> int:
             counts[k] += 1
             series.append((trace.ids[k], ts, counts[k]))
         files[out / "cumulative.csv"] = _csv("content_id,timestamp,cum_requests", series)
-    out.mkdir(parents=True, exist_ok=True)
-    write_atomic(files)
-    return 0
+    return files
 
 
-def cmd_fit(args) -> int:
+def cmd_fit(args) -> dict:
     _require_int("--volume-threshold", args.volume_threshold, lo=1)
     bounds = _numbers(float, "--bounds", args.bounds)
     # the library's own rules, on an empty table, before the trace is read
@@ -119,19 +117,16 @@ def cmd_fit(args) -> int:
     summaries, config = analysis.fit_snm(analysis.content_stats(trace), trace.horizon, args.volume_threshold,
                                          bounds, args.shape, args.seed)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    # one atomic write, the config last: a failed fit leaves none of these files
-    write_atomic({
+    return {  # the config last: a failed write leaves none of these files
         out / "class_summary.csv": _csv(
             "class,lmin_days,lmax_days,pct_reqs,pct_videos,mean_lifespan,mean_volume,arrival_rate",
             [(s.class_id, *s.lifespan_bounds, s.pct_requests, s.pct_videos, s.mean_lifespan, s.mean_volume,
               s.arrival_rate) for s in summaries]),
         **generators.snm_config_files(config, out / "snm.conf"),
-    })
-    return 0
+    }
 
 
-def cmd_generate(args) -> int:
+def cmd_generate(args) -> dict:
     if (args.config is None) == (args.irm is None):
         raise ValueError("exactly one of CONFIG or --irm is required")
     if args.irm is not None:
@@ -151,16 +146,14 @@ def cmd_generate(args) -> int:
         if seed is None:
             raise ValueError("no seed: pass --seed or add seed= to the config")
         trace = generators.generate_snm(config.classes, config.horizon, seed, config.daynight)
-    write_atomic({Path(args.out): lambda f: write_trace(trace, f)})
-    return 0
+    return {Path(args.out): lambda f: write_trace(trace, f)}
 
 
-def cmd_shuffle(args) -> int:
+def cmd_shuffle(args) -> dict:
     _require_int("K", args.K, lo=1)  # its upper bound, the request count, needs the trace
     trace = _read_trace_file(args.trace)
     shuffled = shuffle_mod.slice_shuffle(trace, args.K, args.seed)
-    write_atomic({Path(args.out): lambda f: write_trace(shuffled, f)})
-    return 0
+    return {Path(args.out): lambda f: write_trace(shuffled, f)}
 
 
 def _default_capacities(n_distinct: int) -> list[int]:
@@ -176,14 +169,12 @@ def _default_capacities(n_distinct: int) -> list[int]:
     return sorted(set(caps))
 
 
-def cmd_evaluate(args) -> int:
+def cmd_evaluate(args) -> dict:
     targets = _numbers(float, "--targets", args.targets)
     capacities = _numbers(int, "--capacities", args.capacities)
     cachesim.hit_curve([np.inf], capacities)  # the library's own value checks, before any trace is read
     for t in targets:
         cachesim.size_for_hit_prob([np.inf], t)
-
-    # compute every output, and so check every argument, before writing any
     out = Path(args.out)
     writers = {}
     rows = []
@@ -206,9 +197,7 @@ def cmd_evaluate(args) -> int:
                  for r in cachesim.lru_results(trace, distances, caps)])
         del trace, distances  # one trace alive at a time: this one goes before the next is read
     writers[out / "required_sizes.csv"] = _csv("trace_label,target,required_size", rows)
-    out.mkdir(parents=True, exist_ok=True)
-    write_atomic(writers)
-    return 0
+    return writers
 
 
 class _Parser(argparse.ArgumentParser):
@@ -238,7 +227,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("trace")
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--volume-threshold", type=int, default=analysis.DEFAULT_VOLUME_THRESHOLD)
-    p.add_argument("--bounds", default="2,5,8,13", help="life-span class boundaries, days")
+    p.add_argument("--bounds", default=",".join(map(str, analysis.DEFAULT_LIFESPAN_BOUNDS)),
+                   help="life-span class boundaries, days")
     p.add_argument("--shape", choices=("exponential", "uniform"), default="exponential")
     p.add_argument("--seed", type=int, default=None, help="seed to embed in the emitted config")
     p.set_defaults(func=cmd_fit)
@@ -270,7 +260,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return args.func(args)
+        write_atomic(args.func(args))  # a command writes nothing itself, so each checks everything first
+        return 0
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     except (OSError, ValueError, MemoryError) as exc:  # MemoryError: an input too large to hold

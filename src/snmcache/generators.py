@@ -249,9 +249,12 @@ def shot_requests(
     probability f(t)/2, so the expected kept volume is
     volume * integral(shape * f): close to, but not exactly, ``volume``.
     """
+    birth = _require("birth", birth, positive=False)
+    horizon = _require("horizon", horizon)
+    volume = _require("volume", volume, positive=False)  # a float, which _draw_contents reads as a constant volume
+    _require_poisson("2 * volume", 2 * volume)
     if shape is not None and horizon < birth:
         raise ValueError(f"horizon {horizon!r} precedes birth {birth!r}")
-    volume = _require("volume", volume, positive=False)  # a float, which _draw_contents reads as a constant volume
     t, _ = _draw_contents(rng, shape, np.array([birth], float), volume, horizon, daynight)
     t.sort()
     return t

@@ -293,18 +293,21 @@ def validate(trace: Trace) -> list[Violation]:
 
 
 def write_atomic(files: Mapping[Path, Callable[[IO[str]], object]]) -> None:
-    """Write each file through a temporary file next to it, then rename
-    them all into place in order, so the last one appears last.
+    """Write each file through a temporary file next to it, in its
+    directory (made if missing), then rename them all into place in
+    order, so the last one appears last.
 
     Nothing is renamed until every writer has returned.  On any failure
     the temporary files and the files this call already renamed into
     place are removed (an older file one of them replaced is not
-    restored), so a failed call leaves none of its outputs.
+    restored, and a directory made stays), so a failed call leaves none
+    of its outputs.
     """
     tmps = {path: path.with_name(path.name + f".tmp{os.getpid()}") for path in files}
     placed = []
     try:
         for path, write in files.items():
+            path.parent.mkdir(parents=True, exist_ok=True)
             with open(tmps[path], "w", encoding="utf-8", newline="\n") as f:
                 write(f)
         for path, tmp in tmps.items():

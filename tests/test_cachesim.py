@@ -305,6 +305,11 @@ class TestSizeForHitProb:
         d = reuse_distances(make_trace(list(range(50))))
         assert size_for_hit_prob(d, 0.999) is None
 
+    def test_no_requests(self):
+        for call in (lambda: size_for_hit_prob([], 0.1), lambda: hit_curve([], [1])):
+            with pytest.raises(ValueError, match="^no requests$"):
+                call()
+
     def test_target_range(self):
         d = reuse_distances(make_trace([1, 1]))
         for bad in (0.0, 1.0, -0.1, 1.5):

@@ -426,7 +426,25 @@ class TestShuffle:
         assert rc == 2
 
 
+class TestOutputDirectories:
+    # generate and shuffle wrote into --out's directory without making it, so a missing one exited 2;
+    # a command that fails after reading its trace makes none (TestAnalyze::test_bad_slices_write_nothing)
+    def test_generate_makes_the_out_directory(self, tmp_path):
+        out = tmp_path / "new" / "dir" / "x.trace"
+        assert cli.main(["generate", "--irm", "3,0.8,20,5", "--seed", "1", "--out", str(out)]) == 0
+        assert len(read_trace_file(out)) == 20
+
+    def test_shuffle_makes_the_out_directory(self, toy_trace_path, tmp_path):
+        out = tmp_path / "new" / "dir" / "x.trace"
+        assert cli.main(["shuffle", str(toy_trace_path), "10", "--seed", "1", "--out", str(out)]) == 0
+        assert out.read_bytes() == toy_trace_path.read_bytes()
+
+
 class TestInputErrors:
+    def test_help_exits_0_and_prints_the_usage(self, capsys):
+        assert cli.main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: snmcache ")
+
     @pytest.mark.parametrize("command", ["analyze", "fit", "shuffle", "evaluate"])
     def test_empty_trace_one_message_and_no_output(self, tmp_path, capsys, command):
         # shuffle used to fail later, with "K must be in [1, 0]"

@@ -50,6 +50,18 @@ def test_one_placement_and_thinning_path():
     assert callers == {"_draw_contents"}
 
 
+def test_main_is_the_one_cli_writer():
+    # each command made its --out directory (or not: generate and shuffle) and wrote its own files;
+    # now each returns them, and main writes them in one write_atomic call, which makes the directories
+    def calls(func, name):
+        return [node for node in ast.walk(func) if isinstance(node, ast.Call)
+                and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+
+    funcs = [node for node in ast.walk(tree("cli")) if isinstance(node, ast.FunctionDef)]
+    assert {func.name: len(calls(func, "write_atomic")) for func in funcs if calls(func, "write_atomic")} == {"main": 1}
+    assert [func.name for func in funcs if calls(func, "mkdir")] == []
+
+
 def test_shuffle_imports_nothing_from_generators():
     # it imported the generator's SeedSequence restatement for its per-slice keys
     assert "generators" not in imported_modules("shuffle")

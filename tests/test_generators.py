@@ -129,6 +129,22 @@ class TestShotSampling:
         with pytest.raises(ValueError, match="volume must be"):
             shot_requests(PopularityShape("uniform", 1.0), 0.0, volume, 10.0, np.random.default_rng(0), False)
 
+    @pytest.mark.parametrize("argument,value,message", [
+        ("birth", -5.0, "birth must be >= 0 and finite, got -5.0"),
+        ("birth", math.nan, "birth must be >= 0 and finite, got nan"),
+        ("horizon", math.nan, "horizon must be positive and finite, got nan"),
+        ("horizon", math.inf, "horizon must be positive and finite, got inf"),
+        ("horizon", -1.0, "horizon must be positive and finite, got -1.0"),
+        ("volume", 1e308, "2 * volume must be <= "),
+    ])
+    def test_value_rules(self, argument, value, message):
+        # a negative birth gave times before 0, a stationary content's bad horizon NaN, inf or negative
+        # times, and a NaN birth or a huge volume numpy's "lam value too large"
+        for shape in (PopularityShape("uniform", 1.0), None):
+            args = {"birth": 0.0, "volume": 5.0, "horizon": 10.0, argument: value}
+            with pytest.raises(ValueError, match=re.escape(message)):
+                shot_requests(shape, rng=np.random.default_rng(0), daynight=False, **args)
+
     def test_pinned_bytes(self):
         # the exact times over fixed seeds: both shapes and a stationary content, plain and day/night,
         # births up to the horizon (no request for a shot) and an int volume

@@ -296,6 +296,9 @@ class TestConstructor:
         assert t.__eq__((t.times, t.codes, t.ids, t.horizon)) is NotImplemented
         assert t != (t.times, t.codes, t.ids, t.horizon) and t != "a"
 
+    def test_repr_names_the_size_and_the_horizon(self):
+        assert repr(Trace.from_columns([0.5, 0.75], ["a", "b"], 1.5)) == "Trace(2 events, horizon=1.5)"
+
 class TestValidate:
     def test_valid_trace(self):
         assert validate(make_trace(["a", "b", "a"])) == []
