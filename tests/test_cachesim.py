@@ -306,9 +306,8 @@ class TestSizeForHitProb:
         assert size_for_hit_prob(d, 0.999) is None
 
     def test_no_requests(self):
-        for call in (lambda: size_for_hit_prob([], 0.1), lambda: hit_curve([], [1])):
-            with pytest.raises(ValueError, match="^no requests$"):
-                call()
+        with pytest.raises(ValueError, match="^no requests$"):
+            size_for_hit_prob([], 0.1)
 
     def test_target_range(self):
         d = reuse_distances(make_trace([1, 1]))
