@@ -40,7 +40,7 @@ from typing import IO, Callable, Iterator, Sequence
 
 import numpy as np
 
-from .trace import RequestEvent, Trace, _require, _require_int, format_cell
+from .trace import RequestEvent, Trace, _require, _require_bool, _require_int, format_cell
 
 __all__ = [
     "PopularityShape", "IrmConfig", "SnmClassConfig", "SnmConfig", "SnmEventStream", "SHAPE_KINDS",
@@ -112,9 +112,7 @@ class IrmConfig:
     def __post_init__(self):
         _require_int("catalogue_size", self.catalogue_size, lo=1)
         _require("alpha", self.alpha, positive=False)
-        _require_int("total_requests", self.total_requests)
-        if not 1 <= self.total_requests <= 2**31 - 1:  # reuse_distances' limit
-            raise ValueError(f"total_requests must be in [1, 2**31 - 1], got {self.total_requests}")
+        _require_int("total_requests", self.total_requests, lo=1, hi=2**31 - 1)  # reuse_distances' limit
         _require("horizon", self.horizon)
 
 
@@ -176,8 +174,7 @@ class SnmConfig:
         _require("horizon", self.horizon)
         if self.seed is not None:
             object.__setattr__(self, "seed", _require_int("seed", self.seed))
-        if not isinstance(self.daynight, (bool, np.bool_)):
-            raise ValueError(f"daynight must be a bool, got {self.daynight!r}")
+        _require_bool("daynight", self.daynight)
         if not self.classes:
             raise ValueError("class list must be non-empty")
         object.__setattr__(self, "classes", tuple(self.classes))
@@ -253,6 +250,7 @@ def shot_requests(
     horizon = _require("horizon", horizon)
     volume = _require("volume", volume, positive=False)  # a float, which _draw_contents reads as a constant volume
     _require_poisson("2 * volume", 2 * volume)
+    _require_bool("daynight", daynight)
     if shape is not None and horizon < birth:
         raise ValueError(f"horizon {horizon!r} precedes birth {birth!r}")
     t, _ = _draw_contents(rng, shape, np.array([birth], float), volume, horizon, daynight)

@@ -1,23 +1,23 @@
 """Canonical request-trace representation and file I/O.
 
 A trace is a time-sorted sequence of requests plus an observation
-horizon, held as three columns: ``times`` (float64, days since the
-trace origin, one per request), ``codes`` (int32, one per request) and
-``ids``, the tuple of distinct content ids, which the codes index.  Ids
-are numbered in order of first appearance, so equal traces have equal
-columns.  Content ids are opaque tokens.  The on-disk format is
-line-oriented text:
+horizon (by default the largest finite timestamp, or 0), held as three
+columns: ``times`` (float64, days since the trace origin, one per
+request), ``codes`` (int32, one per request) and ``ids``, the tuple of
+distinct content ids, which the codes index.  Ids are numbered in order
+of first appearance, so equal traces have equal columns.  Content ids
+are opaque tokens.  The on-disk format is line-oriented text:
 
     # trace-v1 horizon=<real>
     <timestamp_days>,<content_id>
     ...
 
 Timestamps are written with ``repr`` so a read/write cycle is lossless.
-:func:`write_atomic` is the package's one way to write output files,
-and :func:`format_cell` writes each value of a CSV or config file.
-The module also holds the package's value rules, ``_require`` for real
-numbers and samples and ``_require_int`` for integers: each returns the
-value it accepted, so that every check of an argument is one call.
+:func:`write_atomic` is the package's one way to write output files, and
+:func:`format_cell` writes each value of a CSV or config file.  The
+package's value rules live here too, ``_require`` (real numbers and
+samples), ``_require_int`` and ``_require_bool``: each returns the value
+it accepted, so that every check of an argument is one call.
 """
 
 from __future__ import annotations
@@ -51,10 +51,7 @@ _CONTENT_ID = re.compile(r"[!-+\--~]{1,%d}" % MAX_ID_LEN)
 
 
 class TraceFormatError(ValueError):
-    """Raised on malformed or out-of-order trace input.
-
-    ``line`` is the 1-based line number of the first offending line.
-    """
+    """Raised on malformed or out-of-order trace input; ``line`` is the first offending line's 1-based number."""
 
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
@@ -91,11 +88,11 @@ def _by_content(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class Trace:
     """Immutable request trace held as columns.
 
-    ``Trace(times, codes, names, horizon)`` takes a 1-D timestamp column
-    and an equally long 1-D column of integer indices into ``names``
-    (else ValueError); the names are renumbered by first appearance and
-    those that no request uses are left out, and those used must be
-    distinct (else ValueError).
+    ``Trace(times, codes, names, horizon=None)`` takes a 1-D timestamp
+    column and an equally long 1-D column of integer indices into
+    ``names`` (else ValueError), renumbered by first appearance: unused
+    names are left out and used ones must be distinct (else ValueError).
+    The horizon defaults to the largest finite timestamp, or 0.
     :meth:`from_columns` takes the content ids themselves and
     :meth:`from_events` collects a stream of events.  ``times`` must be
     non-decreasing and lie in ``[0, horizon]``, a finite horizon >= 0;
@@ -105,7 +102,7 @@ class Trace:
 
     __slots__ = ("times", "codes", "ids", "horizon")
 
-    def __init__(self, times, codes, names: Sequence[str], horizon: float):
+    def __init__(self, times, codes, names: Sequence[str], horizon: float | None = None):
         self.times = np.array(times, np.float64)
         codes = np.asarray(codes)
         for name, column in (("times", self.times), ("codes", codes)):
@@ -131,18 +128,18 @@ class Trace:
             seen: set[str] = set()
             repeated = next(c for c in self.ids if c in seen or seen.add(c))
             raise ValueError(f"the names the codes use must be distinct, got {repeated!r} twice")
+        if horizon is None:  # the largest finite timestamp, or 0
+            horizon = np.max(self.times, initial=0.0, where=np.isfinite(self.times))
         self.horizon = float(horizon)
 
     @classmethod
     def from_events(cls, events: Iterable[RequestEvent], horizon: float | None = None) -> "Trace":
-        """Collect a stream of events, defaulting the horizon to the last timestamp."""
+        """Collect a stream of events; the horizon defaults to the largest finite timestamp, or 0."""
         events = list(events)
-        if horizon is None:
-            horizon = events[-1].timestamp if events else 0.0
         return cls.from_columns([e[0] for e in events], [e[1] for e in events], horizon)
 
     @classmethod
-    def from_columns(cls, times: Sequence[float], ids: Sequence[str], horizon: float) -> "Trace":
+    def from_columns(cls, times: Sequence[float], ids: Sequence[str], horizon: float | None = None) -> "Trace":
         """Build a trace from parallel timestamp and content-id columns."""
         index: dict[str, int] = {}
         return cls(times, _encode(ids, index), tuple(index), horizon)
@@ -169,33 +166,6 @@ class Trace:
 
     def timestamps(self) -> list[float]:
         return self.times.tolist()
-
-
-def _violations(times: np.ndarray, codes: np.ndarray, ids, horizon: float) -> list[Violation]:
-    # first offender of each invariant in file order; a bad horizon is the header's, index -1
-    violations = []
-    if not 0 <= horizon < math.inf:
-        violations.append(Violation("horizon", -1, f"horizon must be finite and >= 0, got {horizon!r}"))
-        horizon = math.inf  # one horizon violation, not one more for each request
-    bad_ids = np.array([not isinstance(c, str) or _CONTENT_ID.fullmatch(c) is None for c in ids], bool)
-    masks = (
-        ("timestamp", ~(np.isfinite(times) & (times >= 0)), 0),
-        ("content_id", bad_ids[codes], 0),
-        ("sorted", times[1:] < times[:-1], 1),
-        ("horizon", times > horizon, 0),
-    )
-    for name, bad, shift in masks:
-        if bad.any():
-            i = int(bad.argmax()) + shift
-            ts = float(times[i])
-            message = {
-                "timestamp": f"timestamp {ts!r} not finite and >= 0",
-                "content_id": f"invalid content id {ids[codes[i]]!r}",
-                "sorted": f"timestamps not sorted: {ts!r} after {float(times[i - 1])!r}",
-                "horizon": f"timestamp {ts!r} beyond horizon {horizon!r}",
-            }[name]
-            violations.append(Violation(name, i, message))
-    return violations
 
 
 def _parse_rows(stream: IO[str]) -> tuple[np.ndarray, np.ndarray, tuple[str, ...], str | None]:
@@ -231,11 +201,11 @@ def _parse_rows(stream: IO[str]) -> tuple[np.ndarray, np.ndarray, tuple[str, ...
 def read_trace(stream: IO[str]) -> Trace:
     """Parse the trace file format from a text stream.
 
-    The horizon defaults to the last timestamp unless the header carries
-    an explicit ``horizon=`` field.  Raises :class:`TraceFormatError`
-    (with the offending line number) on a repeated ``horizon=`` field, a
-    declared horizon that is not finite and >= 0, malformed rows,
-    unsorted timestamps, or timestamps beyond the declared horizon.
+    The horizon defaults to the largest finite timestamp, or 0, unless the
+    header carries an explicit ``horizon=`` field.  The rows make a
+    :class:`Trace`, and :func:`validate`'s first violation in it, a repeated
+    ``horizon=`` field or a malformed row raises :class:`TraceFormatError`
+    with the offending line number.
     """
     header = stream.readline()
     if not header.startswith(HEADER_MAGIC):
@@ -251,16 +221,15 @@ def read_trace(stream: IO[str]) -> Trace:
         except ValueError:
             raise TraceFormatError(f"unparsable horizon {token!r}", line=1) from None
 
-    times, codes, ids, error = _parse_rows(stream)
-    if horizon is None:  # the last timestamp, or 0; the largest finite one if the rows are unsorted
-        horizon = float(np.max(times, initial=0.0, where=np.isfinite(times)))
-    violations = _violations(times, codes, ids, horizon)
-    if violations:
-        first = min(violations, key=lambda v: v.index)
+    *columns, error = _parse_rows(stream)
+    trace = Trace(*columns, horizon)
+    del columns  # the trace holds its own copies
+    first = min(validate(trace), key=lambda v: v.index, default=None)
+    if first is not None:
         raise TraceFormatError(first.message, line=first.index + 2)
     if error is not None:
-        raise TraceFormatError(error, line=times.size + 2)
-    return Trace(times, codes, ids, horizon)
+        raise TraceFormatError(error, line=len(trace) + 2)
+    return trace
 
 
 def write_trace(trace: Trace, stream: IO[str]) -> None:
@@ -271,9 +240,8 @@ def write_trace(trace: Trace, stream: IO[str]) -> None:
     trace that :func:`validate` rejects raises ``ValueError`` with the
     first violation's message before anything is written.
     """
-    violations = _violations(trace.times, trace.codes, trace.ids, trace.horizon)
-    if violations:
-        first = min(violations, key=lambda v: v.index)
+    first = min(validate(trace), key=lambda v: v.index, default=None)
+    if first is not None:
         where = "header" if first.index < 0 else f"request {first.index}"
         raise ValueError(f"cannot write {where}: {first.message}")
     stream.write(f"{HEADER_MAGIC} horizon={trace.horizon!r}\n")
@@ -285,11 +253,31 @@ def write_trace(trace: Trace, stream: IO[str]) -> None:
 
 
 def validate(trace: Trace) -> list[Violation]:
-    """Check the trace invariants, reporting the first offender of each.
-
-    Returns an empty list iff the trace is valid.
-    """
-    return _violations(trace.times, trace.codes, trace.ids, trace.horizon)
+    """The first offender of each trace invariant (a bad horizon at index -1); [] iff the trace is valid."""
+    times, codes, ids, horizon = trace.times, trace.codes, trace.ids, trace.horizon
+    violations = []
+    if not 0 <= horizon < math.inf:
+        violations.append(Violation("horizon", -1, f"horizon must be finite and >= 0, got {horizon!r}"))
+        horizon = math.inf  # one horizon violation, not one more for each request
+    bad_ids = np.array([not isinstance(c, str) or _CONTENT_ID.fullmatch(c) is None for c in ids], bool)
+    masks = (
+        ("timestamp", ~(np.isfinite(times) & (times >= 0)), 0),
+        ("content_id", bad_ids[codes], 0),
+        ("sorted", times[1:] < times[:-1], 1),
+        ("horizon", times > horizon, 0),
+    )
+    for name, bad, shift in masks:
+        if bad.any():
+            i = int(bad.argmax()) + shift
+            ts = float(times[i])
+            message = {
+                "timestamp": f"timestamp {ts!r} not finite and >= 0",
+                "content_id": f"invalid content id {ids[codes[i]]!r}",
+                "sorted": f"timestamps not sorted: {ts!r} after {float(times[i - 1])!r}",
+                "horizon": f"timestamp {ts!r} beyond horizon {horizon!r}",
+            }[name]
+            violations.append(Violation(name, i, message))
+    return violations
 
 
 def write_atomic(files: Mapping[Path, Callable[[IO[str]], object]]) -> None:
@@ -335,6 +323,13 @@ def _require(key: str, value, positive: bool = True, sample: bool = False) -> fl
         rule = "positive" if positive else ">= 0"
         raise ValueError(f"{key} must be {rule} and finite, got {values[bad].flat[0]}")
     return tuple(values.tolist()) if sample else values.item()
+
+
+def _require_bool(key: str, value) -> bool:
+    # the one flag rule, which returns a Python bool: a Python or numpy bool, not an integer or a string
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{key} must be a bool, got {value!r}")
+    return bool(value)
 
 
 def _require_int(key: str, value, lo: int | None = None, hi: int | None = None) -> int:

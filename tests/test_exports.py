@@ -1,5 +1,6 @@
 """Each module's ``__all__`` names only what the module defines, so a star import works,
-importing the package leaves ``numpy.random`` to the first draw, and each value rule has one home."""
+importing the package leaves ``numpy.random`` to the first draw, each value rule has one home, and
+one function checks the trace invariants."""
 
 import ast
 import importlib
@@ -33,8 +34,8 @@ def imported_modules(name):
 def test_value_rules_are_defined_in_trace_alone():
     # _require_int lived in generators, so cachesim imported generators for that name alone
     homes = sorted((node.name, name) for name in MODULES for node in ast.walk(tree(name))
-                   if isinstance(node, ast.FunctionDef) and node.name in ("_require", "_require_int"))
-    assert homes == [("_require", "trace"), ("_require_int", "trace")]
+                   if isinstance(node, ast.FunctionDef) and node.name in ("_require", "_require_bool", "_require_int"))
+    assert homes == [("_require", "trace"), ("_require_bool", "trace"), ("_require_int", "trace")]
     assert "generators" not in imported_modules("cachesim")
 
 
@@ -48,6 +49,19 @@ def test_one_placement_and_thinning_path():
     callers = {func.name for func in ast.walk(tree("generators"))
                if isinstance(func, ast.FunctionDef) and any(map(places, ast.walk(func)))}
     assert callers == {"_draw_contents"}
+
+
+def test_validate_is_the_one_trace_check():
+    # read_trace and write_trace checked raw columns through a helper that validate only wrapped
+    funcs = {node.name: node for node in ast.walk(tree("trace")) if isinstance(node, ast.FunctionDef)}
+
+    def uses(func, name):
+        return any(getattr(node, "id", None) == name for node in ast.walk(func))
+
+    assert [name for name, func in funcs.items() if uses(func, "_CONTENT_ID")] == ["validate"]
+    for name in ("read_trace", "write_trace"):
+        assert any(isinstance(node, ast.Call) and getattr(node.func, "id", None) == "validate"
+                   for node in ast.walk(funcs[name])), name
 
 
 def test_main_is_the_one_cli_writer():

@@ -136,14 +136,18 @@ class TestShotSampling:
         ("horizon", math.inf, "horizon must be positive and finite, got inf"),
         ("horizon", -1.0, "horizon must be positive and finite, got -1.0"),
         ("volume", 1e308, "2 * volume must be <= "),
+        ("daynight", "no", "daynight must be a bool, got 'no'"),
+        ("daynight", 1, "daynight must be a bool, got 1"),
+        ("daynight", None, "daynight must be a bool, got None"),
     ])
     def test_value_rules(self, argument, value, message):
         # a negative birth gave times before 0, a stationary content's bad horizon NaN, inf or negative
-        # times, and a NaN birth or a huge volume numpy's "lam value too large"
+        # times, a NaN birth or a huge volume numpy's "lam value too large", and daynight="no" the
+        # day/night thinning
         for shape in (PopularityShape("uniform", 1.0), None):
-            args = {"birth": 0.0, "volume": 5.0, "horizon": 10.0, argument: value}
+            args = {"birth": 0.0, "volume": 5.0, "horizon": 10.0, "daynight": False, argument: value}
             with pytest.raises(ValueError, match=re.escape(message)):
-                shot_requests(shape, rng=np.random.default_rng(0), daynight=False, **args)
+                shot_requests(shape, rng=np.random.default_rng(0), **args)
 
     def test_pinned_bytes(self):
         # the exact times over fixed seeds: both shapes and a stationary content, plain and day/night,
@@ -198,7 +202,7 @@ class TestGenerateIrm:
     def test_requests_capped_at_reuse_distance_limit(self):
         # only the configs are built: no request is drawn
         assert IrmConfig(catalogue_size=10, alpha=0.8, total_requests=2**31 - 1, horizon=5.0)
-        with pytest.raises(ValueError, match=r"total_requests must be in \[1, 2\*\*31 - 1\], got 2147483648"):
+        with pytest.raises(ValueError, match=r"total_requests must be in \[1, 2147483647\], got 2147483648"):
             IrmConfig(catalogue_size=10, alpha=0.8, total_requests=2**31, horizon=5.0)
 
     def test_ids_are_the_drawn_ranks(self):

@@ -215,7 +215,7 @@ class TestHorizonRule:
         assert str(exc.value) == f"line 1: horizon must be finite and >= 0, got {horizon!r}"
 
     def test_headerless_default_is_no_bad_horizon(self):
-        # with no horizon= field the horizon is the last timestamp, or 0, and a
+        # with no horizon= field the horizon is the largest finite timestamp, or 0, and a
         # non-finite row is reported at its own line rather than as the horizon
         assert read_trace(io.StringIO("# trace-v1\n")).horizon == 0.0
         for row in ("inf", "nan"):
@@ -296,6 +296,12 @@ class TestConstructor:
         assert t.__eq__((t.times, t.codes, t.ids, t.horizon)) is NotImplemented
         assert t != (t.times, t.codes, t.ids, t.horizon) and t != "a"
 
+    def test_horizon_defaults_to_the_largest_finite_time(self):
+        # from_events took the last time, read_trace the largest finite one
+        assert Trace([2.0, 1.0, math.inf, math.nan], [0, 1, 0, 1], ["a", "b"]).horizon == 2.0
+        assert Trace([math.nan], [0], ["a"]).horizon == Trace([], [], []).horizon == 0.0
+        assert Trace.from_columns([0.5, 1.5], ["a", "b"]).horizon == 1.5
+
     def test_repr_names_the_size_and_the_horizon(self):
         assert repr(Trace.from_columns([0.5, 0.75], ["a", "b"], 1.5)) == "Trace(2 events, horizon=1.5)"
 
@@ -359,13 +365,16 @@ class TestReaderValidatorAgreement:
             ),
             max_size=12,
         ),
-        st.floats(min_value=0.0, max_value=3.0),
+        # None leaves the horizon out of both the trace and the header, which gave the last
+        # timestamp and the largest finite one, so unsorted rows broke at different lines
+        st.one_of(st.none(), st.floats(min_value=0.0, max_value=3.0)),
     )
     def test_first_error_line_matches_first_violation(self, rows, horizon):
         trace = Trace.from_events([RequestEvent(t, cid) for t, cid in rows], horizon)
         # the rows as write_trace formats them, which it refuses to do for an invalid trace
-        buf = io.StringIO(f"# trace-v1 horizon={trace.horizon!r}\n"
-                          + "".join(f"{t!r},{cid}\n" for t, cid in zip(trace.times.tolist(), trace.content_ids())))
+        header = f"# trace-v1 horizon={trace.horizon!r}\n"
+        text = "".join(f"{t!r},{cid}\n" for t, cid in zip(trace.times.tolist(), trace.content_ids()))
+        buf = io.StringIO(("# trace-v1\n" if horizon is None else header) + text)
         violations = validate(trace)
         if violations:
             with pytest.raises(ValueError):
@@ -381,7 +390,7 @@ class TestReaderValidatorAgreement:
             assert read_trace(buf) == trace
             written = io.StringIO()
             write_trace(trace, written)
-            assert written.getvalue() == buf.getvalue()
+            assert written.getvalue() == header + text
 
 
 # the inputs of the value-rule table below
