@@ -220,10 +220,9 @@ def _draw_contents(rng: np.random.Generator, shape: PopularityShape | None, birt
     if shape is None:
         t *= horizon  # uniform over [0, horizon]
     else:
-        b = births[owner]
         t = shape.quantile(np.multiply(t, masses[owner], out=t))
-        np.minimum(t, horizon - b, out=t)  # guard fp rounding at the window edge
-        t += b
+        t += births[owner]
+        np.minimum(t, horizon, out=t)  # the quantile and the sum may round past the horizon
     if daynight:  # each candidate, at time t, kept with probability f(t)/2
         keep = rng.random(t.size) < 0.5 * daynight_factor(t)
         t, owner = t[keep], owner[keep]
@@ -234,7 +233,7 @@ def shot_requests(
     shape: PopularityShape | None, birth: float, volume: float, horizon: float,
     rng: np.random.Generator, daynight: bool,
 ) -> np.ndarray:
-    """Sorted absolute request times of one content, truncated at the horizon.
+    """Sorted absolute request times of one content: birth plus shot time, at most the horizon.
 
     Order-statistics construction of the inhomogeneous Poisson process
     with rate ``volume * shape(t - birth)``: the count is

@@ -160,7 +160,7 @@ def class_requests(cfg: SnmClassConfig, horizon: float, seed: int, daynight: boo
     draws, in this order: the births; then, for all the class's contents at once in id order
     ("c1_10" before "c1_2"), the volume indices (a volume sample only), the Poisson counts, the
     candidate uniforms and, under day/night, the thinning uniforms.  A candidate u of a content born
-    at b is placed at the shape's quantile of u * F(horizon - b), at most horizon - b, plus b (at
+    at b is placed at the shape's quantile of u * F(horizon - b) plus b, at most the horizon (at
     u * horizon if stationary); under day/night it is kept if its thinning uniform is below f(t)/2."""
     rng = np.random.default_rng([seed % 2**64, generators._TAG_BIRTHS, cfg.class_id])
     births = np.sort(rng.uniform(0.0, horizon, rng.poisson(cfg.arrival_rate * horizon)))
@@ -179,7 +179,7 @@ def class_requests(cfg: SnmClassConfig, horizon: float, seed: int, daynight: boo
     if shape is None:
         t = u * horizon
     else:
-        t = np.minimum(shape.quantile(u * masses[owner]), horizon - b[owner]) + b[owner]
+        t = np.minimum(shape.quantile(u * masses[owner]) + b[owner], horizon)
     if daynight:
         keep = rng.random(t.size) < 0.5 * (1.0 + np.sin(2.0 * np.pi * t))
         t, owner = t[keep], owner[keep]

@@ -308,6 +308,8 @@ class TestSizeForHitProb:
     def test_no_requests(self):
         with pytest.raises(ValueError, match="^no requests$"):
             size_for_hit_prob([], 0.1)
+        with pytest.raises(ValueError, match="^no requests$"):
+            hit_curve([], [1])
 
     def test_target_range(self):
         d = reuse_distances(make_trace([1, 1]))

@@ -162,6 +162,34 @@ class TestShotSampling:
                     digest.update(np.int64(times.size).tobytes() + times.tobytes())
         assert digest.hexdigest() == "8bdb2e8ea02a979cd18c3c0e98deee87acad6cb14ac19fe99e30d4ad58e0bd09"
 
+    class EdgeRng:
+        # counts and volume indices from a real generator; every candidate uniform 1 - 2**-53, the
+        # largest numpy draws, and every thinning uniform 0, so that day/night keeps every candidate
+        def __init__(self, rng):
+            self.poisson, self.integers, self.draws = rng.poisson, rng.integers, 0
+
+        def random(self, size):
+            self.draws += 1
+            return np.full(size, 1.0 - 2.0**-53 if self.draws == 1 else 0.0)
+
+    @pytest.mark.parametrize("daynight", [False, True])
+    @pytest.mark.parametrize("kind", ["uniform", "exponential"])
+    @pytest.mark.parametrize("horizon", [7.3, 10.1, 30.0])
+    def test_times_at_the_window_end(self, horizon, kind, daynight):
+        # with every candidate at the window end, a clamp at horizon - birth let (horizon - birth) + birth
+        # round past horizons with no short binary form (7.3, 10.1: 1,926 of 109,302 uniform times past
+        # 7.3); 30.0 never showed it
+        shape = PopularityShape(kind, 5.0)
+        births = np.random.default_rng(1).uniform(0.0, horizon, 100_000)
+        t, owner = generators._draw_contents(self.EdgeRng(np.random.default_rng(1)), shape, births, 3.0,
+                                             horizon, daynight)
+        assert t.size > 100_000
+        assert np.all(t >= births[owner]) and np.all(t <= horizon)
+        rng = np.random.default_rng(2)
+        for birth in births[:2000].tolist():
+            times = shot_requests(shape, birth, 3.0, horizon, self.EdgeRng(rng), daynight)
+            assert np.all(times >= birth) and np.all(times <= horizon)
+
 
 class TestDayNight:
     def test_factor_values(self):
