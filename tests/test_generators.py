@@ -176,9 +176,8 @@ class TestShotSampling:
     @pytest.mark.parametrize("kind", ["uniform", "exponential"])
     @pytest.mark.parametrize("horizon", [7.3, 10.1, 30.0])
     def test_times_at_the_window_end(self, horizon, kind, daynight):
-        # with every candidate at the window end, a clamp at horizon - birth let (horizon - birth) + birth
-        # round past horizons with no short binary form (7.3, 10.1: 1,926 of 109,302 uniform times past
-        # 7.3); 30.0 never showed it
+        # every candidate at the window end: a birth plus a shot time can round past a horizon with no
+        # short binary form (7.3, 10.1), which a round horizon such as 30.0 alone never shows
         shape = PopularityShape(kind, 5.0)
         births = np.random.default_rng(1).uniform(0.0, horizon, 100_000)
         t, owner = generators._draw_contents(self.EdgeRng(np.random.default_rng(1)), shape, births, 3.0,
