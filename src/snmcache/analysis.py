@@ -20,7 +20,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .generators import SnmClassConfig, SnmConfig
-from .trace import Trace, _by_content, _require, _require_int
+from .trace import Trace, _by_content, _reals, _require, _require_int
 
 __all__ = [
     "ContentStats",
@@ -167,12 +167,12 @@ def classify_contents(
     upper-inclusive boundaries: l <= b1 -> 1, b1 < l <= b2 -> 2, ...,
     l > b_last -> last class.
     """
-    bounds = list(lifespan_bounds)
+    bounds = _reals("lifespan bounds", lifespan_bounds, sample=True).tolist()
     if not all(map(math.isfinite, bounds)):
         raise ValueError(f"lifespan bounds must be finite, got {bounds}")
     if any(b1 >= b2 for b1, b2 in zip(bounds, bounds[1:])):
         raise ValueError(f"lifespan bounds must be strictly increasing, got {bounds}")
-    classes = np.searchsorted(np.asarray(bounds, dtype=float), stats.lifespan) + 1
+    classes = np.searchsorted(bounds, stats.lifespan) + 1
     classes[stats.volume < _require_int("volume_threshold", volume_threshold, lo=1)] = 0
     return classes
 
@@ -246,8 +246,8 @@ def fit_snm(stats: ContentStats, horizon: float, volume_threshold: int, lifespan
 
 def _bin_edges(name: str, edges: Sequence[float]) -> np.ndarray:
     # density_map's rule for one axis: two or more strictly increasing edges
-    edges = np.asarray(edges, dtype=float)
-    if edges.ndim != 1 or len(edges) < 2 or not np.all(np.diff(edges) > 0):
+    edges = _reals(f"{name} bin edges", edges, sample=True)
+    if len(edges) < 2 or not np.all(np.diff(edges) > 0):
         raise ValueError(f"{name} bin edges must be strictly increasing, got {edges}")
     return edges
 

@@ -39,6 +39,7 @@ class Mutant(NamedTuple):
 
 
 GENERATORS, ANALYSIS, CACHESIM = "src/snmcache/generators.py", "src/snmcache/analysis.py", "src/snmcache/cachesim.py"
+TRACE = "src/snmcache/trace.py"
 CONFORMANCE = ("tests/test_conformance.py",)
 
 MUTANTS = (
@@ -62,6 +63,14 @@ MUTANTS = (
            "arrival_rate=1.03 * n_videos / horizon,", ("tests/test_analysis.py",)),
     Mutant("lru_results: mean gap over count - 1", CACHESIM, "/ gaps.size if gaps.size", "/ (gaps.size - 1) if gaps.size",
            ("tests/test_cachesim.py",)),
+    Mutant("id keys: 0x00 padding", TRACE, "column |= _PAD[np.clip(size - 8 * j, 0, 8)]",
+           "column &= ~_PAD[np.clip(size - 8 * j, 0, 8)]",
+           ("tests/test_trace.py::TestIdKeys::test_padding_is_no_utf8_byte",)),
+    Mutant("id keys: a group's last row names it", TRACE, "np.minimum.at(first, group, np.arange(group.size))",
+           "first[group] = np.arange(group.size)",
+           ("tests/test_trace.py::TestIdKeys::test_long_ids_with_one_key_name_the_first",)),
+    Mutant("writer: final line end dropped", TRACE, 'map(",".join, rows)) + "\\n")', 'map(",".join, rows)))',
+           ("tests/test_trace.py::TestWriteTrace::test_rows_are_whole_lines_across_write_blocks",)),
     # equivalent controls: every stable sort gives the same order, and clip is a maximum then a minimum
     Mutant("time sort: mergesort for stable", GENERATORS, 'np.argsort(t, kind="stable")', 'np.argsort(t, kind="mergesort")',
            ("tests/test_generators.py::TestEventStream::test_pinned_events_and_peak_pending",), equivalent=True),

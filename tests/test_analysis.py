@@ -229,6 +229,16 @@ class TestClassifyContents:
         with pytest.raises(ValueError, match="must be finite"):
             classify_contents(self.stats_for(50, 1.0), lifespan_bounds=bounds)
 
+    @pytest.mark.parametrize("bounds", [["1"], [[1.0, 2.0]], [True], [[1], [2, 3]]])
+    def test_bounds_must_be_numbers(self, bounds):
+        # strings and nested lists raised TypeError from math.isfinite; bools passed as 0 and 1
+        stats = self.stats_for(50, 1.0)
+        message = re.escape(f"lifespan bounds must be a 1-D sequence of numbers, got {bounds!r}")
+        for call in (lambda: classify_contents(stats, 10, bounds), lambda: class_summary(stats, 30.0, 10, bounds),
+                     lambda: fit_snm(stats, 30.0, 10, bounds, "uniform")):
+            with pytest.raises(ValueError, match=message):
+                call()
+
 
 class TestClassSummary:
     def test_all_class_zero(self):
@@ -384,3 +394,11 @@ class TestDensityMap:
     def test_bad_edges(self):
         with pytest.raises(ValueError):
             density_map(content_stats(make_trace([])), 10, [0, 5, 5], [10, 20])
+
+    @pytest.mark.parametrize("edges", [["0", "50"], [False, True], [[0, 1], [2]]], ids=["strings", "bools", "ragged"])
+    def test_edges_must_be_numbers(self, edges):
+        # strings and bools made a grid, and ragged edges raised numpy's message, which named no axis
+        stats = content_stats(make_trace(["a"] * 12))
+        for axis, args in (("lifespan", (edges, [10, 20])), ("volume", ([0, 5], edges))):
+            with pytest.raises(ValueError, match=re.escape(f"{axis} bin edges must be a 1-D sequence of numbers, got {edges!r}")):
+                density_map(stats, 10, *args)

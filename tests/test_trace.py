@@ -123,7 +123,7 @@ class TestReadTrace:
     def test_memory_peak_per_request(self, tmp_path):
         # the reader holds one _READ_CHARS block of text at a time, not the whole file: 200,000 rows
         # with ids of 64 hex digits, as long as a SHA-256 digest (84 bytes a row, 17 MB, 16 blocks),
-        # peak at 48 bytes a request; reading the whole text at once peaked at 167
+        # peak at 44 bytes a request (48 when a dict coded the ids); reading the whole text at once peaked at 167
         rng = np.random.default_rng(1)
         trace = Trace(np.sort(rng.random(200_000)) * 30, rng.integers(0, 1000, 200_000),
                       [f"{k:064x}" for k in range(1000)], 30.0)
@@ -142,6 +142,98 @@ class TestReadTrace:
         assert peak <= 64 * len(trace)
 
 
+def dict_read(body: str) -> Trace:
+    """The reader's contract restated row by row for a headerless body, with ids coded by
+    ``Trace.from_columns``'s dict: the rows before the first malformed one make the trace, whose first
+    violation, else the malformed row, raises."""
+    rows = body.split("\n")[1:]
+    if rows[-1] == "":  # the final line end
+        rows.pop()
+    times, ids, error = [], [], None
+    for row in rows:
+        fields = row.split(",")
+        if len(fields) != 2:
+            error = f"expected 2 comma-separated columns, got {len(fields)}"
+            break
+        try:
+            times.append(float(fields[0]))
+        except ValueError:
+            error = f"unparsable timestamp {fields[0]!r}"
+            break
+        ids.append(fields[1])
+    trace = Trace.from_columns(times, ids)
+    first = min(validate(trace), key=lambda v: v.index, default=None)
+    if first is not None:
+        raise TraceFormatError(first.message, line=first.index + 2)
+    if error is not None:
+        raise TraceFormatError(error, line=len(trace) + 2)
+    return trace
+
+
+class TestIdKeys:
+    # the reader codes ids by their first 65 UTF-8 bytes padded with 0xFF into 8-byte words; these ids
+    # end at, and share prefixes across, the word boundaries and the 65-byte cut
+    LENGTHS = (0, 1, 7, 8, 9, 16, 17, 63, 64, 65, 66, 70)
+
+    @staticmethod
+    def outcome(body: str, read) -> Trace | str:
+        try:
+            return read(body)
+        except TraceFormatError as exc:
+            return str(exc)
+
+    @staticmethod
+    def random_body(rng: np.random.Generator) -> str:
+        # half the bodies are valid; the others may hold invalid ids and malformed or unsorted rows
+        valid = rng.random() < 0.5
+        lengths = [n for n in TestIdKeys.LENGTHS if 0 < n <= 64] if valid else TestIdKeys.LENGTHS
+        base = "".join(rng.choice(list("abcXYZ019._:/+-~"), 70))
+        pool = []
+        for length in rng.choice(lengths, rng.integers(1, 6), replace=False).tolist():
+            pool.append(base[:length])
+            if length:  # the same prefix with another last byte: \x00, which the padding must not equal, or é
+                pool.append(base[:length - 1] + str(rng.choice(["A"] if valid else ["A", "\x00", "é", " "])))
+        rows, t = [], 0.0
+        for _ in range(rng.integers(0, 120)):
+            t += float(rng.choice([0.0, 0.25, 1.5]))
+            stamp, name = repr(t), str(rng.choice(pool))
+            fault = 1.0 if valid else rng.random()
+            if fault < 0.02:
+                stamp = "x"
+            elif fault < 0.04:
+                name += ",b"
+            elif fault < 0.06:
+                stamp = repr(t - 2.0)  # out of order, or negative
+            rows.append(f"{stamp},{name}\n")
+        body = "# trace-v1\n" + "".join(rows)
+        return body[:-1] if rows and rng.random() < 0.3 else body
+
+    @pytest.mark.parametrize("chars", [1, 7, 64, 1 << 20])
+    def test_reader_agrees_with_the_dict_coding(self, monkeypatch, chars):
+        monkeypatch.setattr("snmcache.trace._READ_CHARS", chars)
+        rng = np.random.default_rng(33)
+        valid = 0
+        for _ in range(60):
+            body = self.random_body(rng)
+            expected = self.outcome(body, dict_read)
+            assert self.outcome(body, lambda text: read_trace(io.StringIO(text))) == expected, body
+            valid += isinstance(expected, Trace) and len(expected) > 0
+        assert valid >= 10  # the cases do not all fail at their first row
+
+    def test_padding_is_no_utf8_byte(self):
+        # with 0x00 padding "a" and "a\x00" would share a key and the invalid id would read as "a"
+        with pytest.raises(TraceFormatError) as exc:
+            read_trace(io.StringIO("# trace-v1\n0.5,a\n1.0,a\x00\n"))
+        assert str(exc.value) == "line 3: invalid content id 'a\\x00'"
+
+    def test_long_ids_with_one_key_name_the_first(self):
+        # ids past 64 bytes that share their first 65 share a key; the error names the first row's id
+        prefix = "x" * 65
+        with pytest.raises(TraceFormatError) as exc:
+            read_trace(io.StringIO(f"# trace-v1\n0.25,a\n0.5,{prefix}first\n1.0,{prefix}last\n"))
+        assert str(exc.value) == f"line 3: invalid content id {prefix + 'first'!r}"
+
+
 class TestWriteTrace:
     def test_empty_trace_header_only(self):
         buf = io.StringIO()
@@ -152,6 +244,13 @@ class TestWriteTrace:
         buf = io.StringIO()
         write_trace(Trace.from_events([RequestEvent(2.25, "x")]), buf)
         assert buf.getvalue().splitlines()[1] == "2.25,x"
+
+    def test_rows_are_whole_lines_across_write_blocks(self, monkeypatch):
+        # each block of rows ends with a line end, also the file's last one
+        monkeypatch.setattr("snmcache.trace._WRITE_ROWS", 2)
+        buf = io.StringIO()
+        write_trace(Trace.from_columns([0.0, 0.5, 1.0], ["a", "b", "a"], 2.0), buf)
+        assert buf.getvalue() == "# trace-v1 horizon=2.0\n0.0,a\n0.5,b\n1.0,a\n"
 
     def test_double_roundtrip_byte_identical(self):
         rng = np.random.default_rng(7)
