@@ -305,11 +305,14 @@ def write_trace(trace: Trace, stream: IO[str]) -> None:
         where = "header" if first.index < 0 else f"request {first.index}"
         raise ValueError(f"cannot write {where}: {first.message}")
     stream.write(f"{HEADER_MAGIC} horizon={trace.horizon!r}\n")
-    names = np.array(trace.ids, dtype=object)
+    ends = np.array([f",{c}\n" for c in trace.ids], dtype=object)  # each content's row after the stamp
     for lo in range(0, len(trace), _WRITE_ROWS):
         hi = lo + _WRITE_ROWS
-        rows = zip(map(repr, trace.times[lo:hi].tolist()), names[trace.codes[lo:hi]].tolist())
-        stream.write("\n".join(map(",".join, rows)) + "\n")
+        rows = ends[trace.codes[lo:hi]].tolist()
+        parts = rows * 2  # each row's stamp, then the rest of the row
+        parts[0::2] = map(repr, trace.times[lo:hi].tolist())
+        parts[1::2] = rows
+        stream.write("".join(parts))
 
 
 def validate(trace: Trace) -> list[Violation]:

@@ -69,7 +69,8 @@ MUTANTS = (
     Mutant("id keys: a group's last row names it", TRACE, "np.minimum.at(first, group, np.arange(group.size))",
            "first[group] = np.arange(group.size)",
            ("tests/test_trace.py::TestIdKeys::test_long_ids_with_one_key_name_the_first",)),
-    Mutant("writer: final line end dropped", TRACE, 'map(",".join, rows)) + "\\n")', 'map(",".join, rows)))',
+    Mutant("writer: each block's last line end dropped", TRACE, 'stream.write("".join(parts))',
+           'stream.write("".join(parts)[:-1])',
            ("tests/test_trace.py::TestWriteTrace::test_rows_are_whole_lines_across_write_blocks",)),
     # equivalent controls: every stable sort gives the same order, and clip is a maximum then a minimum
     Mutant("time sort: mergesort for stable", GENERATORS, 'np.argsort(t, kind="stable")', 'np.argsort(t, kind="mergesort")',
