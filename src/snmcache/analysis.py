@@ -193,31 +193,26 @@ def class_summary(
     """
     horizon = _require("trace horizon", horizon)  # it gives the arrival rates
     classes = classify_contents(stats, volume_threshold, lifespan_bounds)
-    n_classes = len(lifespan_bounds) + 2
-    edges = (0.0, *lifespan_bounds, math.inf)
-    total_requests = int(stats.volume.sum())
-    total_videos = len(stats.ids)
-    out = []
-    for k in range(n_classes):
-        members = classes == k
-        volumes = stats.volume[members].tolist()
-        lifespans = np.cumsum(stats.lifespan[members])  # summed in content order
-        n_videos = len(volumes)
-        n_requests = sum(volumes)
-        out.append(
-            ClassSummary(
-                class_id=k,
-                # class 0 is volume-defined and spans all life-spans
-                lifespan_bounds=(0.0, math.inf) if k == 0 else edges[k - 1:k + 1],
-                pct_requests=100.0 * n_requests / total_requests if total_requests else 0.0,
-                pct_videos=100.0 * n_videos / total_videos if total_videos else 0.0,
-                mean_lifespan=lifespans[-1].item() / n_videos if n_videos else math.nan,
-                mean_volume=n_requests / n_videos if n_videos else math.nan,
-                arrival_rate=n_videos / horizon,
-                volume_samples=sorted(volumes),
-            )
+    bounds = _reals("lifespan bounds", lifespan_bounds, sample=True).tolist()  # the floats it classed by
+    videos, requests, lifespans = (
+        np.bincount(classes, w, len(bounds) + 2).tolist()  # sums each class in content order, from 0.0
+        for w in (None, stats.volume, stats.lifespan))
+    samples = np.split(stats.volume[np.lexsort((stats.volume, classes))], np.cumsum(videos)[:-1])
+    total_requests, total_videos = int(stats.volume.sum()), len(stats.ids)
+    return [
+        ClassSummary(
+            class_id=k,
+            lifespan_bounds=(lo, hi),  # class 0 is volume-defined and spans all life-spans
+            pct_requests=100.0 * r / total_requests if total_requests else 0.0,
+            pct_videos=100.0 * v / total_videos if total_videos else 0.0,
+            mean_lifespan=ls / v if v else math.nan,
+            mean_volume=r / v if v else math.nan,
+            arrival_rate=v / horizon,
+            volume_samples=vs.tolist(),
         )
-    return out
+        for k, (lo, hi, v, r, ls, vs) in enumerate(zip([0.0, 0.0, *bounds], [math.inf, *bounds, math.inf],
+                                                        videos, requests, lifespans, samples))
+    ]
 
 
 def fit_snm(stats: ContentStats, horizon: float, volume_threshold: int, lifespan_bounds: Sequence[float],

@@ -142,6 +142,7 @@ def lru_results(trace: Trace, distances: np.ndarray, capacities: Sequence[int]) 
     keep = np.full(len(trace), np.nan)
     keep[prev[prev >= 0]] = distances[prev >= 0]
     keep[np.isnan(keep)] = np.arange(np.count_nonzero(np.isnan(keep)), 0, -1)
+    del prev  # out of the capacity loop, whose index arrays make the peak
     results = []
     for c, hits in zip(capacities, np.searchsorted(finite, capacities, side="right").tolist()):
         victims, evictors = np.flatnonzero(keep > c), np.flatnonzero(distances > c)[c:]

@@ -41,6 +41,11 @@ class Mutant(NamedTuple):
 GENERATORS, ANALYSIS, CACHESIM = "src/snmcache/generators.py", "src/snmcache/analysis.py", "src/snmcache/cachesim.py"
 TRACE = "src/snmcache/trace.py"
 CONFORMANCE = ("tests/test_conformance.py",)
+DISTANCES = "tests/test_cachesim.py::TestReuseDistances"
+REPEATS = f"{DISTANCES}::test_repeats"
+LRU = "tests/test_cachesim.py::TestLruResults"
+BLOCKS = "tests/test_trace.py::TestReadTrace::test_any_block_size_reads_the_same"
+KEYED = "tests/test_generators.py::TestKeyedSeeding::test_each_class_draws_from_its_keyed_default_rng"
 
 MUTANTS = (
     Mutant("horizon clamp deleted", GENERATORS, "np.minimum(t, horizon, out=t)", "None",
@@ -59,10 +64,43 @@ MUTANTS = (
            "lo = start + (volume + 9) // 10", ("tests/test_analysis.py",)),
     Mutant("sliced_popularity: p95 index - 1", ANALYSIS, "(pct * K + 99) // 100 - 1]",
            "(pct * K + 99) // 100 - 1 - (pct == 95)]", ("tests/test_analysis.py", "tests/test_cli.py::TestAnalyze")),
-    Mutant("class_summary: arrival rate x 1.03", ANALYSIS, "arrival_rate=n_videos / horizon,",
-           "arrival_rate=1.03 * n_videos / horizon,", ("tests/test_analysis.py",)),
+    Mutant("class_summary: arrival rate x 1.03", ANALYSIS, "arrival_rate=v / horizon,",
+           "arrival_rate=1.03 * v / horizon,", ("tests/test_analysis.py",)),
     Mutant("lru_results: mean gap over count - 1", CACHESIM, "/ gaps.size if gaps.size", "/ (gaps.size - 1) if gaps.size",
            ("tests/test_cachesim.py",)),
+    Mutant("lru_results: hits below each capacity", CACHESIM, 'np.searchsorted(finite, capacities, side="right")',
+           'np.searchsorted(finite, capacities, side="left")', (f"{LRU}::test_single_content",)),
+    Mutant("lru_results: gap sum not from 0.0", CACHESIM, "(0.0 + float(gaps[-1]))", "float(gaps[-1])",
+           (f"{LRU}::test_mean_eviction_time_is_never_negative_zero",)),
+    Mutant("lru_results: prev kept through the loop", CACHESIM, "    del prev", "    pass",
+           ("tests/test_memory.py::test_peak_per_request[lru_results]",)),
+    Mutant("kernel: top level dropped", CACHESIM, "bit_length(), 0, -1)", "bit_length() - 1, 0, -1)", (REPEATS,)),
+    Mutant("kernel: key low bits dropped", CACHESIM, "x |= np.arange(n)", "x |= 0", (REPEATS,)),
+    Mutant("kernel: partial-block lines dropped", CACHESIM,
+           "x[m : m + left.size - w] = left[w:]\n        x[m + h :] = right[w:]", "pass", (REPEATS,)),
+    Mutant("kernel: split by bit c", CACHESIM, "bit = np.bitwise_and(x, h)", "bit = np.bitwise_and(x, 2 * h)",
+           (REPEATS,)),
+    Mutant("kernel: (i & -h) term dropped", CACHESIM, "pos -= np.bitwise_and(i, -h, out=i)", "pass",
+           (f"{DISTANCES}::test_against_naive_oracle",)),
+    Mutant("size_for_hit_prob: ceil(target * total)", CACHESIM,
+           "bisect_left(range(1, total + 1), target, key=lambda j: j / total) + 1", "math.ceil(target * total)",
+           ("tests/test_cachesim.py::TestSizeForHitProb::test_least_k_at_and_beside_each_fraction",)),
+    Mutant("class_summary: labels from the raw bounds", ANALYSIS, "zip([0.0, 0.0, *bounds], [math.inf, *bounds,",
+           "zip([0.0, 0.0, *lifespan_bounds], [math.inf, *lifespan_bounds,",
+           ("tests/test_analysis.py::TestClassSummary::test_rows_are_labelled_by_the_bounds_as_floats",)),
+    Mutant("class_summary: classes by the default partition", ANALYSIS,
+           "classify_contents(stats, volume_threshold, lifespan_bounds)", "classify_contents(stats)",
+           ("tests/test_analysis.py::TestClassSummary::test_bounds_follow_the_partition_rule",)),
+    Mutant("reader: final-line patch dropped", TRACE, 'if not text.endswith("\\n"):', "if False:", (BLOCKS,)),
+    Mutant("reader: readline() dropped", TRACE, "text += stream.readline()", 'text += ""', (BLOCKS,)),
+    Mutant("draw: thinning before the candidates", GENERATORS, "t = rng.random(owner.size)",
+           "u = rng.random(owner.size) if daynight else None\n    t = rng.random(owner.size)\n"
+           "    rng = __import__('types').SimpleNamespace(random=lambda size: u)",  # the thinning draws u
+           (KEYED,)),
+    Mutant("draw: a fourth key word", GENERATORS, "_TAG_BIRTHS, cfg.class_id])", "_TAG_BIRTHS, cfg.class_id, 0])",
+           (KEYED,)),
+    Mutant("draw: reversed volume indices", GENERATORS, "rng.integers(0, len(volumes), births.size))",
+           "rng.integers(0, len(volumes), births.size)[::-1])", (KEYED,)),
     Mutant("id keys: 0x00 padding", TRACE, "column |= _PAD[np.clip(size - 8 * j, 0, 8)]",
            "column &= ~_PAD[np.clip(size - 8 * j, 0, 8)]",
            ("tests/test_trace.py::TestIdKeys::test_padding_is_no_utf8_byte",)),

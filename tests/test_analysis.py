@@ -325,6 +325,16 @@ class TestClassSummary:
         assert summaries[1].volume_samples == [12, 15]  # zero lifespan -> class 1
         assert summaries[0].volume_samples == [1]
 
+    @pytest.mark.parametrize("bounds", [[2, 5, 8, 13], np.array([2.0, 5.0])])
+    def test_rows_are_labelled_by_the_bounds_as_floats(self, bounds):
+        # the labels came from the raw bounds: (0.0, 2) for ints and (0.0, np.float64(2.0)) for an array,
+        # while the classes came from their floats
+        stats = content_stats(make_trace(["a", "a", "b"]))
+        labels = [s.lifespan_bounds for s in class_summary(stats, 30.0, 1, bounds)]
+        edges = [0.0, *map(float, bounds), math.inf]
+        assert labels == [(0.0, math.inf), *zip(edges, edges[1:])]
+        assert all(type(b) is float for label in labels for b in label)
+
 
 
 class TestFitSnm:

@@ -214,6 +214,12 @@ class TestLruResults:
         [r] = lru_results(trace, reuse_distances(trace), [2])
         assert (r.evictions, r.mean_eviction_time) == (1, 6.0)
 
+    def test_mean_eviction_time_is_never_negative_zero(self):
+        # the one gap is -0.0 - 0.0 = -0.0: the mean sums from 0.0, as the oracle does, which gives 0.0
+        trace = make_trace(["a", "b"], times=[0.0, -0.0])
+        [r] = lru_results(trace, reuse_distances(trace), [1])
+        assert (r.evictions, repr(r.mean_eviction_time)) == (1, "0.0")
+
     @pytest.mark.parametrize("daynight", [False, True])
     def test_equals_lru_oracle_on_snm_trace(self, daynight):
         trace = generate_snm(reference_classes(n_videos=800.0), 30.0, seed=3, daynight=daynight)
