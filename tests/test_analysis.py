@@ -317,6 +317,13 @@ class TestClassSummary:
             compensated_differs |= s.mean_lifespan != math.fsum(xs) / len(xs)
         assert compensated_differs  # so this trace tells the two sums apart
 
+    def test_mean_lifespan_sums_from_zero(self):
+        # equal stamps 0.0 and -0.0 give a life-span of -0.0, whose class mean was -0.0 when the sum
+        # started at the first member; from 0.0, as the left fold above, it is 0.0
+        stats = content_stats(make_trace(["a"] * 3, times=[0.0, 0.0, -0.0]))
+        assert repr(stats.lifespan[0].item()) == "-0.0"
+        assert repr(class_summary(stats, 1.0, 1, [2.0])[1].mean_lifespan) == "0.0"
+
     def test_volume_samples_match_members(self):
         ids = ["a"] * 12 + ["b"] * 15 + ["c"]
         trace = make_trace(ids, times=[0.5] * len(ids))
